@@ -33,7 +33,6 @@ from .derham import (
     check_duality_identities,
     hodge_star,
     laplacian_family,
-    witten_d,
     witten_laplacian,
 )
 from .errors import (

@@ -29,7 +29,7 @@ from .derham import (
     build_torus_complex,
     check_duality_identities,
     hodge_star,
-    witten_laplacian,
+    laplacian_family,
 )
 from .errors import ConfigError, NumericalError
 from .integrals import FlowCells, a_log_total, a_q, det_log, flow_cells, pairing_matrix
@@ -76,9 +76,10 @@ def run_spectrum(config: ExperimentConfig, k: int | None = None) -> SpectrumRun:
     values = {}
     for q in degrees:
         kq = k or min(cx.dims[q], 8)
+        fam = laplacian_family(cx, q)
         rows = []
         for t in ts:
-            w, _ = eig_sym(witten_laplacian(cx, q, t), k=kq,
+            w, _ = eig_sym(fam.at(t), k=kq,
                            residual_tol=config.tolerances.eig_residual)
             rows.append(w)
         values[q] = np.array(rows)

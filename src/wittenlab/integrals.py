@@ -30,16 +30,19 @@ def _panel_1d(fn, lo: float, hi: float):
     x16, w16 = _GL16
     v32 = fn(mid + half * x32)
     v16 = fn(mid + half * x16)
-    return half * float(w32 @ v32), half * float(w16 @ v16)
+    return half * (w32 @ v32), half * (w16 @ v16)
 
 
 def integrate_1d(fn, lo: float, hi: float, rel_tol: float = 1e-10,
-                 budget: int = 16384) -> float:
+                 budget: int = 16384) -> float | np.ndarray:
     """Adaptive integral of a vectorized callable on [lo, hi].
 
-    Panels are accepted when the GL32/GL16 discrepancy fits an error
-    allocation proportional to panel width, relative to a coarse
-    estimate of int |fn|; exhausting the panel budget raises.
+    fn maps a node vector to its values, optionally with a trailing
+    column axis; columns are integrated together on shared panels and
+    the result has one entry per column.  A panel is accepted when the
+    GL32/GL16 discrepancy of every column fits an error allocation
+    proportional to panel width, relative to a coarse estimate of that
+    column's int |fn|; exhausting the panel budget raises.
     """
     if hi <= lo:
         raise ConfigError("empty integration interval")
@@ -60,7 +63,7 @@ def integrate_1d(fn, lo: float, hi: float, rel_tol: float = 1e-10,
         coarse_ok = (b - a) < width * (2.0 ** -40)
         i32, i16 = _panel_1d(fn, a, b)
         tol_panel = rel_tol * (scale + 1e-300) * (b - a) / width
-        if abs(i32 - i16) <= tol_panel or coarse_ok:
+        if np.all(np.abs(i32 - i16) <= tol_panel) or coarse_ok:
             total += i32
         else:
             m = 0.5 * (a + b)
@@ -77,16 +80,18 @@ def _panel_2d(fn, box):
     x16, w16 = _GL16
     v32 = fn(m1 + h1 * x32, m2 + h2 * x32)
     v16 = fn(m1 + h1 * x16, m2 + h2 * x16)
-    i32 = h1 * h2 * float(w32 @ v32 @ w32)
-    i16 = h1 * h2 * float(w16 @ v16 @ w16)
+    i32 = h1 * h2 * (w32 @ np.tensordot(w32, v32, 1))
+    i16 = h1 * h2 * (w16 @ np.tensordot(w16, v16, 1))
     return i32, i16
 
 
-def integrate_2d(fn, box, rel_tol: float = 1e-10, budget: int = 65536) -> float:
+def integrate_2d(fn, box, rel_tol: float = 1e-10,
+                 budget: int = 65536) -> float | np.ndarray:
     """Adaptive tensor-panel integral over a rectangle.
 
     fn(th1, th2) takes node vectors and returns the value matrix on
-    their tensor grid.
+    their tensor grid, optionally with a trailing column axis that is
+    integrated as in integrate_1d.
     """
     a1, b1, a2, b2 = box
     if b1 <= a1 or b2 <= a2:
@@ -111,7 +116,7 @@ def integrate_2d(fn, box, rel_tol: float = 1e-10, budget: int = 65536) -> float:
         coarse_ok = (d1 - c1) * (d2 - c2) < area * (4.0 ** -20)
         i32, i16 = _panel_2d(fn, cur)
         tol_panel = rel_tol * (scale + 1e-300) * (d1 - c1) * (d2 - c2) / area
-        if abs(i32 - i16) <= tol_panel or coarse_ok:
+        if np.all(np.abs(i32 - i16) <= tol_panel) or coarse_ok:
             total += i32
         else:
             m1 = 0.5 * (c1 + d1)
@@ -126,65 +131,46 @@ def integrate_2d(fn, box, rel_tol: float = 1e-10, budget: int = 65536) -> float:
 
 def integral_A(cx: DeRhamComplex, q: int, omega: np.ndarray,
                cell: UnstableCell, t: float,
-               tol: Tolerances | None = None) -> float:
+               tol: Tolerances | None = None) -> float | np.ndarray:
     """int over one cell piece of e^{t f} omega, orientation applied.
 
-    The piece dimension must match the form degree; the pullback keeps
-    the coefficient of the coframe product along the arc axes.
+    omega is one form, giving a float, or a (dim, k) block of forms,
+    giving one value per column from a single adaptive pass whose
+    panels the columns share.  The piece dimension must match the form
+    degree; the pullback keeps the coefficient of the coframe product
+    along the arc axes.
     """
     tol = tol or Tolerances()
     if cell.dim != q:
         raise ConfigError(f"cell of dimension {cell.dim} paired with a "
                           f"{q}-form")
-    f = cx.f
-    comps = cx.form_components(q, np.asarray(omega, dtype=float))
-    sign = float(cell.orientation)
-    rel = tol.quad_rel
+    omega = np.asarray(omega, dtype=float)
+    block = omega.reshape(omega.shape[0], -1)
+    comps = cx.form_components(q, block)
+    arcs = [i for i, a in enumerate(cell.axes) if a[0] == "arc"]
+    # a torus 1-form pulls back to its coframe component along the arc
+    comp = comps[arcs[0]] if len(comps) > 1 else comps[0]
+
+    def fn(*nodes):
+        # nodes along the arc axes; the other coordinates stay pinned
+        grid = [np.array([a[1]]) for a in cell.axes]
+        for i, x in zip(arcs, nodes):
+            grid[i] = x
+        mesh = np.meshgrid(*grid, indexing="ij", sparse=True)
+        vals = np.exp(t * cx.f(*mesh))[..., None] * \
+            cx.eval_scalar_grid(comp, *grid)
+        return vals.reshape(*(x.size for x in nodes), block.shape[1])
 
     if q == 0:
-        pt = tuple(a[1] for a in cell.axes)
-        if cx.manifold == "circle":
-            val = float(cx.eval_scalar_grid(comps[0], np.array(pt))[0])
-        else:
-            val = float(cx.eval_scalar_grid(comps[0],
-                                            np.array([pt[0]]),
-                                            np.array([pt[1]]))[0, 0])
-        return sign * math.exp(t * f(*pt)) * val
-
-    if cx.manifold == "circle":
-        lo, hi = cell.axes[0][1], cell.axes[0][2]
-
-        def fn(th):
-            return np.exp(t * f(th)) * cx.eval_scalar_grid(comps[0], th)
-
-        return sign * integrate_1d(fn, lo, hi, rel)
-
-    if q == 1:
-        arc_axis = 0 if cell.axes[0][0] == "arc" else 1
-        arc = cell.axes[arc_axis]
-        lo, hi = arc[1], arc[2]
-        c = cell.axes[1 - arc_axis][1]
-        comp = comps[arc_axis]
-
-        if arc_axis == 0:
-            def fn(th):
-                vals = cx.eval_scalar_grid(comp, th, np.array([c]))[:, 0]
-                return np.exp(t * f(th, c)) * vals
-        else:
-            def fn(th):
-                vals = cx.eval_scalar_grid(comp, np.array([c]), th)[0, :]
-                return np.exp(t * f(c, th)) * vals
-
-        return sign * integrate_1d(fn, lo, hi, rel)
-
-    lo1, hi1 = cell.axes[0][1], cell.axes[0][2]
-    lo2, hi2 = cell.axes[1][1], cell.axes[1][2]
-
-    def fn2(th1, th2):
-        vals = cx.eval_scalar_grid(comps[0], th1, th2)
-        return np.exp(t * f(th1[:, None], th2[None, :])) * vals
-
-    return sign * integrate_2d(fn2, (lo1, hi1, lo2, hi2), rel)
+        total = fn()
+    elif q == 1:
+        _, lo, hi = cell.axes[arcs[0]]
+        total = integrate_1d(fn, lo, hi, tol.quad_rel)
+    else:
+        (_, lo1, hi1), (_, lo2, hi2) = cell.axes
+        total = integrate_2d(fn, (lo1, hi1, lo2, hi2), tol.quad_rel)
+    out = float(cell.orientation) * total
+    return out if omega.ndim > 1 else float(out[0])
 
 
 # -- the pairing with a critical-point basis -------------------------------
@@ -211,21 +197,24 @@ def int_cochain(cx: DeRhamComplex, q: int, omega: np.ndarray,
                 cells: FlowCells, t: float,
                 tol: Tolerances | None = None) -> np.ndarray:
     """Pairing values of one q-form against every index-q point."""
-    out = np.zeros(len(cells.by_degree.get(q, [])))
-    for j, (_, pieces) in enumerate(cells.by_degree.get(q, [])):
-        out[j] = sum(integral_A(cx, q, omega, piece, t, tol)
-                     for piece in pieces)
-    return out
+    omega = np.asarray(omega, dtype=float)
+    return pairing_matrix(cx, q, omega[:, None], cells, t, tol)[0]
 
 
 def pairing_matrix(cx: DeRhamComplex, q: int, forms: np.ndarray,
                    cells: FlowCells, t: float,
                    tol: Tolerances | None = None) -> np.ndarray:
-    """Matrix of the pairing: rows index forms, columns critical points."""
+    """Matrix of the pairing: rows index forms, columns critical points.
+
+    Each cell piece is integrated once for the whole block of forms.
+    """
     forms = np.asarray(forms, dtype=float)
-    rows = [int_cochain(cx, q, forms[:, i], cells, t, tol)
-            for i in range(forms.shape[1])]
-    return np.array(rows)
+    owners = cells.by_degree.get(q, [])
+    out = np.zeros((forms.shape[1], len(owners)))
+    for j, (_, pieces) in enumerate(owners):
+        for piece in pieces:
+            out[:, j] += integral_A(cx, q, forms, piece, t, tol)
+    return out
 
 
 @dataclass

@@ -373,46 +373,47 @@ def morse_coboundary(f: TrigPoly, manifold: str,
         min1, max1, D1 = _circle_incidence(pts1)
         min2, max2, D2 = _circle_incidence(pts2)
 
-        def pos(plist, coord):
+        def pos(plist, coords):
+            # Newton refines the 2-D points and the factor points
+            # separately, so equal points may differ in the last bits
             for k, p in enumerate(plist):
-                if _angdist(p.coords, (coord,)) < 1e-9:
+                if _angdist(p.coords, coords) < 1e-9:
                     return k
-            raise NumericalError("factor point lookup failed")
+            raise NumericalError("critical point lookup failed")
 
         degrees = {q: [i for i, p in enumerate(points) if p.index == q]
                    for q in range(3)}
-        idx_in_degree = {q: {points[i].coords: k for k, i in enumerate(degrees[q])}
-                         for q in range(3)}
+        in_degree = {q: [points[i] for i in degrees[q]] for q in range(3)}
         c0, c1, c2 = (len(degrees[q]) for q in range(3))
         d0 = np.zeros((c1, c0), dtype=int)
         d1 = np.zeros((c2, c1), dtype=int)
-        for s_coords, srow in idx_in_degree[1].items():
-            s1, s2 = s_coords
+        for srow, saddle in enumerate(in_degree[1]):
+            s1, s2 = saddle.coords
             is_type10 = any(_angdist(m.coords, (s1,)) < 1e-9 for m in max1)
             if is_type10:
                 # saddle = (max, min): d0 couples along the first factor,
                 # d1 along the second with the graded minus sign
-                i1 = pos(max1, s1)
-                j2 = pos(min2, s2)
+                i1 = pos(max1, (s1,))
+                j2 = pos(min2, (s2,))
                 for j1 in range(len(min1)):
                     if D1[i1, j1]:
                         p = (min1[j1].coords[0], s2)
-                        d0[srow, idx_in_degree[0][p]] += D1[i1, j1]
+                        d0[srow, pos(in_degree[0], p)] += D1[i1, j1]
                 for i2 in range(len(max2)):
                     if D2[i2, j2]:
                         m = (s1, max2[i2].coords[0])
-                        d1[idx_in_degree[2][m], srow] -= D2[i2, j2]
+                        d1[pos(in_degree[2], m), srow] -= D2[i2, j2]
             else:
-                j1 = pos(min1, s1)
-                i2 = pos(max2, s2)
+                j1 = pos(min1, (s1,))
+                i2 = pos(max2, (s2,))
                 for j2 in range(len(min2)):
                     if D2[i2, j2]:
                         p = (s1, min2[j2].coords[0])
-                        d0[srow, idx_in_degree[0][p]] += D2[i2, j2]
+                        d0[srow, pos(in_degree[0], p)] += D2[i2, j2]
                 for i1 in range(len(max1)):
                     if D1[i1, j1]:
                         m = (max1[i1].coords[0], s2)
-                        d1[idx_in_degree[2][m], srow] += D1[i1, j1]
+                        d1[pos(in_degree[2], m), srow] += D1[i1, j1]
         d = [d0, d1]
         betti = (1, 2, 1)
 

@@ -105,10 +105,12 @@ def torus_spectrum_from_circle(w0, w1, q):
 # ---------------------------------------------------------------------------
 # quadrature / closed forms
 
-def quad_exp_potential_1d(t, lo, hi, f):
-    """scipy adaptive quadrature of exp(t f) over an arc."""
+def quad_exp_potential_1d(t, lo, hi, f, weight=None):
+    """scipy adaptive quadrature of exp(t f) over an arc, times an
+    optional weight function."""
+    w = weight or (lambda th: 1.0)
     val, err = scipy.integrate.quad(
-        lambda th: np.exp(t * f(th)), lo, hi, limit=400,
+        lambda th: np.exp(t * f(th)) * w(th), lo, hi, limit=400,
         epsabs=1e-13, epsrel=1e-13)
     return val
 
@@ -119,11 +121,13 @@ def full_circle_exp_sin(t):
     return TWO_PI * scipy.special.iv(0, t)
 
 
-def quad_exp_potential_2d(t, box, f):
-    """dblquad of exp(t f(x, y)) over a coordinate box ((x0,x1),(y0,y1))."""
+def quad_exp_potential_2d(t, box, f, weight=None):
+    """dblquad of exp(t f(x, y)) over a coordinate box ((x0,x1),(y0,y1)),
+    times an optional weight function of (x, y)."""
     (x0, x1), (y0, y1) = box
+    w = weight or (lambda x, y: 1.0)
     val, err = scipy.integrate.dblquad(
-        lambda y, x: np.exp(t * f(x, y)), x0, x1, y0, y1,
+        lambda y, x: np.exp(t * f(x, y)) * w(x, y), x0, x1, y0, y1,
         epsabs=1e-11, epsrel=1e-11)
     return val
 

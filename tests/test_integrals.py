@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -44,6 +45,35 @@ def test_integrate_1d_budget_exhaustion():
     with pytest.raises(NumericalError):
         integrate_1d(lambda x: np.sqrt(np.abs(x - 1.3)) + 1.0, 0.0, TWO_PI,
                      rel_tol=1e-12, budget=3)
+
+
+def test_integrate_1d_columns_keep_their_own_scale():
+    # a flat column next to a narrow peak 1e-8 times smaller: measured
+    # against a shared |fn| scale the peak's error allocation would be
+    # 1e8 times too loose, and its first panel would pass unrefined
+    def fn(x):
+        peak = 1e-8 / (1.0 + 400.0 * (x - 1.0) ** 2)
+        return np.column_stack([np.ones_like(x), peak])
+
+    got = integrate_1d(fn, 0.0, TWO_PI, rel_tol=1e-10)
+    peak = 1e-8 * (math.atan(20.0 * (TWO_PI - 1.0)) + math.atan(20.0)) / 20.0
+    assert got.shape == (2,)
+    assert got[0] == pytest.approx(TWO_PI, rel=1e-12)
+    assert got[1] == pytest.approx(peak, rel=1e-10, abs=0.0)
+    alone = integrate_1d(lambda x: fn(x)[:, 1], 0.0, TWO_PI, rel_tol=1e-10)
+    assert got[1] == pytest.approx(alone, rel=1e-10, abs=0.0)
+
+
+def test_integrate_1d_budget_exhaustion_one_rough_column():
+    def fn(x):
+        return np.column_stack([np.ones_like(x),
+                                np.sqrt(np.abs(x - 1.3)) + 1.0])
+
+    smooth = integrate_1d(lambda x: fn(x)[:, :1], 0.0, TWO_PI,
+                          rel_tol=1e-12, budget=3)
+    assert smooth[0] == pytest.approx(TWO_PI, rel=1e-12)
+    with pytest.raises(NumericalError):
+        integrate_1d(fn, 0.0, TWO_PI, rel_tol=1e-12, budget=3)
 
 
 def test_integrate_2d_separable_product():
@@ -161,6 +191,89 @@ def test_stokes_torus(rng, torus_cx6):
     rhs1 = int_cochain(cx, 2, dEta, cells, t)
     scale1 = max(1.0, float(np.max(np.abs(lhs1))))
     assert np.max(np.abs(lhs1 - rhs1)) < 1e-10 * scale1
+
+
+def oracle_piece(cx, q, vec, piece, t):
+    """e^{t f} vec integrated over one cell piece by scipy quadrature,
+    with the form evaluated in the oracle's own Fourier basis."""
+    N, f, axes = cx.N, cx.f, piece.axes
+    if cx.manifold == "circle":
+        def w(th):
+            return vec @ oracles.basis_values(N, th)
+
+        if q == 0:
+            th = axes[0][1]
+            return np.exp(t * f(th)) * w(th)
+        _, lo, hi = axes[0]
+        return oracles.quad_exp_potential_1d(t, lo, hi, f, w)
+    n1 = 2 * N + 1
+    # degree 1: the dth1 block along a first-axis arc, dth2 along the second
+    block = vec[n1 * n1:] if axes[1][0] == "arc" and q == 1 else vec[:n1 * n1]
+    C = block.reshape(n1, n1)
+
+    @functools.lru_cache(maxsize=None)
+    def basis(x):  # the quadrature rules revisit the same nodes
+        return oracles.basis_values(N, x)
+
+    def w(x, y):
+        return basis(x) @ C @ basis(y)
+
+    if q == 0:
+        x, y = axes[0][1], axes[1][1]
+        return np.exp(t * f(x, y)) * w(x, y)
+    if q == 2:
+        box = ((axes[0][1], axes[0][2]), (axes[1][1], axes[1][2]))
+        return oracles.quad_exp_potential_2d(t, box, f, w)
+    if axes[0][0] == "arc":
+        (_, lo, hi), (_, c) = axes
+        return oracles.quad_exp_potential_1d(
+            t, lo, hi, lambda th: f(th, c), lambda th: w(th, c))
+    (_, c), (_, lo, hi) = axes
+    return oracles.quad_exp_potential_1d(
+        t, lo, hi, lambda th: f(c, th), lambda th: w(c, th))
+
+
+def oracle_pairing(cx, q, forms, cells, t):
+    owners = cells.by_degree.get(q, [])
+    ref = np.zeros((forms.shape[1], len(owners)))
+    for i in range(forms.shape[1]):
+        for j, (_, pieces) in enumerate(owners):
+            ref[i, j] = sum(piece.orientation
+                            * oracle_piece(cx, q, forms[:, i], piece, t)
+                            for piece in pieces)
+    return ref
+
+
+def assert_close_to_oracle(got, ref, rel):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+def test_pairing_matrix_form_block_against_oracle_circle(rng, circle_cx8):
+    cx = circle_cx8
+    cells = flow_cells(cx.f, "circle")
+    for q in (0, 1):
+        for t in (0.0, 4.0, 15.0):
+            forms = np.column_stack([band_limited_scalar(rng, cx.N, cx.N - 2)
+                                     for _ in range(3)])
+            got = pairing_matrix(cx, q, forms, cells, t)
+            assert_close_to_oracle(got, oracle_pairing(cx, q, forms, cells, t),
+                                   1e-9)
+
+
+def test_pairing_matrix_form_block_against_oracle_torus(rng, torus_cx6):
+    cx = torus_cx6
+    cells = flow_cells(cx.f, "torus")
+    t = 0.7
+    for q in (0, 1, 2):
+        blocks = 2 if q == 1 else 1
+        forms = np.column_stack([
+            np.concatenate([band_limited_scalar_2d(rng, cx.N, cx.N - 2)
+                            for _ in range(blocks)])
+            for _ in range(3)])
+        got = pairing_matrix(cx, q, forms, cells, t)
+        assert_close_to_oracle(got, oracle_pairing(cx, q, forms, cells, t),
+                               1e-9)
 
 
 def test_det_log_known_values():

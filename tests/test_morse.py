@@ -161,6 +161,22 @@ def test_torus_morse_coboundary():
     assert [len(mc.degrees[q]) for q in range(3)] == [4, 8, 4]
 
 
+@pytest.mark.parametrize("phases", [(0.4, 1.3), (4.87, 1.42), (0.1, 2.2),
+                                    (2.2, 3.1), (0.0, 0.0)])
+def test_torus_morse_coboundary_phase_shifted(phases):
+    # sin(2 th1 + a) + sin(2 th2 + b): the 2-D Newton points and the
+    # factor points of a shifted potential differ in the last bits
+    a, b = phases
+    f = TrigPoly(2, {(2, 0): (math.sin(a), math.cos(a)),
+                     (0, 2): (math.sin(b), math.cos(b))})
+    mc = morse_coboundary(f, "torus")
+    d0, d1 = mc.d
+    assert d0.shape == (8, 4) and d1.shape == (4, 8)
+    assert np.max(np.abs(d1 @ d0)) == 0
+    assert np.linalg.matrix_rank(d0) == 3
+    assert np.linalg.matrix_rank(d1) == 3
+
+
 def test_morse_coboundary_nonseparable_torus_rejected():
     mixed = TrigPoly.cosine((1, 1)) + TrigPoly.cosine((0, 1))
     with pytest.raises(ConfigError):
