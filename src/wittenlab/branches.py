@@ -21,7 +21,8 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import linear_sum_assignment
 
 from .config import Tolerances
-from .derham import DeRhamComplex, LaplacianFamily, laplacian_family
+from .derham import (DENSE_MAX_DIM, DeRhamComplex, LaplacianFamily,
+                     laplacian_family)
 from .errors import (
     ConfigError,
     GapNotFoundError,
@@ -338,15 +339,52 @@ class EigenBranch:
         return self.vectors[i]
 
 
+def lowest_eigenvalues(blocks, t: float, k: int, residual_tol: float = 1e-9):
+    """The k smallest eigenvalues at t of a family split into blocks.
+
+    blocks is LaplacianFamily.split() output.  Every block is solved on
+    its own (validated by eig_sym) and the values are merged; returns
+    (values, owner) ascending, owner[i] being the block of values[i], with
+    ties broken by block order.
+    """
+    vals, owner = [], []
+    for b, (_, sub) in enumerate(blocks):
+        kb = min(k, sub.dim - 1) if _windowed(sub) else min(k, sub.dim)
+        w, _ = eig_sym(_solver_matrix(sub, t), k=kb, residual_tol=residual_tol)
+        vals.append(w)
+        owner.append(np.full(w.size, b))
+    vals, owner = np.concatenate(vals), np.concatenate(owner)
+    order = np.lexsort((owner, vals))[:k]  # stable: block-local order kept
+    return vals[order], owner[order]
+
+
+def _windowed(fam: LaplacianFamily) -> bool:
+    """Whether fam is solved by windowed shift-invert instead of dense eigh."""
+    return sp.issparse(fam.A0) and fam.dim > DENSE_MAX_DIM
+
+
+def _solver_matrix(fam: LaplacianFamily, t: float):
+    """fam at t in the form its eigensolver takes."""
+    A = fam.at(t)
+    return A.toarray() if sp.issparse(A) and not _windowed(fam) else A
+
+
 def track_branches(cx: DeRhamComplex, q: int, grid, k: int | None = None,
                    tol: Tolerances | None = None,
                    family: LaplacianFamily | None = None):
     """Track the k branches that are smallest at the last grid point.
 
-    The grid must be strictly increasing and start at 0.  Adaptive
-    bisection inserts samples wherever the consecutive overlap falls
-    below tol.overlap_min, down to 2^-6 of the smallest grid step; if
-    matching still fails there, a TrackingError reports the interval
+    The grid must be strictly increasing and start at 0.  The family is
+    split into its exact invariant blocks (LaplacianFamily.split); each
+    block receives its share of the k smallest values at the last grid
+    point, ties broken by (value, block order), and is tracked on its
+    own, so exact crossings between blocks are not tracking events.  The
+    branches come back in the full dimension, ordered by their value at
+    the last grid point, with t0_cluster ids unique across blocks.
+
+    Adaptive bisection inserts samples wherever the consecutive overlap
+    falls below tol.overlap_min, down to 2^-6 of the smallest grid step;
+    if matching still fails there, a TrackingError reports the interval
     rather than silently permuting branches.
     """
     tol = tol or Tolerances()
@@ -361,8 +399,32 @@ def track_branches(cx: DeRhamComplex, q: int, grid, k: int | None = None,
         k = min(dim, 10)
     if k > dim:
         raise TrackingError(f"k={k} exceeds dimension {dim}")
+    blocks = fam.split()
+    if len(blocks) == 1:
+        return _track_family(fam, q, grid, k, tol)
+    _, owner = lowest_eigenvalues(blocks, float(grid[-1]), k, tol.eig_residual)
+    merged = [None] * k
+    for b, (idx, sub) in enumerate(blocks):
+        slots = np.flatnonzero(owner == b)  # merged positions, ascending
+        if slots.size == 0:
+            continue
+        tracked = _track_family(sub, q, grid, slots.size, tol)
+        for slot, br in zip(slots, tracked):
+            vectors = np.zeros((len(br.ts), dim))
+            vectors[:, idx] = br.vectors
+            br.vectors = vectors
+            if br.t0_cluster is not None:
+                br.t0_cluster = int(slots[br.t0_cluster])
+            merged[slot] = br
+    return merged
+
+
+def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
+                  tol: Tolerances):
+    """track_branches on one family as a whole, branches ascending at t_max."""
+    dim = fam.dim
     min_step = float(np.min(np.diff(grid))) * 2.0**-6
-    sparse_mode = sp.issparse(fam.A0)
+    sparse_mode = _windowed(fam)
     # iterative solves only see a window of the spectrum.  Matching may
     # only ever look at candidates whose full eigenvalue cluster fits in
     # the window: a cluster cut by the window edge comes back as an
@@ -378,7 +440,7 @@ def track_branches(cx: DeRhamComplex, q: int, grid, k: int | None = None,
         nonlocal window
         while True:
             if not sparse_mode:
-                return np.linalg.eigh(fam.at(t))
+                return np.linalg.eigh(_solver_matrix(fam, t))
             w, V = _eig_smallest_sparse(fam.at(t), window, tol.eig_residual)
             eps = tol.cluster_rel * max(1.0, float(abs(w[-1])))
             j = w.size - 1
@@ -652,21 +714,13 @@ def _box_gram(cx, q, W, center, radius, nodes):
     """Gram matrix of the columns of W over one coordinate box."""
     ctr = np.atleast_1d(np.asarray(center, dtype=float))
     axes = [_box_axes(c, radius, nodes) for c in ctr]
-    k = W.shape[1]
-    G = np.zeros((k, k))
-    for block_i in range(len(cx.form_components(q, W[:, 0]))):
-        vals = []
-        for j in range(k):
-            block = cx.form_components(q, W[:, j])[block_i]
-            vals.append(cx.eval_scalar_grid(block, *[a[0] for a in axes]))
-        for a in range(k):
-            for b in range(a, k):
-                if cx.manifold == "circle":
-                    g = float(np.sum(axes[0][1] * vals[a] * vals[b]))
-                else:
-                    g = float(axes[0][1] @ (vals[a] * vals[b]) @ axes[1][1])
-                G[a, b] += g
-                G[b, a] = G[a, b]
+    # tensor quadrature weights over the box, one row per grid node
+    wts = axes[0][1] if len(axes) == 1 else np.outer(axes[0][1], axes[1][1])
+    G = np.zeros((W.shape[1], W.shape[1]))
+    for block in cx.form_components(q, W):
+        vals = cx.eval_scalar_grid(block, *[a[0] for a in axes])
+        vals = vals.reshape(wts.size, -1)
+        G += vals.T @ (wts.reshape(-1, 1) * vals)
     return G
 
 

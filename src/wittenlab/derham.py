@@ -23,12 +23,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError
 from .trigpoly import TWO_PI, TrigPoly, circle_sin2, torus_sin2_product
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_TWO_PI = math.sqrt(TWO_PI)
+
+# largest operator assembled, and largest invariant block solved, in
+# dense form; beyond it operators are sparse and solves are windowed
+DENSE_MAX_DIM = 2000
 
 
 # -- scalar Fourier bases ----------------------------------------------
@@ -360,7 +365,7 @@ def build_torus_complex(N: int, f: TrigPoly | None = None,
     """Cutoff complex of the flat 2-torus.
 
     Degree-1 coefficient vectors are stacked as [alpha; beta] for
-    alpha dtheta1 + beta dtheta2.  Above a few thousand scalar modes the
+    alpha dtheta1 + beta dtheta2.  Above DENSE_MAX_DIM scalar modes the
     operators are assembled in sparse form (the same matrices entrywise);
     pass sparse to force either representation.
     """
@@ -372,7 +377,7 @@ def build_torus_complex(N: int, f: TrigPoly | None = None,
     n1 = 2 * N + 1
     m = n1 * n1
     if sparse is None:
-        sparse = m > 2000
+        sparse = m > DENSE_MAX_DIM
     if sparse:
         d1 = sp.csr_matrix(diff_matrix_1d(N))
         I1 = sp.identity(n1, format="csr")
@@ -443,6 +448,33 @@ class LaplacianFamily:
     @property
     def dim(self) -> int:
         return self.A0.shape[0]
+
+    def split(self) -> list:
+        """Exact invariant blocks of the family, as (indices, sub-family).
+
+        The blocks are the connected components of the nonzero pattern of
+        |A0| + |A1| + |A2|: every entry coupling two blocks is exactly 0.0
+        in all three coefficients, so each block spans an invariant
+        subspace of the family at every t.  No knowledge of the potential
+        is needed; a potential without frequency structure gives one
+        block.  Blocks are ordered by their first index and keep the
+        storage of the family, so a sparse family holds no dense copies.
+        """
+        pattern = (sp.csr_matrix(abs(self.A0)) + sp.csr_matrix(abs(self.A1))
+                   + sp.csr_matrix(abs(self.A2)))
+        pattern.eliminate_zeros()  # stored zeros would count as edges
+        n_blocks, labels = connected_components(pattern, directed=False)
+        blocks = sorted((np.flatnonzero(labels == b) for b in range(n_blocks)),
+                        key=lambda idx: idx[0])
+
+        def restrict(A, idx):
+            if sp.issparse(A):
+                return A[idx][:, idx].tocsr()
+            return A[np.ix_(idx, idx)]
+
+        return [(idx, LaplacianFamily(*(restrict(A, idx)
+                                        for A in (self.A0, self.A1, self.A2))))
+                for idx in blocks]
 
 
 def laplacian_family(cx: DeRhamComplex, q: int) -> LaplacianFamily:

@@ -19,7 +19,7 @@ from .branches import (
     SpectralPackage,
     assign_to_critical_points,
     classify,
-    eig_sym,
+    lowest_eigenvalues,
     track_branches,
 )
 from .config import ExperimentConfig
@@ -32,7 +32,7 @@ from .derham import (
     laplacian_family,
 )
 from .errors import ConfigError, NumericalError
-from .integrals import FlowCells, a_log_total, a_q, det_log, flow_cells, pairing_matrix
+from .integrals import FlowCells, a_log_total, det_log, flow_cells, pairing_matrix
 from .morse import check_morse_smale, find_critical_points, morse_coboundary, unstable_cells
 from .torsion import (
     ComplexMorphism,
@@ -76,13 +76,10 @@ def run_spectrum(config: ExperimentConfig, k: int | None = None) -> SpectrumRun:
     values = {}
     for q in degrees:
         kq = k or min(cx.dims[q], 8)
-        fam = laplacian_family(cx, q)
-        rows = []
-        for t in ts:
-            w, _ = eig_sym(fam.at(t), k=kq,
-                           residual_tol=config.tolerances.eig_residual)
-            rows.append(w)
-        values[q] = np.array(rows)
+        blocks = laplacian_family(cx, q).split()
+        values[q] = np.array([
+            lowest_eigenvalues(blocks, t, kq, config.tolerances.eig_residual)[0]
+            for t in ts])
     return SpectrumRun(config=config, ts=ts, values=values)
 
 
@@ -192,15 +189,29 @@ def morse_finite_complex(mc) -> FiniteComplex:
                          d=[m.astype(float) for m in mc.d], gram=None)
 
 
-def int_morphism(cx: DeRhamComplex, pkg: SpectralPackage, cells: FlowCells,
-                 fc_vs: FiniteComplex, fc_morse: FiniteComplex, t: float,
-                 tol=None) -> ComplexMorphism:
-    """The weighted integration map from the package complex to cochains."""
-    maps = []
-    for q in range(cx.n + 1):
-        V = package_vectors(pkg.degrees[q], t)
-        maps.append(pairing_matrix(cx, q, V, cells, t, tol).T)
-    return ComplexMorphism(domain=fc_vs, codomain=fc_morse, maps=maps)
+def grid_pairings(cx: DeRhamComplex, pkg: SpectralPackage, cells: FlowCells,
+                  tol=None) -> dict:
+    """Pairing matrices of the package with the cells along the grid.
+
+    Returns float(t) -> [pairing matrix of degree q for q = 0..n] for
+    every grid point t; the torsion pipeline reads its determinants, its
+    integration morphisms and its positivity probe from this one table.
+    """
+    table = {}
+    for t in map(float, pkg.grid):
+        table[t] = [pairing_matrix(cx, q, package_vectors(pkg.degrees[q], t),
+                                   cells, t, tol) for q in range(cx.n + 1)]
+    return table
+
+
+def int_morphism(pairings: list, fc_vs: FiniteComplex,
+                 fc_morse: FiniteComplex) -> ComplexMorphism:
+    """The weighted integration map from the package complex to cochains.
+
+    pairings holds the pairing matrix of every degree at one t.
+    """
+    return ComplexMorphism(domain=fc_vs, codomain=fc_morse,
+                           maps=[P.T for P in pairings])
 
 
 # -- torsion pipeline -------------------------------------------------------
@@ -250,19 +261,18 @@ def run_torsion(config: ExperimentConfig) -> TorsionRun:
                       if b.label == LABEL_VS]
     branch_term = branch_term_from_values(values0)
 
-    dets0 = {q: a_q(cx, q, package_vectors(pkg.degrees[q], 0.0), cells, 0.0, tol)
-             for q in pkg.degrees}
+    pairings = grid_pairings(cx, pkg, cells, tol)
+    dets0 = {q: det_log(pairings[0.0][q]) for q in pkg.degrees}
     log_a0 = a_log_total(dets0)
 
     anomaly = []
     chain_residuals = []
     for t in _anomaly_sample_ts(pkg.grid):
         fc_vs = vs_complex(cx, pkg, t)
-        morph = int_morphism(cx, pkg, cells, fc_vs, fc_morse, t, tol)
+        morph = int_morphism(pairings[t], fc_vs, fc_morse)
         chain_residuals.append((t, morph.chain_residual))
         log_T_vs = torsion_T(fc_vs, nullities=cx.betti, tol=tol)
-        dets_t = {q: a_q(cx, q, package_vectors(pkg.degrees[q], t), cells, t, tol)
-                  for q in pkg.degrees}
+        dets_t = {q: det_log(pairings[t][q]) for q in pkg.degrees}
         log_a_t = a_log_total(dets_t)
         vol_h = {}
         for q in range(cx.n + 1):
@@ -286,25 +296,23 @@ def run_torsion(config: ExperimentConfig) -> TorsionRun:
     report = evaluate_theorem(cx.manifold, branch_term, log_a0, log_V,
                               log_T_morse, log_W, anomaly=anomaly, terms=terms)
 
-    positivity = positivity_probe(cx, pkg, cells, tol)
+    positivity = positivity_probe(pkg, pairings)
     return TorsionRun(config=config, package_run=run, report=report,
                       positivity=positivity, chain_residuals=chain_residuals)
 
 
-def positivity_probe(cx: DeRhamComplex, pkg: SpectralPackage,
-                     cells: FlowCells, tol=None) -> dict:
+def positivity_probe(pkg: SpectralPackage, pairings: dict) -> dict:
     """Pairing determinants along the whole grid, watching for zeros.
 
-    Returns per degree a list of (t, log|det|, sign, cond); a sign
-    change or a singular collapse between samples would witness a zero
-    of the pairing.
+    pairings is the grid_pairings table.  Returns per degree a list of
+    (t, log|det|, sign, cond); a sign change or a singular collapse
+    between samples would witness a zero of the pairing.
     """
     out = {}
-    for q, deg in pkg.degrees.items():
+    for q in pkg.degrees:
         rows = []
         for t in pkg.grid:
-            d = det_log(pairing_matrix(cx, q, package_vectors(deg, float(t)),
-                                       cells, float(t), tol))
+            d = det_log(pairings[float(t)][q])
             rows.append((float(t), d.log_abs, d.sign, d.cond))
         out[q] = rows
     return out

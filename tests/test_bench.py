@@ -5,8 +5,9 @@ Run them with:  python -m pytest -m bench tests/test_bench.py
 import numpy as np
 import pytest
 
+from wittenlab.branches import lowest_eigenvalues
 from wittenlab.config import preset
-from wittenlab.derham import laplacian_family
+from wittenlab.derham import build_torus_complex, laplacian_family
 from wittenlab.experiments import build_complex
 from wittenlab.integrals import flow_cells, pairing_matrix
 
@@ -24,3 +25,15 @@ def test_bench_pairing_matrix_circle(benchmark, q):
     _, V = np.linalg.eigh(laplacian_family(cx, q).at(4.0))
     M = benchmark(pairing_matrix, cx, q, V[:, :k], cells, 4.0, cfg.tolerances)
     assert M.shape == (k, k)
+
+
+def test_bench_block_eigensolve_torus24(benchmark):
+    """One eigensolve: every invariant block of the torus-sin2-product
+    degree-1 Laplacian at 24 modes (dimension 4802), t = 5, all values."""
+    cfg = preset("torus-sin2-product")
+    cx = build_torus_complex(24, cfg.potential_trigpoly())
+    fam = laplacian_family(cx, 1)
+    blocks = fam.split()
+    w, _ = benchmark(lowest_eigenvalues, blocks, 5.0, fam.dim,
+                     cfg.tolerances.eig_residual)
+    assert w.shape == (fam.dim,) and np.all(np.diff(w) >= 0)

@@ -3,15 +3,15 @@ import pytest
 import scipy.sparse as sp
 
 from wittenlab.branches import (LABEL_LARGE, LABEL_VS, LABEL_ZERO,
-                                _rebase_split_groups, classify, eig_sym,
-                                eigenvalue_clusters, match_step,
-                                track_branches)
+                                _box_axes, _box_gram, _rebase_split_groups,
+                                classify, eig_sym, eigenvalue_clusters,
+                                match_step, track_branches)
 from wittenlab.config import Tolerances
 from wittenlab.derham import (LaplacianFamily, build_circle_complex,
-                              laplacian_family)
+                              build_torus_complex, laplacian_family)
 from wittenlab.errors import (ConfigError, GapNotFoundError, NumericalError,
                               TrackingError, ZeroCountError)
-from wittenlab.trigpoly import circle_sin2
+from wittenlab.trigpoly import circle_sin2, torus_sin2_product
 
 import oracles
 
@@ -230,3 +230,85 @@ def test_tracking_is_deterministic(circle_cx8):
     for x, y in zip(a, b):
         assert np.array_equal(x.values, y.values)
         assert np.array_equal(x.vectors, y.vectors)
+
+
+def _rot(th):
+    return np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+
+
+def _block_diag(*blocks):
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n))
+    i = 0
+    for b in blocks:
+        out[i:i + b.shape[0], i:i + b.shape[0]] = b
+        i += b.shape[0]
+    return out
+
+
+def test_tracking_per_block_ignores_crossings_between_blocks():
+    """Block 1 carries t and 2, block 2 carries 1.5 - t and 1.4 + t/2:
+    the branches cross between the blocks at t = 0.75, off the grid, and
+    tie at the last grid point, where the tie goes to the first block."""
+    R1, R2 = _rot(0.4), _rot(1.1)
+    fam = synthetic_family(
+        _block_diag(R1 @ np.diag([0.0, 2.0]) @ R1.T,
+                    R2 @ np.diag([1.5, 1.4]) @ R2.T),
+        _block_diag(R1 @ np.diag([1.0, 0.0]) @ R1.T,
+                    R2 @ np.diag([-1.0, 0.5]) @ R2.T))
+    grid = np.linspace(0.0, 1.2, 7)
+    brs = track_branches(None, 0, grid, k=3, tol=Tolerances(), family=fam)
+    assert all(len(b.ts) == len(grid) for b in brs)
+    want = [1.5 - grid, grid, np.full_like(grid, 2.0)]
+    for b, w in zip(brs, want):
+        assert np.max(np.abs(b.values - w)) < 1e-12
+    # the tied value 2 is block 1's branch, embedded in the full dimension
+    assert np.max(np.abs(brs[2].vectors[:, 2:])) == 0.0
+    assert np.max(np.abs(brs[0].vectors[:, :2])) == 0.0
+
+
+def test_t0_cluster_ids_are_unique_across_blocks():
+    """Each block holds a pair degenerate to first order at t = 0 (values
+    1 + t +- 0.3 t^2 and 1 - t/2 +- 0.3 t^2): one shared id per pair, and
+    different ids for the two blocks."""
+    X = np.array([[0.0, 0.3], [0.3, 0.0]])
+    fam = LaplacianFamily(A0=np.eye(4), A1=np.diag([1.0, 1.0, -0.5, -0.5]),
+                          A2=_block_diag(X, X))
+    grid = np.linspace(0.0, 1.0, 5)
+    brs = track_branches(None, 0, grid, k=4, tol=Tolerances(), family=fam)
+    ids = [b.t0_cluster for b in brs]
+    slopes = [b.t0_slope for b in brs]
+    groups = {}
+    for i, s in zip(ids, slopes):
+        groups.setdefault(i, set()).add(round(s, 9))
+    assert sorted(len(g) for g in groups.values()) == [1, 1]
+    assert sorted(ids).count(ids[0]) == 2 and len(set(ids)) == 2
+    assert sorted(s for g in groups.values() for s in g) == [-0.5, 1.0]
+
+
+def _box_gram_loop(cx, q, W, center, radius, nodes):
+    """Column-by-column reference for _box_gram."""
+    axes = [_box_axes(c, radius, nodes) for c in center]
+    k = W.shape[1]
+    G = np.zeros((k, k))
+    for bi in range(len(cx.form_components(q, W[:, 0]))):
+        vals = [cx.eval_scalar_grid(cx.form_components(q, W[:, j])[bi],
+                                    *[a[0] for a in axes]) for j in range(k)]
+        for a in range(k):
+            for b in range(a, k):
+                if len(axes) == 1:
+                    g = float(np.sum(axes[0][1] * vals[a] * vals[b]))
+                else:
+                    g = float(axes[0][1] @ (vals[a] * vals[b]) @ axes[1][1])
+                G[a, b] += g
+                G[b, a] = G[a, b]
+    return G
+
+
+def test_box_gram_matches_column_loop(rng):
+    cx = build_torus_complex(6, torus_sin2_product())
+    for q in range(3):
+        W, _ = np.linalg.qr(rng.standard_normal((cx.dims[q], 5)))
+        got = _box_gram(cx, q, W, (0.7, 2.1), 0.6, 48)
+        want = _box_gram_loop(cx, q, W, (0.7, 2.1), 0.6, 48)
+        assert np.max(np.abs(got - want)) < 1e-14

@@ -7,7 +7,7 @@ from wittenlab.derham import (build_circle_complex, build_torus_complex,
                               hodge_star, laplacian_family, mult_matrix_2d,
                               mult_matrix_2d_sparse, witten_laplacian)
 from wittenlab.errors import ConfigError
-from wittenlab.branches import eig_sym
+from wittenlab.branches import eig_sym, lowest_eigenvalues
 from wittenlab.trigpoly import TrigPoly, circle_sin2, torus_sin2_product
 
 import oracles
@@ -167,3 +167,53 @@ def test_signed_permutation_sparse_and_dense_agree(torus_cx6, rng):
         assert np.max(np.abs(S.right_apply(A) - A @ S.to_dense())) < 1e-13
         inv = S.inverse()
         assert np.max(np.abs(inv.apply(dense) - v)) < 1e-13
+
+
+def _dense(A):
+    return A.toarray() if sp.issparse(A) else A
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_split_blocks_are_exactly_invariant(circle_cx8, sparse):
+    """Invariance certificate: every entry of A0, A1, A2 coupling two
+    blocks is exactly 0.0, and each sub-family is the restriction."""
+    torus = build_torus_complex(6, torus_sin2_product(), sparse=sparse)
+    for cx in (circle_cx8, torus):
+        for q in range(cx.n + 1):
+            fam = laplacian_family(cx, q)
+            blocks = fam.split()
+            label = np.full(fam.dim, -1)
+            for b, (idx, _) in enumerate(blocks):
+                label[idx] = b
+            assert np.all(label >= 0)
+            coupling = label[:, None] != label[None, :]
+            for name in ("A0", "A1", "A2"):
+                A = _dense(getattr(fam, name))
+                assert np.all(A[coupling] == 0.0)
+                for idx, sub in blocks:
+                    assert np.array_equal(_dense(getattr(sub, name)),
+                                          A[np.ix_(idx, idx)])
+
+
+@pytest.mark.parametrize("t", [0.0, 2.3])
+def test_merged_block_spectra_match_full_solve(circle_cx8, torus_cx6, t):
+    for cx, want in ((circle_cx8, (3, 3)), (torus_cx6, (9, 10, 9))):
+        for q in range(cx.n + 1):
+            fam = laplacian_family(cx, q)
+            blocks = fam.split()
+            assert len(blocks) == want[q]
+            w, owner = lowest_eigenvalues(blocks, t, fam.dim)
+            assert np.max(np.abs(w - np.linalg.eigvalsh(fam.at(t)))) < 1e-10
+            assert np.array_equal(np.bincount(owner),
+                                  [len(idx) for idx, _ in blocks])
+
+
+def test_potential_without_frequency_structure_gives_one_block():
+    f = (TrigPoly.cosine((1, 0)) + TrigPoly.sine((1, 0), 0.7)
+         + TrigPoly.cosine((0, 1), 0.4) + TrigPoly.sine((0, 1))
+         + TrigPoly.cosine((1, 1), 0.3) + TrigPoly.sine((1, 1), 0.2))
+    cx = build_torus_complex(6, f)
+    for q in range(3):
+        blocks = laplacian_family(cx, q).split()
+        assert len(blocks) == 1
+        assert np.array_equal(blocks[0][0], np.arange(cx.dims[q]))

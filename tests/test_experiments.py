@@ -5,8 +5,9 @@ from wittenlab.branches import LABEL_VS, LABEL_ZERO
 from wittenlab.config import ExperimentConfig, Tolerances
 from wittenlab.derham import witten_laplacian
 from wittenlab.errors import ConfigError
-from wittenlab.experiments import (_anomaly_sample_ts, int_morphism,
-                                   morse_finite_complex, package_vectors,
+from wittenlab.experiments import (_anomaly_sample_ts, grid_pairings,
+                                   int_morphism, morse_finite_complex,
+                                   package_vectors,
                                    random_based_complex, random_chain_iso,
                                    run_duality, run_morse, run_package,
                                    run_spectrum, run_torsion,
@@ -82,11 +83,12 @@ def test_int_morphism_is_a_chain_map(circle_run):
     cx = run.cx
     cells = flow_cells(cx.f, "circle")
     fc_morse = morse_finite_complex(morse_coboundary(cx.f, "circle"))
+    pairings = grid_pairings(cx, run.package, cells)
     fc_vs = vs_complex(cx, run.package, 0.0)
-    m0 = int_morphism(cx, run.package, cells, fc_vs, fc_morse, 0.0)
+    m0 = int_morphism(pairings[0.0], fc_vs, fc_morse)
     assert m0.chain_residual < 1e-12
     fc_vs1 = vs_complex(cx, run.package, 1.0)
-    m1 = int_morphism(cx, run.package, cells, fc_vs1, fc_morse, 1.0)
+    m1 = int_morphism(pairings[1.0], fc_vs1, fc_morse)
     # package vectors are not band limited, so the compressed Stokes
     # identity only holds up to the spectral tail of the frames
     assert m1.chain_residual < 1e-7
