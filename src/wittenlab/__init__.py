@@ -52,15 +52,13 @@ from .experiments import (
     run_torsion,
     run_verify_anomaly,
 )
-from .integrals import a_q, det_log, flow_cells, integral_A, pairing_matrix
+from .integrals import det_log, integral_A, pairing_matrix
 from .morse import (
     CriticalPoint,
-    MorseComplexData,
+    FlowComplex,
     UnstableCell,
-    check_morse_smale,
     find_critical_points,
-    morse_coboundary,
-    unstable_cells,
+    flow_complex,
 )
 from .torsion import (
     ComplexMorphism,

@@ -159,22 +159,22 @@ def cmd_package(args) -> int:
 
 def cmd_morse(args) -> int:
     cfg = build_config(args)
-    run = run_morse(cfg)
+    flow = run_morse(cfg)
     payload = _base_payload(cfg)
     payload["points"] = [{"coords": list(p.coords), "index": p.index,
                           "value": p.value, "hessian": list(p.hessian)}
-                         for p in run.points]
+                         for p in flow.points]
     payload["cells"] = {
         str(i): [{"axes": [list(a) for a in c.axes],
                   "orientation": c.orientation,
                   "boundary": [list(b) for b in c.boundary]}
                  for c in cells]
-        for i, cells in run.cells.items()}
-    payload["morse_smale"] = {"ok": run.smale_ok,
-                              "table": [[list(x), list(y), d]
-                                        for x, y, d in run.smale_table]}
-    payload["coboundary"] = [m.tolist() for m in run.complex_data.d]
-    payload["betti"] = list(run.complex_data.betti)
+        for i, cells in enumerate(flow.cells)}
+    table = [[list(x), list(y), d] for x, y, d in flow.smale_table]
+    payload["morse_smale"] = {"ok": all(d >= 0 for _, _, d in table),
+                              "table": table}
+    payload["coboundary"] = [m.tolist() for m in flow.d]
+    payload["betti"] = list(flow.betti)
     _emit_json(_outpath(cfg, "morse", "json"), payload)
     return 0
 

@@ -275,9 +275,6 @@ class DeRhamComplex:
     def witten_d(self, t: float):
         return [self.D[q] + t * self.E[q] for q in range(self.n)]
 
-    def witten_delta(self, t: float):
-        return [(self.D[q] + t * self.E[q]).T for q in range(self.n)]
-
     def negate_potential(self) -> "DeRhamComplex":
         return DeRhamComplex(
             manifold=self.manifold,

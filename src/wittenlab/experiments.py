@@ -32,8 +32,8 @@ from .derham import (
     laplacian_family,
 )
 from .errors import ConfigError, NumericalError
-from .integrals import FlowCells, a_log_total, det_log, flow_cells, pairing_matrix
-from .morse import check_morse_smale, find_critical_points, morse_coboundary, unstable_cells
+from .integrals import a_log_total, det_log, pairing_matrix
+from .morse import FlowComplex, find_critical_points, flow_complex
 from .torsion import (
     ComplexMorphism,
     FiniteComplex,
@@ -120,28 +120,12 @@ def run_package(config: ExperimentConfig, assign: bool = True) -> PackageRun:
 # -- morse flow -------------------------------------------------------------
 
 
-@dataclass
-class MorseRun:
-    config: ExperimentConfig
-    points: list
-    cells: dict  # point position in points -> list of UnstableCell
-    smale_ok: bool
-    smale_table: list
-    complex_data: object  # MorseComplexData
-
-
-def run_morse(config: ExperimentConfig) -> MorseRun:
-    cx = build_complex(config)
+def run_morse(config: ExperimentConfig) -> FlowComplex:
+    """The certified flow complex of the configured potential."""
+    f = config.potential_trigpoly()
     tol = config.tolerances
-    points = find_critical_points(cx.f, cx.manifold, tol)
-    cells = {i: unstable_cells(p, cx.f, cx.manifold, points=points, tol=tol)
-             for i, p in enumerate(points)}
-    ok, table = check_morse_smale(cx.f, cx.manifold, tol)
-    if not ok:
-        raise NumericalError("gradient flow fails the transversality check")
-    mc = morse_coboundary(cx.f, cx.manifold, tol)
-    return MorseRun(config=config, points=points, cells=cells,
-                    smale_ok=ok, smale_table=table, complex_data=mc)
+    points = find_critical_points(f, config.manifold, tol)
+    return flow_complex(f, config.manifold, points, tol)
 
 
 # -- the virtually small complex and its pairing ----------------------------
@@ -189,9 +173,9 @@ def morse_finite_complex(mc) -> FiniteComplex:
                          d=[m.astype(float) for m in mc.d], gram=None)
 
 
-def grid_pairings(cx: DeRhamComplex, pkg: SpectralPackage, cells: FlowCells,
+def grid_pairings(cx: DeRhamComplex, pkg: SpectralPackage, flow: FlowComplex,
                   tol=None) -> dict:
-    """Pairing matrices of the package with the cells along the grid.
+    """Pairing matrices of the package with the flow cells along the grid.
 
     Returns float(t) -> [pairing matrix of degree q for q = 0..n] for
     every grid point t; the torsion pipeline reads its determinants, its
@@ -200,7 +184,7 @@ def grid_pairings(cx: DeRhamComplex, pkg: SpectralPackage, cells: FlowCells,
     table = {}
     for t in map(float, pkg.grid):
         table[t] = [pairing_matrix(cx, q, package_vectors(pkg.degrees[q], t),
-                                   cells, t, tol) for q in range(cx.n + 1)]
+                                   flow, t, tol) for q in range(cx.n + 1)]
     return table
 
 
@@ -244,12 +228,11 @@ def run_torsion(config: ExperimentConfig) -> TorsionRun:
     if sorted(pkg.degrees) != list(range(cx.n + 1)):
         raise ConfigError("torsion needs every degree tracked")
 
-    cells = flow_cells(cx.f, cx.manifold, tol)
-    mc = morse_coboundary(cx.f, cx.manifold, tol)
-    fc_morse = morse_finite_complex(mc)
+    flow = flow_complex(cx.f, cx.manifold, run.points, tol)
+    fc_morse = morse_finite_complex(flow)
     log_T_morse = torsion_T(fc_morse, nullities=cx.betti, tol=tol)
     covols = cohomology_volumes(fc_morse,
-                                integer_cohomology_classes(mc, cx.manifold),
+                                integer_cohomology_classes(flow, cx.manifold),
                                 nullities=cx.betti, tol=tol)
     log_W = alternating_log(covols)
     vols, log_V = harmonic_volumes(cx, tol)
@@ -261,7 +244,7 @@ def run_torsion(config: ExperimentConfig) -> TorsionRun:
                       if b.label == LABEL_VS]
     branch_term = branch_term_from_values(values0)
 
-    pairings = grid_pairings(cx, pkg, cells, tol)
+    pairings = grid_pairings(cx, pkg, flow, tol)
     dets0 = {q: det_log(pairings[0.0][q]) for q in pkg.degrees}
     log_a0 = a_log_total(dets0)
 
@@ -341,14 +324,13 @@ def run_duality(config: ExperimentConfig) -> DualityRun:
     exactly degenerate cluster only the span is canonical (per-branch
     point labels are a tie-break convention, reported but not compared).
     """
-    cx = build_complex(config)
-    identity = check_duality_identities(cx)
     run_f = run_package(config, assign=True)
+    identity = check_duality_identities(run_f.cx)
     neg = ExperimentConfig.from_dict({**config.as_dict(),
                                       "potential": _negate_potential_json(config)})
     run_g = run_package(neg, assign=True)
 
-    n = cx.n
+    n = run_f.cx.n
     worst_val = 0.0
     worst_star = 0.0
     pairs = []

@@ -17,7 +17,7 @@ import numpy as np
 from .config import Tolerances
 from .derham import DeRhamComplex
 from .errors import ConfigError, NumericalError
-from .morse import UnstableCell, find_critical_points, unstable_cells
+from .morse import FlowComplex, UnstableCell
 
 _GL32 = np.polynomial.legendre.leggauss(32)
 _GL16 = np.polynomial.legendre.leggauss(16)
@@ -176,43 +176,27 @@ def integral_A(cx: DeRhamComplex, q: int, omega: np.ndarray,
 # -- the pairing with a critical-point basis -------------------------------
 
 
-@dataclass
-class FlowCells:
-    """Descending-cell decomposition indexed like the Morse complex."""
-
-    points: list  # all critical points, sorted by (index, coords)
-    by_degree: dict  # q -> list of (CriticalPoint, [UnstableCell, ...])
-
-
-def flow_cells(f, manifold: str, tol: Tolerances | None = None) -> FlowCells:
-    points = find_critical_points(f, manifold, tol)
-    by_degree = {}
-    for p in points:
-        cells = unstable_cells(p, f, manifold, points=points, tol=tol)
-        by_degree.setdefault(p.index, []).append((p, cells))
-    return FlowCells(points=points, by_degree=by_degree)
-
-
 def int_cochain(cx: DeRhamComplex, q: int, omega: np.ndarray,
-                cells: FlowCells, t: float,
+                flow: FlowComplex, t: float,
                 tol: Tolerances | None = None) -> np.ndarray:
     """Pairing values of one q-form against every index-q point."""
     omega = np.asarray(omega, dtype=float)
-    return pairing_matrix(cx, q, omega[:, None], cells, t, tol)[0]
+    return pairing_matrix(cx, q, omega[:, None], flow, t, tol)[0]
 
 
 def pairing_matrix(cx: DeRhamComplex, q: int, forms: np.ndarray,
-                   cells: FlowCells, t: float,
+                   flow: FlowComplex, t: float,
                    tol: Tolerances | None = None) -> np.ndarray:
-    """Matrix of the pairing: rows index forms, columns critical points.
+    """Matrix of the pairing: rows index forms, columns the index-q
+    critical points in the order of flow.degrees[q].
 
     Each cell piece is integrated once for the whole block of forms.
     """
     forms = np.asarray(forms, dtype=float)
-    owners = cells.by_degree.get(q, [])
+    owners = flow.degrees.get(q, [])
     out = np.zeros((forms.shape[1], len(owners)))
-    for j, (_, pieces) in enumerate(owners):
-        for piece in pieces:
+    for j, i in enumerate(owners):
+        for piece in flow.cells[i]:
             out[:, j] += integral_A(cx, q, forms, piece, t, tol)
     return out
 
@@ -241,25 +225,6 @@ def det_log(A: np.ndarray) -> DetValue:
     sign, log_abs = np.linalg.slogdet(A)
     return DetValue(log_abs=float(log_abs), sign=float(sign),
                     cond=cond, singular=singular)
-
-
-def a_q(cx: DeRhamComplex, q: int, forms: np.ndarray, cells: FlowCells,
-        t: float, tol: Tolerances | None = None) -> DetValue:
-    """Determinant of the square pairing between a form basis and cells.
-
-    forms holds one column per spectral-package branch of degree q; the
-    count must match the index-q critical points for the matrix to be
-    square.  A singular value collapse marks the pairing as degenerate
-    rather than raising, so callers can report it.
-    """
-    n_pts = len(cells.by_degree.get(q, []))
-    forms = np.asarray(forms, dtype=float)
-    if forms.shape[1] != n_pts:
-        raise ConfigError(
-            f"{forms.shape[1]} forms paired with {n_pts} critical points "
-            f"in degree {q}"
-        )
-    return det_log(pairing_matrix(cx, q, forms, cells, t, tol))
 
 
 def a_log_total(dets: dict) -> float:

@@ -6,7 +6,9 @@ the Euler characteristic (zero for both model manifolds).  Descending
 cells of -grad f are written in closed form: any Morse function works on
 the circle, and separable potentials work on the torus, where every cell
 is a product of factor cells.  Non-separable torus flows would need
-numerical cell tracing and are rejected explicitly.
+numerical cell tracing and are rejected explicitly.  flow_complex
+assembles the cells, the integer coboundary and the transversality
+table of one potential in a single object.
 """
 from __future__ import annotations
 
@@ -164,7 +166,7 @@ def _angdist(x, y) -> float:
 def _circle_neighbors(points, x: CriticalPoint):
     """(left, right) cyclic neighbors of x with unwrapped angular offsets."""
     ring = sorted(points, key=lambda p: p.coords[0])
-    i = next(j for j, p in enumerate(ring) if _angdist(p.coords, x.coords) < 1e-9)
+    i = _locate(ring, x.coords)
     right = ring[(i + 1) % len(ring)]
     left = ring[(i - 1) % len(ring)]
     d_r = (right.coords[0] - x.coords[0]) % TWO_PI
@@ -204,223 +206,126 @@ def factor_potentials(f: TrigPoly):
     return h1 + const, h2
 
 
-def unstable_cells(x: CriticalPoint, f: TrigPoly, manifold: str,
-                   points=None, tol: Tolerances | None = None):
-    """Closed-form pieces of the descending cell of x.
+def _locate(points, coords) -> int:
+    """Position of the critical point at coords.
 
-    Index-0 points give a single point cell; a circle maximum gives its
-    two flanking arcs; torus cells are products of factor cells.  Each
-    piece records the far-end critical value of every arc axis with the
-    sign induced by the increasing-angle orientation.
+    Newton refines the 2-D points and the factor points separately, so
+    equal points may differ in the last bits.
     """
-    if manifold == "circle":
-        pts = points if points is not None else find_critical_points(f, manifold, tol)
-        return _circle_cells(pts, x)
-    if manifold != "torus":
-        raise ConfigError(f"unknown manifold {manifold!r}")
-    h1, h2 = factor_potentials(f)
-    pts1 = find_critical_points(h1, "circle", tol)
-    pts2 = find_critical_points(h2, "circle", tol)
-    x1 = _match_factor(pts1, x.coords[0])
-    x2 = _match_factor(pts2, x.coords[1])
-    cells = []
-    for c1 in _circle_cells(pts1, x1):
-        for c2 in _circle_cells(pts2, x2):
-            axes = (c1.axes[0], c2.axes[0])
-            boundary = tuple((0, far, sgn) for _, far, sgn in c1.boundary) + \
-                tuple((1, far, sgn) for _, far, sgn in c2.boundary)
-            cells.append(UnstableCell(
-                owner=x,
-                axes=axes,
-                orientation=c1.orientation * c2.orientation,
-                boundary=boundary,
-            ))
-    return cells
+    for k, p in enumerate(points):
+        if _angdist(p.coords, coords) < 1e-9:
+            return k
+    raise NumericalError(f"no critical point at {coords}")
 
 
-def _match_factor(pts, coord):
-    for p in pts:
-        if _angdist(p.coords, (coord,)) < 1e-8:
-            return p
-    raise NumericalError(f"no factor critical point at angle {coord}")
+def _closure(flow: "FlowComplex", i: int) -> list:
+    """Positions of the points in the closure of the cell of points[i]:
+    the point itself, then the far ends of its pieces."""
+    out = [i]
+    for piece in flow.cells[i]:
+        for _, far, _ in piece.boundary:
+            j = _locate(flow.points, (far,))
+            if j not in out:
+                out.append(j)
+    return out
 
 
-# -- transversality certificate ------------------------------------------
+@dataclass(frozen=True)
+class FlowComplex:
+    """The complex of the gradient flow of f, built once per potential.
 
-
-def certify_connections(records):
-    """Check a table of flow connections for Morse-Smale consistency.
-
-    records: iterable of (ind_x, ind_y) index pairs for critical points
-    connected by at least one trajectory (x above, y below).  For a
-    gradient flow satisfying transversality the trajectory space between
-    them has dimension ind_x - ind_y - 1 >= 0; equal or inverted indices
-    certify a violation.  Returns (ok, table) with the dimension table.
+    degrees[q] lists the positions in points of the index-q points, the
+    basis order of the cochains C^q.  cells[i] holds the descending-cell
+    pieces of points[i], d[q]: C^q -> C^{q+1} the integer coboundary,
+    and smale_table one (x coords, y coords, dimension of the trajectory
+    space) row for every pair x above y joined by a flow line.
     """
-    ok = True
-    table = []
-    for ind_x, ind_y in records:
-        dim = ind_x - ind_y - 1
-        table.append((ind_x, ind_y, dim))
-        if dim < 0:
-            ok = False
-    return ok, table
 
-
-def _flow_connections(f: TrigPoly, manifold: str, tol=None):
-    """(x, y, ind_x, ind_y) for every connecting trajectory family."""
-    points = find_critical_points(f, manifold, tol)
-    conns = []
-    if manifold == "circle":
-        for x in points:
-            if x.index == 0:
-                continue
-            for cell in _circle_cells(points, x):
-                for _, far, _ in cell.boundary:
-                    y = next(p for p in points if _angdist(p.coords, (far,)) < 1e-9)
-                    conns.append((x, y, x.index, y.index))
-        return points, conns
-    h1, h2 = factor_potentials(f)
-    pts1 = find_critical_points(h1, "circle", tol)
-    pts2 = find_critical_points(h2, "circle", tol)
-
-    def closure_1d(pts, p):
-        # critical points in the closure of the descending cell of p
-        out = {p.coords[0]: p}
-        for cell in _circle_cells(pts, p):
-            for _, far, _ in cell.boundary:
-                y = next(r for r in pts if _angdist(r.coords, (far,)) < 1e-9)
-                out[y.coords[0]] = y
-        return out
-
-    by_coords = {p.coords: p for p in points}
-    for x in points:
-        x1 = _match_factor(pts1, x.coords[0])
-        x2 = _match_factor(pts2, x.coords[1])
-        for y1 in closure_1d(pts1, x1).values():
-            for y2 in closure_1d(pts2, x2).values():
-                yc = (y1.coords[0], y2.coords[0])
-                if _angdist(yc, x.coords) < 1e-9:
-                    continue
-                y = by_coords[min(by_coords, key=lambda c: _angdist(c, yc))]
-                conns.append((x, y, x.index, y.index))
-    return points, conns
-
-
-def check_morse_smale(f: TrigPoly, manifold: str, tol: Tolerances | None = None):
-    """Transversality certificate for the built-in flows.
-
-    On the circle every Morse flow qualifies; on the torus separability
-    reduces transversality to the factors (a saddle-saddle connection
-    would require a factor trajectory between equal-index factor points,
-    which closure_1d rules out combinatorially).  Returns (ok, table of
-    (x coords, y coords, dim of trajectory space)).
-    """
-    points, conns = _flow_connections(f, manifold, tol)
-    ok, _ = certify_connections((ix, iy) for _, _, ix, iy in conns)
-    table = [(x.coords, y.coords, ix - iy - 1) for x, y, ix, iy in conns]
-    return ok, table
-
-
-# -- the combinatorial complex -------------------------------------------
-
-
-@dataclass
-class MorseComplexData:
-    """Cochain complex on critical points with integer coboundaries."""
-
-    points: list  # all critical points, sorted by (index, coords)
+    points: tuple  # all critical points, sorted by (index, coords)
     degrees: dict  # q -> list of indices into points
-    d: list  # d[q]: C^q -> C^{q+1}, integer matrices
+    cells: tuple  # cells[i]: tuple of UnstableCell pieces of points[i]
+    d: tuple  # d[q]: C^q -> C^{q+1}, integer matrices
+    smale_table: tuple
     betti: tuple
 
 
-def _circle_incidence(points):
-    """Signed counts n(max, min) from the oriented flanking arcs."""
-    minima = [p for p in points if p.index == 0]
-    maxima = [p for p in points if p.index == 1]
-    D = np.zeros((len(maxima), len(minima)), dtype=int)
-    for i, m in enumerate(maxima):
-        for cell in _circle_cells(points, m):
-            for _, far, sgn in cell.boundary:
-                j = next(k for k, p in enumerate(minima)
-                         if _angdist(p.coords, (far,)) < 1e-9)
-                D[i, j] += sgn * cell.orientation
-    return minima, maxima, D
+def flow_complex(f: TrigPoly, manifold: str, points,
+                 tol: Tolerances | None = None) -> FlowComplex:
+    """Cells, coboundary and transversality table of the flow of -grad f.
 
-
-def morse_coboundary(f: TrigPoly, manifold: str,
-                     tol: Tolerances | None = None) -> MorseComplexData:
-    """Integer coboundary matrices of the descending-cell complex.
-
-    Circle: n(max, right neighbor) = +1 and n(max, left neighbor) = -1,
-    the Stokes-consistent signs for increasing-angle arc orientations.
-    Torus: graded tensor rule d(u1 (x) u2) = d u1 (x) u2 + (-1)^deg
-    u1 (x) d u2 over the factor complexes.  Ranks are validated against
-    the known Betti numbers.
+    points are the critical points of f as find_critical_points returns
+    them.  Circle: a maximum's two flanking arcs end at its neighbors,
+    giving n(max, right) = +1 and n(max, left) = -1, the
+    Stokes-consistent signs for increasing-angle arc orientations.
+    Torus (separable f only): the factor complexes are built once; cells
+    are products of factor cells, d follows the graded tensor rule
+    d(a (x) b) = da (x) b + (-1)^|a| a (x) db, and the connections are
+    the products of the factor closures.  Raises NumericalError when
+    d o d != 0, a cohomology rank misses its Betti number, or a
+    connection has a negative trajectory-space dimension.
     """
-    points = find_critical_points(f, manifold, tol)
+    points = tuple(points)
+    n = len(points)
+    full = np.zeros((n, n), dtype=int)  # full[y, x]: coefficient of y in d x
+    links = []  # (x, y) positions, x above y
     if manifold == "circle":
-        minima, maxima, D = _circle_incidence(points)
-        degrees = {0: [points.index(p) for p in minima],
-                   1: [points.index(p) for p in maxima]}
-        d = [np.array(D)]
+        cells = tuple(tuple(_circle_cells(points, x)) for x in points)
+        for i, pieces in enumerate(cells):
+            for piece in pieces:
+                for _, far, sgn in piece.boundary:
+                    j = _locate(points, (far,))
+                    full[i, j] += sgn * piece.orientation
+                    links.append((i, j))
         betti = (1, 1)
-    else:
-        h1, h2 = factor_potentials(f)
-        pts1 = find_critical_points(h1, "circle", tol)
-        pts2 = find_critical_points(h2, "circle", tol)
-        min1, max1, D1 = _circle_incidence(pts1)
-        min2, max2, D2 = _circle_incidence(pts2)
-
-        def pos(plist, coords):
-            # Newton refines the 2-D points and the factor points
-            # separately, so equal points may differ in the last bits
-            for k, p in enumerate(plist):
-                if _angdist(p.coords, coords) < 1e-9:
-                    return k
-            raise NumericalError("critical point lookup failed")
-
-        degrees = {q: [i for i, p in enumerate(points) if p.index == q]
-                   for q in range(3)}
-        in_degree = {q: [points[i] for i in degrees[q]] for q in range(3)}
-        c0, c1, c2 = (len(degrees[q]) for q in range(3))
-        d0 = np.zeros((c1, c0), dtype=int)
-        d1 = np.zeros((c2, c1), dtype=int)
-        for srow, saddle in enumerate(in_degree[1]):
-            s1, s2 = saddle.coords
-            is_type10 = any(_angdist(m.coords, (s1,)) < 1e-9 for m in max1)
-            if is_type10:
-                # saddle = (max, min): d0 couples along the first factor,
-                # d1 along the second with the graded minus sign
-                i1 = pos(max1, (s1,))
-                j2 = pos(min2, (s2,))
-                for j1 in range(len(min1)):
-                    if D1[i1, j1]:
-                        p = (min1[j1].coords[0], s2)
-                        d0[srow, pos(in_degree[0], p)] += D1[i1, j1]
-                for i2 in range(len(max2)):
-                    if D2[i2, j2]:
-                        m = (s1, max2[i2].coords[0])
-                        d1[pos(in_degree[2], m), srow] -= D2[i2, j2]
-            else:
-                j1 = pos(min1, (s1,))
-                i2 = pos(max2, (s2,))
-                for j2 in range(len(min2)):
-                    if D2[i2, j2]:
-                        p = (s1, min2[j2].coords[0])
-                        d0[srow, pos(in_degree[0], p)] += D2[i2, j2]
-                for i1 in range(len(max1)):
-                    if D1[i1, j1]:
-                        m = (max1[i1].coords[0], s2)
-                        d1[pos(in_degree[2], m), srow] += D1[i1, j1]
-        d = [d0, d1]
+    elif manifold == "torus":
+        factors = [flow_complex(h, "circle",
+                                find_critical_points(h, "circle", tol), tol)
+                   for h in factor_potentials(f)]
+        c1, c2 = factors
+        pairs = [(_locate(c1.points, x.coords[:1]),
+                  _locate(c2.points, x.coords[1:])) for x in points]
+        at = {ab: i for i, ab in enumerate(pairs)}
+        if len(at) != n or n != len(c1.points) * len(c2.points):
+            raise NumericalError("critical points are not the products of "
+                                 "the factor critical points")
+        cells = tuple(tuple(
+            UnstableCell(owner=x, axes=(p1.axes[0], p2.axes[0]),
+                         orientation=p1.orientation * p2.orientation,
+                         boundary=tuple((0, far, s) for _, far, s in p1.boundary)
+                         + tuple((1, far, s) for _, far, s in p2.boundary))
+            for p1 in c1.cells[a] for p2 in c2.cells[b])
+            for x, (a, b) in zip(points, pairs))
+        full1, full2 = (_full_coboundary(c) for c in factors)
+        sign1 = np.diag([(-1) ** p.index for p in c1.points])
+        prod = np.kron(full1, np.eye(len(c2.points), dtype=int)) + \
+            np.kron(sign1, full2)
+        order = [a * len(c2.points) + b for a, b in pairs]
+        full = prod[np.ix_(order, order)]
+        for i, (a, b) in enumerate(pairs):
+            links.extend((i, at[y1, y2]) for y1 in _closure(c1, a)
+                         for y2 in _closure(c2, b) if at[y1, y2] != i)
         betti = (1, 2, 1)
+    else:
+        raise ConfigError(f"unknown manifold {manifold!r}")
 
+    # transversality: the trajectories from x down to y form a space of
+    # dimension ind x - ind y - 1, which a Morse-Smale flow keeps >= 0
+    table = tuple((points[i].coords, points[j].coords,
+                   points[i].index - points[j].index - 1) for i, j in links)
+    for x, y, dim in table:
+        if dim < 0:
+            raise NumericalError(
+                f"gradient flow fails the transversality check: the flow "
+                f"from {x} to {y} has trajectory dimension {dim}")
+
+    degrees = {q: [i for i, p in enumerate(points) if p.index == q]
+               for q in range(len(betti))}
+    d = tuple(full[np.ix_(degrees[q + 1], degrees[q])]
+              for q in range(len(betti) - 1))
     for a, b in zip(d[1:], d[:-1]):
         if np.max(np.abs(a @ b)) != 0:
             raise NumericalError("coboundary composition is nonzero")
-    dims = [len(degrees[q]) for q in range(len(d) + 1)]
+    dims = [len(degrees[q]) for q in range(len(betti))]
     ranks = [np.linalg.matrix_rank(m) if m.size else 0 for m in d]
     for q in range(len(dims)):
         up = ranks[q] if q < len(ranks) else 0
@@ -430,4 +335,14 @@ def morse_coboundary(f: TrigPoly, manifold: str,
                 f"Morse complex cohomology rank at degree {q} is "
                 f"{dims[q] - up - down}, expected {betti[q]}"
             )
-    return MorseComplexData(points=points, degrees=degrees, d=d, betti=betti)
+    return FlowComplex(points=points, degrees=degrees, cells=cells, d=d,
+                       smale_table=table, betti=betti)
+
+
+def _full_coboundary(flow: FlowComplex) -> np.ndarray:
+    """The coboundary of all degrees as one matrix indexed like points."""
+    n = len(flow.points)
+    full = np.zeros((n, n), dtype=int)
+    for q, m in enumerate(flow.d):
+        full[np.ix_(flow.degrees[q + 1], flow.degrees[q])] = m
+    return full

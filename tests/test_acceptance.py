@@ -16,7 +16,8 @@ from wittenlab.config import preset
 from wittenlab.derham import witten_laplacian
 from wittenlab.experiments import (build_complex, package_vectors,
                                    random_based_complex, run_verify_anomaly)
-from wittenlab.integrals import det_log, flow_cells, pairing_matrix
+from wittenlab.integrals import det_log, pairing_matrix
+from wittenlab.morse import flow_complex
 
 LINES = []
 
@@ -187,7 +188,7 @@ def test_criterion_09_pairing_positivity(circle_torsion, torus_torsion):
     for name, run in (("circle", circle_torsion), ("torus", torus_torsion)):
         cx = run.package_run.cx
         tol = run.config.tolerances
-        cells = flow_cells(cx.f, cx.manifold, tol)
+        flow = flow_complex(cx.f, cx.manifold, run.package_run.points, tol)
         for q, rows in run.positivity.items():
             signs = [r[2] for r in rows]
             # determinant signs are a basis gauge; what the statement
@@ -198,7 +199,7 @@ def test_criterion_09_pairing_positivity(circle_torsion, torus_torsion):
                           3 * len(rows) // 4, len(rows) - 1})
             for i in idx:
                 t = rows[i][0]
-                M = pairing_matrix(cx, q, package_vectors(deg, t), cells,
+                M = pairing_matrix(cx, q, package_vectors(deg, t), flow,
                                    t, tol)
                 norms = np.linalg.norm(M, axis=0)
                 ok = ok and bool(np.all(norms > 0.0))

@@ -9,7 +9,8 @@ from wittenlab.branches import lowest_eigenvalues
 from wittenlab.config import preset
 from wittenlab.derham import build_torus_complex, laplacian_family
 from wittenlab.experiments import build_complex
-from wittenlab.integrals import flow_cells, pairing_matrix
+from wittenlab.integrals import pairing_matrix
+from wittenlab.morse import find_critical_points, flow_complex
 
 pytestmark = pytest.mark.bench
 
@@ -20,10 +21,11 @@ def test_bench_pairing_matrix_circle(benchmark, q):
     lowest eigenvectors of the deformed Laplacian, one per cell."""
     cfg = preset("circle-sin2")
     cx = build_complex(cfg)
-    cells = flow_cells(cx.f, cx.manifold, cfg.tolerances)
-    k = len(cells.by_degree[q])
+    points = find_critical_points(cx.f, cx.manifold, cfg.tolerances)
+    flow = flow_complex(cx.f, cx.manifold, points, cfg.tolerances)
+    k = len(flow.degrees[q])
     _, V = np.linalg.eigh(laplacian_family(cx, q).at(4.0))
-    M = benchmark(pairing_matrix, cx, q, V[:, :k], cells, 4.0, cfg.tolerances)
+    M = benchmark(pairing_matrix, cx, q, V[:, :k], flow, 4.0, cfg.tolerances)
     assert M.shape == (k, k)
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ from wittenlab.experiments import (_anomaly_sample_ts, grid_pairings,
                                    run_duality, run_morse, run_package,
                                    run_spectrum, run_torsion,
                                    run_verify_anomaly, vs_complex)
-from wittenlab.integrals import flow_cells
-from wittenlab.morse import morse_coboundary
+from wittenlab.morse import find_critical_points, flow_complex
 from wittenlab.torsion import torsion_T
+from wittenlab.trigpoly import torus_sin2_product
 
 
 def small_circle_config(**kw):
@@ -81,9 +83,9 @@ def test_vs_complex_structure(circle_run):
 def test_int_morphism_is_a_chain_map(circle_run):
     run = circle_run
     cx = run.cx
-    cells = flow_cells(cx.f, "circle")
-    fc_morse = morse_finite_complex(morse_coboundary(cx.f, "circle"))
-    pairings = grid_pairings(cx, run.package, cells)
+    flow = flow_complex(cx.f, "circle", run.points)
+    fc_morse = morse_finite_complex(flow)
+    pairings = grid_pairings(cx, run.package, flow)
     fc_vs = vs_complex(cx, run.package, 0.0)
     m0 = int_morphism(pairings[0.0], fc_vs, fc_morse)
     assert m0.chain_residual < 1e-12
@@ -98,10 +100,10 @@ def test_int_morphism_is_a_chain_map(circle_run):
 def test_run_morse_structure():
     run = run_morse(ExperimentConfig(manifold="circle", modes=8,
                                      t_max=2.0, t_step=0.5))
-    assert run.smale_ok
+    assert all(dim >= 0 for _, _, dim in run.smale_table)
     assert len(run.points) == 4
-    assert sorted(len(c) for c in run.cells.values()) == [1, 1, 2, 2]
-    assert run.complex_data.betti == (1, 1)
+    assert sorted(len(c) for c in run.cells) == [1, 1, 2, 2]
+    assert run.betti == (1, 1)
 
 
 def test_run_torsion_small_circle():
@@ -119,6 +121,35 @@ def test_run_torsion_small_circle():
     for q, rows in run.positivity.items():
         signs = {s for _, _, s, _ in rows}
         assert len(signs) == 1 and 0.0 not in signs
+
+
+def count_critical_point_searches(monkeypatch):
+    """Record the manifold of every find_critical_points call, in every
+    wittenlab namespace that binds the function."""
+    original = find_critical_points
+    calls = []
+
+    def counted(f, manifold, *args, **kwargs):
+        calls.append(manifold)
+        return original(f, manifold, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "wittenlab" and \
+                getattr(mod, "find_critical_points", None) is original:
+            monkeypatch.setattr(mod, "find_critical_points", counted)
+    return calls
+
+
+def test_critical_points_found_once_per_flow(monkeypatch):
+    f = torus_sin2_product()
+    pts = find_critical_points(f, "torus")
+    calls = count_critical_point_searches(monkeypatch)
+    run_torsion(small_circle_config())
+    assert calls == ["circle"]
+    del calls[:]
+    flow_complex(f, "torus", pts, Tolerances())
+    # one search per circle factor; the torus points come from the caller
+    assert calls == ["circle", "circle"]
 
 
 def test_run_duality_small_circle():

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from wittenlab.errors import ConfigError, DegenerateCriticalPointError
-from wittenlab.morse import (check_morse_smale, factor_potentials,
-                             find_critical_points, morse_coboundary,
-                             unstable_cells)
+from wittenlab.errors import (ConfigError, DegenerateCriticalPointError,
+                              NumericalError)
+from wittenlab.morse import (CriticalPoint, factor_potentials,
+                             find_critical_points, flow_complex)
 from wittenlab.trigpoly import TWO_PI, TrigPoly, circle_sin2, torus_sin2_product
 
 import oracles
@@ -15,6 +15,10 @@ import oracles
 def ang_eq(a, b, tol=1e-9):
     d = abs(a - b) % TWO_PI
     return min(d, TWO_PI - d) < tol
+
+
+def flow_of(f, manifold):
+    return flow_complex(f, manifold, find_critical_points(f, manifold))
 
 
 def test_circle_critical_points():
@@ -88,11 +92,9 @@ def test_factor_potentials_requires_separable():
 
 
 def test_circle_unstable_cells():
-    f = circle_sin2()
-    pts = find_critical_points(f, "circle")
-    minima = [p for p in pts if p.index == 0]
-    for p in pts:
-        cells = unstable_cells(p, f, "circle", points=pts)
+    flow = flow_of(circle_sin2(), "circle")
+    minima = [p for p in flow.points if p.index == 0]
+    for p, cells in zip(flow.points, flow.cells):
         if p.index == 0:
             assert len(cells) == 1
             (cell,) = cells
@@ -117,10 +119,8 @@ def test_circle_unstable_cells():
 
 
 def test_torus_unstable_cells_are_products():
-    f = torus_sin2_product()
-    pts = find_critical_points(f, "torus")
-    for p in pts:
-        cells = unstable_cells(p, f, "torus")
+    flow = flow_of(torus_sin2_product(), "torus")
+    for p, cells in zip(flow.points, flow.cells):
         assert len(cells) == 2 ** p.index
         for cell in cells:
             assert cell.dim == p.index
@@ -129,16 +129,26 @@ def test_torus_unstable_cells_are_products():
 
 
 def test_morse_smale_certificates():
-    ok, table = check_morse_smale(circle_sin2(), "circle")
-    assert ok
+    # a failed certificate raises, so a built complex has passed it
+    table = flow_of(circle_sin2(), "circle").smale_table
     assert all(dim == 0 for _, _, dim in table)
-    ok2, table2 = check_morse_smale(torus_sin2_product(), "torus")
-    assert ok2
+    table2 = flow_of(torus_sin2_product(), "torus").smale_table
+    assert all(dim >= 0 for _, _, dim in table2)
     assert len(table2) > 0
 
 
+def test_morse_smale_violation_raises():
+    # adjacent maxima: the right arc of the first ends at the second, a
+    # connection whose trajectory space has dimension -1
+    pts = [CriticalPoint(coords=(c,), index=i, value=float(i),
+                         hessian=(1.0 - 2.0 * i,))
+           for i, c in ((0, 0.5), (0, 3.5), (1, 1.5), (1, 2.5))]
+    with pytest.raises(NumericalError, match="transversality"):
+        flow_complex(circle_sin2(), "circle", pts)
+
+
 def test_circle_morse_coboundary():
-    mc = morse_coboundary(circle_sin2(), "circle")
+    mc = flow_of(circle_sin2(), "circle")
     assert mc.betti == (1, 1)
     (d0,) = mc.d
     assert d0.shape == (2, 2)
@@ -149,7 +159,7 @@ def test_circle_morse_coboundary():
 
 
 def test_torus_morse_coboundary():
-    mc = morse_coboundary(torus_sin2_product(), "torus")
+    mc = flow_of(torus_sin2_product(), "torus")
     assert mc.betti == (1, 2, 1)
     d0, d1 = mc.d
     assert d0.shape == (8, 4) and d1.shape == (4, 8)
@@ -169,7 +179,7 @@ def test_torus_morse_coboundary_phase_shifted(phases):
     a, b = phases
     f = TrigPoly(2, {(2, 0): (math.sin(a), math.cos(a)),
                      (0, 2): (math.sin(b), math.cos(b))})
-    mc = morse_coboundary(f, "torus")
+    mc = flow_of(f, "torus")
     d0, d1 = mc.d
     assert d0.shape == (8, 4) and d1.shape == (4, 8)
     assert np.max(np.abs(d1 @ d0)) == 0
@@ -180,4 +190,4 @@ def test_torus_morse_coboundary_phase_shifted(phases):
 def test_morse_coboundary_nonseparable_torus_rejected():
     mixed = TrigPoly.cosine((1, 1)) + TrigPoly.cosine((0, 1))
     with pytest.raises(ConfigError):
-        morse_coboundary(mixed, "torus")
+        flow_of(mixed, "torus")

@@ -6,7 +6,7 @@ import pytest
 from wittenlab.errors import ConfigError, NumericalError
 from wittenlab.experiments import (morse_finite_complex, random_based_complex,
                                    random_chain_iso)
-from wittenlab.morse import morse_coboundary
+from wittenlab.morse import find_critical_points, flow_complex
 from wittenlab.torsion import (ComplexMorphism, FiniteComplex, alternating_log,
                                branch_term_from_values, check_anomaly,
                                cohomology_volumes, det_prime, evaluate_theorem,
@@ -16,6 +16,10 @@ from wittenlab.torsion import (ComplexMorphism, FiniteComplex, alternating_log,
 from wittenlab.trigpoly import TWO_PI, circle_sin2, torus_sin2_product
 
 import oracles
+
+
+def flow_of(f, manifold):
+    return flow_complex(f, manifold, find_critical_points(f, manifold))
 
 
 def test_finite_complex_validation():
@@ -135,7 +139,7 @@ def test_harmonic_basis_gap_guard():
 
 
 def test_cohomology_volumes_circle_is_two():
-    mc = morse_coboundary(circle_sin2(), "circle")
+    mc = flow_of(circle_sin2(), "circle")
     fc = morse_finite_complex(mc)
     classes = integer_cohomology_classes(mc, "circle")
     vols = cohomology_volumes(fc, classes)
@@ -147,7 +151,7 @@ def test_cohomology_volumes_circle_is_two():
 
 
 def test_cohomology_volumes_torus_is_one():
-    mc = morse_coboundary(torus_sin2_product(), "torus")
+    mc = flow_of(torus_sin2_product(), "torus")
     fc = morse_finite_complex(mc)
     classes = integer_cohomology_classes(mc, "torus")
     vols = cohomology_volumes(fc, classes)
@@ -155,7 +159,7 @@ def test_cohomology_volumes_torus_is_one():
 
 
 def test_cohomology_volumes_rejects_non_cocycle():
-    mc = morse_coboundary(circle_sin2(), "circle")
+    mc = flow_of(circle_sin2(), "circle")
     fc = morse_finite_complex(mc)
     bad = {0: np.array([[1.0], [0.0]]), 1: np.array([[1.0], [0.0]])}
     with pytest.raises(ConfigError):
