@@ -31,7 +31,6 @@ from .derham import (
     build_circle_complex,
     build_torus_complex,
     check_duality_identities,
-    hodge_star,
     laplacian_family,
     witten_laplacian,
 )

@@ -21,8 +21,7 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import linear_sum_assignment
 
 from .config import Tolerances
-from .derham import (DENSE_MAX_DIM, DeRhamComplex, LaplacianFamily,
-                     laplacian_family)
+from .derham import DeRhamComplex, LaplacianFamily, laplacian_family
 from .errors import (
     ConfigError,
     GapNotFoundError,
@@ -34,6 +33,11 @@ from .errors import (
 LABEL_ZERO = "ZERO"
 LABEL_VS = "VS_POSITIVE"
 LABEL_LARGE = "LARGE"
+
+# largest invariant block solved by dense eigh; larger blocks (a generic
+# torus potential at 24 modes gives one degree-1 block of 4802 rows) take
+# the windowed shift-invert solve
+DENSE_MAX_DIM = 2000
 
 
 def eig_sym(A, k: int | None = None, residual_tol: float = 1e-9):
@@ -360,7 +364,7 @@ def lowest_eigenvalues(blocks, t: float, k: int, residual_tol: float = 1e-9):
 
 def _windowed(fam: LaplacianFamily) -> bool:
     """Whether fam is solved by windowed shift-invert instead of dense eigh."""
-    return sp.issparse(fam.A0) and fam.dim > DENSE_MAX_DIM
+    return fam.dim > DENSE_MAX_DIM
 
 
 def _solver_matrix(fam: LaplacianFamily, t: float):
@@ -682,32 +686,15 @@ def localization_masses(cx: DeRhamComplex, q: int, vectors: np.ndarray,
                         centers, radius: float, nodes: int | None = None):
     """Mass of each form in a coordinate box around each center.
 
-    vectors has one degree-q coefficient column per form; returns the
-    (n_forms, n_centers) matrix of integrals of |omega|^2 over the boxes.
-    The pointwise norm is the sum of squared scalar components since the
-    coframe bases are orthonormal.
+    vectors is a (dim, k) block with one degree-q form per column;
+    returns the (k, n_centers) matrix of integrals of |omega|^2 over the
+    boxes, the diagonals of the box Gram matrices.
     """
     if nodes is None:
         nodes = max(48, 2 * cx.N + 10)
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if vectors.shape[0] == cx.dims[q] and vectors.ndim == 2:
-        cols = vectors.T
-    else:
-        cols = vectors
-    out = np.zeros((len(cols), len(centers)))
-    for jp, ctr in enumerate(centers):
-        ctr = np.atleast_1d(np.asarray(ctr, dtype=float))
-        axes = [_box_axes(c, radius, nodes) for c in ctr]
-        for jf, v in enumerate(cols):
-            acc = 0.0
-            for block in cx.form_components(q, v):
-                vals = cx.eval_scalar_grid(block, *[a[0] for a in axes])
-                if cx.manifold == "circle":
-                    acc += float(np.sum(axes[0][1] * vals**2))
-                else:
-                    acc += float(axes[0][1] @ vals**2 @ axes[1][1])
-            out[jf, jp] = acc
-    return out
+    W = np.asarray(vectors, dtype=float)
+    return np.column_stack([np.diag(_box_gram(cx, q, W, c, radius, nodes))
+                            for c in centers])
 
 
 def _box_gram(cx, q, W, center, radius, nodes):
@@ -787,7 +774,7 @@ def assign_to_critical_points(pkg: PackageDegree, points, cx: DeRhamComplex,
             rep_of_branch[sel[a]] = rep_count + b
         rep_count += kc
 
-    M = localization_masses(cx, q, reps.T, coords, radius, nodes)
+    M = localization_masses(cx, q, reps, coords, radius, nodes)
     rr, cc = linear_sum_assignment(-M)
     point_of_rep = np.empty(len(pool), dtype=int)
     point_of_rep[rr] = cc

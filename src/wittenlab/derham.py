@@ -31,11 +31,6 @@ from .trigpoly import TWO_PI, TrigPoly, circle_sin2, torus_sin2_product
 SQRT_PI = math.sqrt(math.pi)
 SQRT_TWO_PI = math.sqrt(TWO_PI)
 
-# largest operator assembled, and largest invariant block solved, in
-# dense form; beyond it operators are sparse and solves are windowed
-DENSE_MAX_DIM = 2000
-
-
 # -- scalar Fourier bases ----------------------------------------------
 
 
@@ -107,76 +102,13 @@ def mult_matrix_1d(N: int, g: TrigPoly) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _mode_index_2d(N: int, k1: int, kind1: str, k2: int, kind2: str) -> int:
-    n1 = 2 * N + 1
-
-    def idx(k, kind):
-        if k == 0:
-            return 0
-        return 2 * k - 1 if kind == "c" else 2 * k
-
-    return idx(k1, kind1) * n1 + idx(k2, kind2)
-
-
-def expand_2d(p: TrigPoly, N: int) -> np.ndarray:
-    """Coefficients of an arity-2 trig polynomial in the tensor mode basis."""
-    n1 = 2 * N + 1
-    vec = np.zeros(n1 * n1)
-    for (a, b), (c, s) in p.terms.items():
-        bb, sg = abs(b), (1.0 if b >= 0 else -1.0)
-        if a > N or bb > N:
-            continue
-        # cos(a*t1 + b*t2) = cos cos - sg sin sin;  sin(...) = sin cos + sg cos sin
-        raw = []
-        if c != 0.0:
-            raw.append(("c", "c", c))
-            if a > 0 and bb > 0:
-                raw.append(("s", "s", -sg * c))
-        if s != 0.0:
-            if a > 0:
-                raw.append(("s", "c", s))
-            if bb > 0:
-                raw.append(("c", "s", sg * s))
-        for kind1, kind2, amp in raw:
-            w = _mode_weight(a) * _mode_weight(bb)
-            vec[_mode_index_2d(N, a, kind1, bb, kind2)] += amp * w
-    return vec
-
-
-def mode_poly_2d(N: int, i: int) -> TrigPoly:
-    n1 = 2 * N + 1
-    i1, i2 = divmod(i, n1)
-    modes = scalar_modes(N)
-    k1, kind1 = modes[i1]
-    k2, kind2 = modes[i2]
-    p1 = TrigPoly(2)
-    p1._add((k1, 0), *(
-        (_mode_norm_const(k1), 0.0) if kind1 == "c" else (0.0, _mode_norm_const(k1))
-    ))
-    p2 = TrigPoly(2)
-    p2._add((0, k2), *(
-        (_mode_norm_const(k2), 0.0) if kind2 == "c" else (0.0, _mode_norm_const(k2))
-    ))
-    return p1 * p2
-
-
-def mult_matrix_2d(N: int, g: TrigPoly) -> np.ndarray:
-    """Galerkin multiplication matrix on the tensor scalar space."""
-    if g.arity != 2:
-        raise ConfigError("multiplier must have arity 2")
-    n1 = 2 * N + 1
-    m = n1 * n1
-    cols = [expand_2d(g * mode_poly_2d(N, i), N) for i in range(m)]
-    return np.column_stack(cols)
-
-
-def mult_matrix_2d_sparse(N: int, g: TrigPoly):
-    """Sparse assembly of mult_matrix_2d via per-axis factorization.
+def mult_matrix_2d(N: int, g: TrigPoly):
+    """Galerkin multiplication matrix on the tensor scalar space (CSR).
 
     The square cutoff truncates each axis independently, so projected
     multiplication by cos(a t1 + b t2) (and the sine) splits exactly into
-    Kronecker products of 1d Galerkin multipliers; summing over the terms
-    of g reproduces the dense matrix without ever forming it.
+    Kronecker products of 1d Galerkin multipliers; the matrix is their
+    sum over the terms of g.
     """
     if g.arity != 2:
         raise ConfigError("multiplier must have arity 2")
@@ -235,12 +167,6 @@ class SignedPermutation:
         return SignedPermutation(
             other.perm[self.perm], self.sign * other.sign[self.perm]
         )
-
-    def to_dense(self) -> np.ndarray:
-        n = self.perm.size
-        M = np.zeros((n, n))
-        M[np.arange(n), self.perm] = self.sign
-        return M
 
     def to_sparse(self):
         n = self.perm.size
@@ -357,14 +283,12 @@ def build_circle_complex(N: int, f: TrigPoly | None = None) -> DeRhamComplex:
     )
 
 
-def build_torus_complex(N: int, f: TrigPoly | None = None,
-                        sparse: bool | None = None) -> DeRhamComplex:
+def build_torus_complex(N: int, f: TrigPoly | None = None) -> DeRhamComplex:
     """Cutoff complex of the flat 2-torus.
 
     Degree-1 coefficient vectors are stacked as [alpha; beta] for
-    alpha dtheta1 + beta dtheta2.  Above DENSE_MAX_DIM scalar modes the
-    operators are assembled in sparse form (the same matrices entrywise);
-    pass sparse to force either representation.
+    alpha dtheta1 + beta dtheta2.  Every operator is a CSR Kronecker sum
+    of circle-factor Galerkin matrices, at every cutoff.
     """
     if f is None:
         f = torus_sin2_product()
@@ -373,32 +297,17 @@ def build_torus_complex(N: int, f: TrigPoly | None = None,
     _check_cutoff(N, f)
     n1 = 2 * N + 1
     m = n1 * n1
-    if sparse is None:
-        sparse = m > DENSE_MAX_DIM
-    if sparse:
-        d1 = sp.csr_matrix(diff_matrix_1d(N))
-        I1 = sp.identity(n1, format="csr")
-        Dth1 = sp.kron(d1, I1, format="csr")
-        Dth2 = sp.kron(I1, d1, format="csr")
-        M1 = mult_matrix_2d_sparse(N, f.partial(0))
-        M2 = mult_matrix_2d_sparse(N, f.partial(1))
-        D0 = sp.vstack([Dth1, Dth2], format="csr")
-        E0 = sp.vstack([M1, M2], format="csr")
-        D1 = sp.hstack([-Dth2, Dth1], format="csr")
-        E1 = sp.hstack([-M2, M1], format="csr")
-    else:
-        d1 = diff_matrix_1d(N)
-        I1 = np.eye(n1)
-        Dth1 = np.kron(d1, I1)
-        Dth2 = np.kron(I1, d1)
-        M1 = mult_matrix_2d(N, f.partial(0))
-        M2 = mult_matrix_2d(N, f.partial(1))
-
-        D0 = np.vstack([Dth1, Dth2])
-        E0 = np.vstack([M1, M2])
-        # d(alpha dth1 + beta dth2) = (d1 beta - d2 alpha) dth1^dth2
-        D1 = np.hstack([-Dth2, Dth1])
-        E1 = np.hstack([-M2, M1])
+    d1 = sp.csr_matrix(diff_matrix_1d(N))
+    I1 = sp.identity(n1, format="csr")
+    Dth1 = sp.kron(d1, I1, format="csr")
+    Dth2 = sp.kron(I1, d1, format="csr")
+    M1 = mult_matrix_2d(N, f.partial(0))
+    M2 = mult_matrix_2d(N, f.partial(1))
+    D0 = sp.vstack([Dth1, Dth2], format="csr")
+    E0 = sp.vstack([M1, M2], format="csr")
+    # d(alpha dth1 + beta dth2) = (d1 beta - d2 alpha) dth1^dth2
+    D1 = sp.hstack([-Dth2, Dth1], format="csr")
+    E1 = sp.hstack([-M2, M1], format="csr")
 
     # star: 1 -> dth1^dth2, dth1 -> dth2, dth2 -> -dth1, dth1^dth2 -> 1
     S0 = SignedPermutation.identity(m)
@@ -423,11 +332,6 @@ def build_torus_complex(N: int, f: TrigPoly | None = None,
 
 
 # -- operators -----------------------------------------------------------
-
-
-def hodge_star(cx: DeRhamComplex, q: int) -> np.ndarray:
-    """Dense star matrix on degree q (signed permutation)."""
-    return cx.S[q].to_dense()
 
 
 @dataclass
@@ -537,13 +441,9 @@ def check_duality_identities(cx: DeRhamComplex, ts=(0.0, 1.0, 5.0)) -> dict:
     for q in range(n + 1):
         sgn = (-1.0) ** (q * (n - q))
         comp = cx.S[n - q].compose(cx.S[q])  # star^{n-q} after star^q: acts on deg q
-        if sp.issparse(cx.D[0]):
-            mat = comp.to_sparse()
-            out[("star_square", q)] = _maxabs(
-                mat - sgn * sp.identity(mat.shape[0], format="csr"))
-        else:
-            dense = comp.to_dense()
-            out[("star_square", q)] = _maxabs(dense - sgn * np.eye(dense.shape[0]))
+        mat = comp.to_sparse()
+        out[("star_square", q)] = _maxabs(
+            mat - sgn * sp.identity(mat.shape[0], format="csr"))
 
         # matrix of star Delta^q star on degree n - q: S_q @ Delta_q @ S_{n-q}
         conj = cx.S[q].apply(cx.S[n - q].right_apply(fam[q].at(0.0)))

@@ -28,7 +28,6 @@ from .derham import (
     build_circle_complex,
     build_torus_complex,
     check_duality_identities,
-    hodge_star,
     laplacian_family,
 )
 from .errors import ConfigError, NumericalError
@@ -352,7 +351,7 @@ def run_duality(config: ExperimentConfig) -> DualityRun:
             worst_val = max(worst_val, float(np.max(np.abs(va - vg))))
 
         t_end = float(run_f.package.grid[-1])
-        star = hodge_star(run_f.cx, q)
+        star = run_f.cx.S[q]
         groups_f = _t0_groups(deg_f.branches)
         groups_g = _t0_groups(deg_g.branches)
         if [len(g) for g in groups_f] != [len(g) for g in groups_g]:
@@ -368,7 +367,7 @@ def run_duality(config: ExperimentConfig) -> DualityRun:
             G = np.column_stack([deg_g.branches[j].vector_at(t_end)
                                  for j in gg])
             for i in gf:
-                v = star @ deg_f.branches[i].vector_at(t_end)
+                v = star.apply(deg_f.branches[i].vector_at(t_end))
                 resid = 1.0 - float(np.linalg.norm(G.T @ v))
                 worst_star = max(worst_star, abs(resid))
             pairs.append((q, float(v0f),

@@ -23,14 +23,16 @@ _GL32 = np.polynomial.legendre.leggauss(32)
 _GL16 = np.polynomial.legendre.leggauss(16)
 
 
-def _panel_1d(fn, lo: float, hi: float):
+def _rule_1d(fn, lo: float, hi: float, rule):
+    x, w = rule
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    x32, w32 = _GL32
-    x16, w16 = _GL16
-    v32 = fn(mid + half * x32)
-    v16 = fn(mid + half * x16)
-    return half * (w32 @ v32), half * (w16 @ v16)
+    return half * (w @ fn(mid + half * x))
+
+
+def _panel_1d(fn, lo: float, hi: float):
+    """GL32 and embedded GL16 values on one panel."""
+    return _rule_1d(fn, lo, hi, _GL32), _rule_1d(fn, lo, hi, _GL16)
 
 
 def integrate_1d(fn, lo: float, hi: float, rel_tol: float = 1e-10,
@@ -48,7 +50,7 @@ def integrate_1d(fn, lo: float, hi: float, rel_tol: float = 1e-10,
         raise ConfigError("empty integration interval")
     width = hi - lo
     edges = np.linspace(lo, hi, 9)
-    scale = sum(_panel_1d(lambda x: np.abs(fn(x)), a, b)[0]
+    scale = sum(_rule_1d(lambda x: np.abs(fn(x)), a, b, _GL32)
                 for a, b in zip(edges[:-1], edges[1:]))
     stack = [(lo, hi)]
     total = 0.0
@@ -72,17 +74,17 @@ def integrate_1d(fn, lo: float, hi: float, rel_tol: float = 1e-10,
     return total
 
 
-def _panel_2d(fn, box):
+def _rule_2d(fn, box, rule):
     a1, b1, a2, b2 = box
     h1, m1 = 0.5 * (b1 - a1), 0.5 * (b1 + a1)
     h2, m2 = 0.5 * (b2 - a2), 0.5 * (b2 + a2)
-    x32, w32 = _GL32
-    x16, w16 = _GL16
-    v32 = fn(m1 + h1 * x32, m2 + h2 * x32)
-    v16 = fn(m1 + h1 * x16, m2 + h2 * x16)
-    i32 = h1 * h2 * (w32 @ np.tensordot(w32, v32, 1))
-    i16 = h1 * h2 * (w16 @ np.tensordot(w16, v16, 1))
-    return i32, i16
+    x, w = rule
+    return h1 * h2 * (w @ np.tensordot(w, fn(m1 + h1 * x, m2 + h2 * x), 1))
+
+
+def _panel_2d(fn, box):
+    """GL32 and embedded GL16 tensor values on one panel."""
+    return _rule_2d(fn, box, _GL32), _rule_2d(fn, box, _GL16)
 
 
 def integrate_2d(fn, box, rel_tol: float = 1e-10,
@@ -101,7 +103,7 @@ def integrate_2d(fn, box, rel_tol: float = 1e-10,
     for e1 in np.linspace(a1, b1, 4 + 1).repeat(2)[1:-1].reshape(-1, 2):
         for e2 in np.linspace(a2, b2, 4 + 1).repeat(2)[1:-1].reshape(-1, 2):
             sub = (e1[0], e1[1], e2[0], e2[1])
-            scale += _panel_2d(lambda x, y: np.abs(fn(x, y)), sub)[0]
+            scale += _rule_2d(lambda x, y: np.abs(fn(x, y)), sub, _GL32)
     stack = [box]
     total = 0.0
     used = 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Tolerances
-from .derham import DeRhamComplex, expand_1d, expand_2d, witten_laplacian
+from .derham import DeRhamComplex, expand_1d, witten_laplacian
 from .errors import ConfigError, NumericalError
 from .trigpoly import TWO_PI, TrigPoly
 
@@ -265,21 +265,17 @@ def harmonic_volumes(cx: DeRhamComplex, tol: Tolerances | None = None):
     alternating product).
     """
     tol = tol or Tolerances()
-    N = cx.N
-    gens = {}
+    one = expand_1d(TrigPoly.const(1, 1.0), cx.N)  # the constant 1
+    scale = 1.0 / TWO_PI
     if cx.manifold == "circle":
-        one = TrigPoly.const(1, 1.0)
-        gens[0] = [expand_1d(one, N)]
-        gens[1] = [expand_1d(one * (1.0 / TWO_PI), N)]
+        gens = {0: [one], 1: [one * scale]}
     else:
-        one = TrigPoly.const(2, 1.0)
-        v0 = expand_2d(one, N)
-        scale = 1.0 / TWO_PI
-        va = expand_2d(one * scale, N)
+        v0 = np.kron(one, one)
+        va = v0 * scale
         zcol = np.zeros_like(va)
-        gens[0] = [v0]
-        gens[1] = [np.concatenate([va, zcol]), np.concatenate([zcol, va])]
-        gens[2] = [expand_2d(one * scale * scale, N)]
+        gens = {0: [v0],
+                1: [np.concatenate([va, zcol]), np.concatenate([zcol, va])],
+                2: [v0 * (scale * scale)]}
     out = {}
     for q, vecs in gens.items():
         L = witten_laplacian(cx, q, 0.0)

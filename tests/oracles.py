@@ -78,6 +78,22 @@ def collocation_circle_spectrum(N, t, fp, q, samples=8192):
     return np.linalg.eigvalsh(A)
 
 
+def collocation_torus_multiplier(N, g, samples=64):
+    """Galerkin matrix of multiplication by g(th1, th2) on the tensor
+    basis (index i1 * (2N + 1) + i2 for the product of 1d modes i1, i2),
+    entries by the trapezoid rule on a uniform samples x samples grid.
+
+    The rule is exact for trigonometric polynomials of degree below
+    samples in each angle, which covers g times two basis functions for
+    the low-frequency potentials the tests use."""
+    theta = np.arange(samples) * (TWO_PI / samples)
+    B = basis_values(N, theta)
+    phi = np.kron(B, B)  # rows: tensor modes, columns: grid nodes p * samples + q
+    th1, th2 = np.meshgrid(theta, theta, indexing="ij")
+    gv = np.asarray(g(th1, th2), dtype=float).ravel()
+    return (TWO_PI / samples) ** 2 * (phi * gv) @ phi.T
+
+
 # ---------------------------------------------------------------------------
 # tensor enumeration for product geometries
 

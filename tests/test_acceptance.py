@@ -51,7 +51,7 @@ def test_criterion_02_torus_flat_spectrum():
     cfg = preset("torus-sin2-product")
     t0 = time.perf_counter()
     cx = build_complex(cfg)
-    w = np.linalg.eigvalsh(witten_laplacian(cx, 0, 0.0))
+    w = np.linalg.eigvalsh(witten_laplacian(cx, 0, 0.0).toarray())
     dt = time.perf_counter() - t0
     head = float(np.max(np.abs(w[:5] - np.array([0, 1, 1, 1, 1.0]))))
     # the chain of the first six values stays below 4; the sixth flat

@@ -39,3 +39,17 @@ def test_bench_block_eigensolve_torus24(benchmark):
     w, _ = benchmark(lowest_eigenvalues, blocks, 5.0, fam.dim,
                      cfg.tolerances.eig_residual)
     assert w.shape == (fam.dim,) and np.all(np.diff(w) >= 0)
+
+
+def test_bench_torus_assembly12(benchmark):
+    """Assembly: the torus-sin2-product complex at 12 modes and the
+    exact invariant blocks of the Laplacian family of every degree."""
+    cfg = preset("torus-sin2-product")
+    f = cfg.potential_trigpoly()
+
+    def assemble():
+        cx = build_torus_complex(cfg.modes, f)
+        return [laplacian_family(cx, q).split() for q in range(cx.n + 1)]
+
+    blocks = benchmark(assemble)
+    assert [len(b) for b in blocks] == [9, 16, 9]

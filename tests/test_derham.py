@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wittenlab.derham import (build_circle_complex, build_torus_complex,
-                              check_duality_identities, d_squared_residual,
-                              hodge_star, laplacian_family, mult_matrix_2d,
-                              mult_matrix_2d_sparse, witten_laplacian)
+from wittenlab.derham import (LaplacianFamily, build_circle_complex,
+                              build_torus_complex, check_duality_identities,
+                              d_squared_residual, laplacian_family,
+                              mult_matrix_2d, witten_laplacian)
 from wittenlab.errors import ConfigError
 from wittenlab.branches import eig_sym, lowest_eigenvalues
 from wittenlab.trigpoly import TrigPoly, circle_sin2, torus_sin2_product
@@ -34,7 +34,7 @@ def test_circle_operator_matches_collocation(circle_cx8):
 
 
 def test_torus_flat_spectrum_start(torus_cx6):
-    w = np.linalg.eigvalsh(witten_laplacian(torus_cx6, 0, 0.0))
+    w = np.linalg.eigvalsh(witten_laplacian(torus_cx6, 0, 0.0).toarray())
     assert np.max(np.abs(w[:6] - np.array([0, 1, 1, 1, 1, 2]))) < 1e-11
 
 
@@ -44,7 +44,7 @@ def test_torus_function_spectrum_is_sum_of_circle_spectra(torus_cx6, t):
     mode set: every degree-0 eigenvalue is a sum of two circle ones."""
     cx1 = build_circle_complex(6, circle_sin2())
     w0 = np.linalg.eigvalsh(witten_laplacian(cx1, 0, t))
-    w = np.linalg.eigvalsh(witten_laplacian(torus_cx6, 0, t))
+    w = np.linalg.eigvalsh(witten_laplacian(torus_cx6, 0, t).toarray())
     want = oracles.sum_spectrum(w0, w0)
     assert np.max(np.abs(w - want)) < 1e-9
 
@@ -54,7 +54,7 @@ def test_torus_one_form_spectrum_tensor(torus_cx6, t):
     cx1 = build_circle_complex(6, circle_sin2())
     w0 = np.linalg.eigvalsh(witten_laplacian(cx1, 0, t))
     w1 = np.linalg.eigvalsh(witten_laplacian(cx1, 1, t))
-    w = np.linalg.eigvalsh(witten_laplacian(torus_cx6, 1, t))
+    w = np.linalg.eigvalsh(witten_laplacian(torus_cx6, 1, t).toarray())
     want = oracles.torus_spectrum_from_circle(w0, w1, 1)
     assert np.max(np.abs(w - want)) < 1e-9
 
@@ -81,49 +81,45 @@ def test_duality_identities_smallness(circle_cx8, torus_cx6):
 
 def test_star_is_isometry(torus_cx6):
     for q in (0, 1, 2):
-        S = hodge_star(torus_cx6, q)
+        S = torus_cx6.S[q]
         v = np.linspace(-1, 1, torus_cx6.dims[q])
-        assert np.linalg.norm(S @ v) == pytest.approx(np.linalg.norm(v),
-                                                      rel=1e-12)
+        assert np.linalg.norm(S.apply(v)) == pytest.approx(np.linalg.norm(v),
+                                                           rel=1e-12)
 
 
-def test_sparse_assembly_matches_dense():
-    f = torus_sin2_product()
-    dense = build_torus_complex(6, f, sparse=False)
-    sparse = build_torus_complex(6, f, sparse=True)
+# a potential whose frequencies (1, -2) and (2, -1) mix signs, so the
+# sine-sine Kronecker terms enter with both signs
+MIXED = TrigPoly.cosine((1, -2)) + TrigPoly.sine((2, -1), 0.7)
+
+
+@pytest.mark.parametrize("f, partials", [
+    (torus_sin2_product(),
+     (lambda x, y: 2 * np.cos(2 * x), lambda x, y: 2 * np.cos(2 * y))),
+    (MIXED,
+     (lambda x, y: -np.sin(x - 2 * y) + 1.4 * np.cos(2 * x - y),
+      lambda x, y: 2 * np.sin(x - 2 * y) - 0.7 * np.cos(2 * x - y))),
+], ids=["sin2-product", "mixed-sign"])
+def test_mult_matrix_2d_matches_collocation(f, partials):
+    """Kronecker assembly of the multipliers df/dtheta_i against the
+    trapezoid-rule Galerkin entries of the pointwise derivatives."""
+    for i, dfi in enumerate(partials):
+        M = mult_matrix_2d(6, f.partial(i))
+        assert sp.issparse(M) and M.format == "csr"
+        want = oracles.collocation_torus_multiplier(6, dfi)
+        assert np.max(np.abs(M.toarray() - want)) < 1e-12
+
+
+def test_torus_operators_are_sparse(torus_cx6):
     for q in range(2):
-        Dd = dense.D[q]
-        Ds = sparse.D[q]
-        assert np.max(np.abs((Ds - sp.csr_matrix(Dd)).toarray())) < 1e-13
-        Ed = dense.E[q]
-        Es = sparse.E[q]
-        assert np.max(np.abs((Es - sp.csr_matrix(Ed)).toarray())) < 1e-13
-    M_dense = mult_matrix_2d(6, f)
-    M_sparse = mult_matrix_2d_sparse(6, f)
-    assert np.max(np.abs(M_sparse.toarray() - M_dense)) < 1e-13
+        for A in (torus_cx6.D[q], torus_cx6.E[q]):
+            assert sp.issparse(A) and A.format == "csr"
 
 
-def test_sparse_family_matches_dense():
-    f = torus_sin2_product()
-    dense = build_torus_complex(6, f, sparse=False)
-    sparse = build_torus_complex(6, f, sparse=True)
-    for q in (0, 1, 2):
-        fd = laplacian_family(dense, q)
-        fs = laplacian_family(sparse, q)
-        for t in (0.0, 2.3):
-            a = fd.at(t)
-            b = fs.at(t).toarray()
-            assert np.max(np.abs(a - b)) < 1e-11
-
-
-def test_sparse_eigensolve_matches_dense():
-    f = torus_sin2_product()
-    sparse = build_torus_complex(6, f, sparse=True)
-    dense = build_torus_complex(6, f, sparse=False)
+def test_sparse_eigensolve_matches_dense(torus_cx6):
     for q, t, k in ((0, 1.1, 12), (1, 0.6, 10)):
-        A = laplacian_family(sparse, q).at(t)
+        A = laplacian_family(torus_cx6, q).at(t)
         ws, _ = eig_sym(A, k=k)
-        wd = np.linalg.eigvalsh(laplacian_family(dense, q).at(t))[:k]
+        wd = np.linalg.eigvalsh(A.toarray())[:k]
         assert np.max(np.abs(ws - wd)) < 1e-9
 
 
@@ -160,11 +156,11 @@ def test_signed_permutation_sparse_and_dense_agree(torus_cx6, rng):
         S = torus_cx6.S[q]
         v = rng.standard_normal(torus_cx6.dims[q])
         dense = S.apply(v)
-        assert np.max(np.abs(S.to_dense() @ v - dense)) < 1e-13
+        assert np.max(np.abs(S.to_sparse() @ v - dense)) < 1e-13
         spv = S.apply(sp.csr_matrix(v).T)
         assert np.max(np.abs(spv.toarray().ravel() - dense)) < 1e-13
         A = rng.standard_normal((3, torus_cx6.dims[q]))
-        assert np.max(np.abs(S.right_apply(A) - A @ S.to_dense())) < 1e-13
+        assert np.max(np.abs(S.right_apply(A) - A @ S.to_sparse())) < 1e-13
         inv = S.inverse()
         assert np.max(np.abs(inv.apply(dense) - v)) < 1e-13
 
@@ -173,14 +169,19 @@ def _dense(A):
     return A.toarray() if sp.issparse(A) else A
 
 
+def _in_storage(fam, sparse):
+    conv = sp.csr_matrix if sparse else _dense
+    return LaplacianFamily(*(conv(A) for A in (fam.A0, fam.A1, fam.A2)))
+
+
 @pytest.mark.parametrize("sparse", [False, True])
-def test_split_blocks_are_exactly_invariant(circle_cx8, sparse):
+def test_split_blocks_are_exactly_invariant(circle_cx8, torus_cx6, sparse):
     """Invariance certificate: every entry of A0, A1, A2 coupling two
-    blocks is exactly 0.0, and each sub-family is the restriction."""
-    torus = build_torus_complex(6, torus_sin2_product(), sparse=sparse)
-    for cx in (circle_cx8, torus):
+    blocks is exactly 0.0, and each sub-family is the restriction, in
+    both the dense and the CSR storage of the family."""
+    for cx in (circle_cx8, torus_cx6):
         for q in range(cx.n + 1):
-            fam = laplacian_family(cx, q)
+            fam = _in_storage(laplacian_family(cx, q), sparse)
             blocks = fam.split()
             label = np.full(fam.dim, -1)
             for b, (idx, _) in enumerate(blocks):
@@ -191,19 +192,20 @@ def test_split_blocks_are_exactly_invariant(circle_cx8, sparse):
                 A = _dense(getattr(fam, name))
                 assert np.all(A[coupling] == 0.0)
                 for idx, sub in blocks:
+                    assert sp.issparse(getattr(sub, name)) == sparse
                     assert np.array_equal(_dense(getattr(sub, name)),
                                           A[np.ix_(idx, idx)])
 
 
 @pytest.mark.parametrize("t", [0.0, 2.3])
 def test_merged_block_spectra_match_full_solve(circle_cx8, torus_cx6, t):
-    for cx, want in ((circle_cx8, (3, 3)), (torus_cx6, (9, 10, 9))):
+    for cx, want in ((circle_cx8, (3, 3)), (torus_cx6, (9, 16, 9))):
         for q in range(cx.n + 1):
             fam = laplacian_family(cx, q)
             blocks = fam.split()
             assert len(blocks) == want[q]
             w, owner = lowest_eigenvalues(blocks, t, fam.dim)
-            assert np.max(np.abs(w - np.linalg.eigvalsh(fam.at(t)))) < 1e-10
+            assert np.max(np.abs(w - np.linalg.eigvalsh(_dense(fam.at(t))))) < 1e-10
             assert np.array_equal(np.bincount(owner),
                                   [len(idx) for idx, _ in blocks])
 
