@@ -216,7 +216,7 @@ class DeRhamComplex:
             _m_scalar=self._m_scalar,
         )
 
-    # scalar-block helpers used by quadrature and localization
+    # scalar-block helpers used by localization
 
     def form_components(self, q: int, vec: np.ndarray):
         """Split a degree-q coefficient vector into scalar blocks.

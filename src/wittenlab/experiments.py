@@ -31,7 +31,7 @@ from .derham import (
     laplacian_family,
 )
 from .errors import ConfigError, NumericalError
-from .integrals import a_log_total, det_log, pairing_matrix
+from .integrals import CellMoments, a_log_total, det_log
 from .morse import FlowComplex, find_critical_points, flow_complex
 from .torsion import (
     ComplexMorphism,
@@ -179,12 +179,14 @@ def grid_pairings(cx: DeRhamComplex, pkg: SpectralPackage, flow: FlowComplex,
     Returns float(t) -> [pairing matrix of degree q for q = 0..n] for
     every grid point t; the torsion pipeline reads its determinants, its
     integration morphisms and its positivity probe from this one table.
+    One CellMoments pass integrates each cell arc once for the whole grid.
     """
-    table = {}
-    for t in map(float, pkg.grid):
-        table[t] = [pairing_matrix(cx, q, package_vectors(pkg.degrees[q], t),
-                                   flow, t, tol) for q in range(cx.n + 1)]
-    return table
+    ts = [float(t) for t in pkg.grid]
+    moments = CellMoments(cx, ts, tol)
+    by_degree = [moments.pairing(
+        q, [package_vectors(pkg.degrees[q], t) for t in ts], flow)
+        for q in range(cx.n + 1)]
+    return {t: [P[i] for P in by_degree] for i, t in enumerate(ts)}
 
 
 def int_morphism(pairings: list, fc_vs: FiniteComplex,
@@ -263,7 +265,10 @@ def run_torsion(config: ExperimentConfig) -> TorsionRun:
             phi_q = H_c.T @ morph.maps[q] @ H_vs
             vol_h[q] = vol_of_iso(phi_q)
         log_volH = alternating_log(vol_h)
-        _, resid = check_anomaly(log_T_vs, log_a_t, log_volH, log_T_morse)
+        ok, resid = check_anomaly(log_T_vs, log_a_t, log_volH, log_T_morse)
+        if not ok:
+            raise NumericalError(f"anomaly identity fails at t={t}: "
+                                 f"residual {resid:.3e}")
         anomaly.append((t, resid))
 
     terms = {

@@ -2,7 +2,11 @@
 
 The pairing sends a cutoff q-form w to the cochain x -> int over the
 descending cell of x of e^{t f} w, summed over the closed-form cell
-pieces.  Quadrature is composite Gauss-Legendre with an embedded
+pieces.  Every piece is a point, an arc, or a product of those, so each
+pairing is a contraction of 1-D moments of the potential's circle
+factors (CellMoments): point values, products with the form
+coefficients, and no 2-D quadrature.  Each arc is integrated once for a
+whole t-grid.  Quadrature is composite Gauss-Legendre with an embedded
 half-order error estimate and dyadic panel subdivision; the integrand
 steepens near cell endpoints as t grows, which is exactly where the
 subdivision concentrates.
@@ -15,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Tolerances
-from .derham import DeRhamComplex
+from .derham import DeRhamComplex, basis_matrix_1d
 from .errors import ConfigError, NumericalError
-from .morse import FlowComplex, UnstableCell
+from .morse import FlowComplex, UnstableCell, factor_potentials
 
 _GL32 = np.polynomial.legendre.leggauss(32)
 _GL16 = np.polynomial.legendre.leggauss(16)
@@ -74,61 +78,81 @@ def integrate_1d(fn, lo: float, hi: float, rel_tol: float = 1e-10,
     return total
 
 
-def _rule_2d(fn, box, rule):
-    a1, b1, a2, b2 = box
-    h1, m1 = 0.5 * (b1 - a1), 0.5 * (b1 + a1)
-    h2, m2 = 0.5 * (b2 - a2), 0.5 * (b2 + a2)
-    x, w = rule
-    return h1 * h2 * (w @ np.tensordot(w, fn(m1 + h1 * x, m2 + h2 * x), 1))
+# -- cell moments -----------------------------------------------------------
 
 
-def _panel_2d(fn, box):
-    """GL32 and embedded GL16 tensor values on one panel."""
-    return _rule_2d(fn, box, _GL32), _rule_2d(fn, box, _GL16)
+class CellMoments:
+    """1-D moments of the cell axes of one complex along a t-grid.
 
-
-def integrate_2d(fn, box, rel_tol: float = 1e-10,
-                 budget: int = 65536) -> float | np.ndarray:
-    """Adaptive tensor-panel integral over a rectangle.
-
-    fn(th1, th2) takes node vectors and returns the value matrix on
-    their tensor grid, optionally with a trailing column axis that is
-    integrated as in integrate_1d.
+    Every cell piece is a point, an arc, or on the torus a product of
+    those, and the torus potential splits as f1(th1) + f2(th2), so
+    e^{t f} times a tensor basis function is a product of circle
+    factors.  The moments of factor a along one axis are
+    M_a(t)[i] = int_arc e^{t f_a} phi_i, or the point values
+    e^{t f_a(p)} phi_i(p) on a pinned coordinate.  Each (factor, axis)
+    is integrated on first use, in one adaptive pass for every t of the
+    grid, and shared by all pieces and degrees that read it.
     """
-    a1, b1, a2, b2 = box
-    if b1 <= a1 or b2 <= a2:
-        raise ConfigError("empty integration rectangle")
-    area = (b1 - a1) * (b2 - a2)
-    scale = 0.0
-    for e1 in np.linspace(a1, b1, 4 + 1).repeat(2)[1:-1].reshape(-1, 2):
-        for e2 in np.linspace(a2, b2, 4 + 1).repeat(2)[1:-1].reshape(-1, 2):
-            sub = (e1[0], e1[1], e2[0], e2[1])
-            scale += _rule_2d(lambda x, y: np.abs(fn(x, y)), sub, _GL32)
-    stack = [box]
-    total = 0.0
-    used = 0
-    while stack:
-        cur = stack.pop()
-        used += 1
-        if used > budget:
-            raise NumericalError(
-                f"quadrature panel budget {budget} exhausted on box {box}"
-            )
-        c1, d1, c2, d2 = cur
-        coarse_ok = (d1 - c1) * (d2 - c2) < area * (4.0 ** -20)
-        i32, i16 = _panel_2d(fn, cur)
-        tol_panel = rel_tol * (scale + 1e-300) * (d1 - c1) * (d2 - c2) / area
-        if np.all(np.abs(i32 - i16) <= tol_panel) or coarse_ok:
-            total += i32
-        else:
-            m1 = 0.5 * (c1 + d1)
-            m2 = 0.5 * (c2 + d2)
-            stack.extend([(c1, m1, c2, m2), (c1, m1, m2, d2),
-                          (m1, d1, c2, m2), (m1, d1, m2, d2)])
-    return total
 
+    def __init__(self, cx: DeRhamComplex, ts, tol: Tolerances | None = None):
+        self.cx = cx
+        self.ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        self.tol = tol or Tolerances()
+        self.factors = ((cx.f,) if cx.manifold == "circle"
+                        else factor_potentials(cx.f))
+        self._axes = {}
 
-# -- cell integrals --------------------------------------------------------
+    def axis(self, a: int, ax: tuple) -> np.ndarray:
+        """(n_t, 2N+1) moments of factor a along one cell axis."""
+        key = (a, ax)
+        if key not in self._axes:
+            f, N, ts = self.factors[a], self.cx.N, self.ts
+
+            def fn(x):
+                # columns (t, i): one |fn| scale and error allocation each
+                w = np.exp(np.multiply.outer(f(x), ts))
+                return (w[:, :, None] * basis_matrix_1d(N, x)[:, None, :]
+                        ).reshape(x.size, -1)
+
+            if ax[0] == "point":
+                vals = fn(np.array([ax[1]]))
+            else:
+                vals = integrate_1d(fn, ax[1], ax[2], self.tol.quad_rel)
+            self._axes[key] = vals.reshape(ts.size, -1)
+        return self._axes[key]
+
+    def cell_vectors(self, q: int, cell: UnstableCell) -> np.ndarray:
+        """(n_t, dims[q]) rows m with int over the piece of e^{t f} w = m[t] . w.
+
+        The orientation is applied; a torus 1-form pulls back to its
+        coframe component along the arc axis.
+        """
+        if cell.dim != q:
+            raise ConfigError(f"cell of dimension {cell.dim} paired with a "
+                              f"{q}-form")
+        m = self.axis(0, cell.axes[0])
+        if len(cell.axes) == 2:
+            m2 = self.axis(1, cell.axes[1])
+            m = (m[:, :, None] * m2[:, None, :]).reshape(self.ts.size, -1)
+        if self.cx.dims[q] > m.shape[1]:
+            pad = np.zeros_like(m)
+            m = np.hstack([m, pad] if cell.axes[0][0] == "arc" else [pad, m])
+        return float(cell.orientation) * m
+
+    def pairing(self, q: int, forms, flow: FlowComplex) -> np.ndarray:
+        """Pairing matrices along the grid.
+
+        forms is (n_t, dims[q], k), the forms at each t as columns; the
+        result is (n_t, k, n_q), rows indexing forms and columns the
+        index-q critical points in the order of flow.degrees[q].
+        """
+        forms = np.asarray(forms, dtype=float)
+        owners = flow.degrees.get(q, [])
+        out = np.zeros((self.ts.size, forms.shape[2], len(owners)))
+        for j, i in enumerate(owners):
+            m = sum(self.cell_vectors(q, piece) for piece in flow.cells[i])
+            out[:, :, j] = (m[:, None, :] @ forms)[:, 0, :]
+        return out
 
 
 def integral_A(cx: DeRhamComplex, q: int, omega: np.ndarray,
@@ -137,42 +161,12 @@ def integral_A(cx: DeRhamComplex, q: int, omega: np.ndarray,
     """int over one cell piece of e^{t f} omega, orientation applied.
 
     omega is one form, giving a float, or a (dim, k) block of forms,
-    giving one value per column from a single adaptive pass whose
-    panels the columns share.  The piece dimension must match the form
-    degree; the pullback keeps the coefficient of the coframe product
-    along the arc axes.
+    giving one value per column.  The piece dimension must match the
+    form degree.
     """
-    tol = tol or Tolerances()
-    if cell.dim != q:
-        raise ConfigError(f"cell of dimension {cell.dim} paired with a "
-                          f"{q}-form")
     omega = np.asarray(omega, dtype=float)
-    block = omega.reshape(omega.shape[0], -1)
-    comps = cx.form_components(q, block)
-    arcs = [i for i, a in enumerate(cell.axes) if a[0] == "arc"]
-    # a torus 1-form pulls back to its coframe component along the arc
-    comp = comps[arcs[0]] if len(comps) > 1 else comps[0]
-
-    def fn(*nodes):
-        # nodes along the arc axes; the other coordinates stay pinned
-        grid = [np.array([a[1]]) for a in cell.axes]
-        for i, x in zip(arcs, nodes):
-            grid[i] = x
-        mesh = np.meshgrid(*grid, indexing="ij", sparse=True)
-        vals = np.exp(t * cx.f(*mesh))[..., None] * \
-            cx.eval_scalar_grid(comp, *grid)
-        return vals.reshape(*(x.size for x in nodes), block.shape[1])
-
-    if q == 0:
-        total = fn()
-    elif q == 1:
-        _, lo, hi = cell.axes[arcs[0]]
-        total = integrate_1d(fn, lo, hi, tol.quad_rel)
-    else:
-        (_, lo1, hi1), (_, lo2, hi2) = cell.axes
-        total = integrate_2d(fn, (lo1, hi1, lo2, hi2), tol.quad_rel)
-    out = float(cell.orientation) * total
-    return out if omega.ndim > 1 else float(out[0])
+    out = CellMoments(cx, [t], tol).cell_vectors(q, cell)[0] @ omega
+    return out if omega.ndim > 1 else float(out)
 
 
 # -- the pairing with a critical-point basis -------------------------------
@@ -189,18 +183,10 @@ def int_cochain(cx: DeRhamComplex, q: int, omega: np.ndarray,
 def pairing_matrix(cx: DeRhamComplex, q: int, forms: np.ndarray,
                    flow: FlowComplex, t: float,
                    tol: Tolerances | None = None) -> np.ndarray:
-    """Matrix of the pairing: rows index forms, columns the index-q
-    critical points in the order of flow.degrees[q].
-
-    Each cell piece is integrated once for the whole block of forms.
-    """
+    """Matrix of the pairing at one t: rows index forms, columns the
+    index-q critical points in the order of flow.degrees[q]."""
     forms = np.asarray(forms, dtype=float)
-    owners = flow.degrees.get(q, [])
-    out = np.zeros((forms.shape[1], len(owners)))
-    for j, i in enumerate(owners):
-        for piece in flow.cells[i]:
-            out[:, j] += integral_A(cx, q, forms, piece, t, tol)
-    return out
+    return CellMoments(cx, [t], tol).pairing(q, forms[None], flow)[0]
 
 
 @dataclass

@@ -328,6 +328,9 @@ def integer_cohomology_classes(mc, manifold: str) -> dict:
 
 # -- theorem assembly -------------------------------------------------------
 
+# absolute residual within which a comparison formula matches its target
+FORMULA_MATCH_ABS = 1e-4
+
 
 @dataclass
 class TorsionReport:
@@ -356,11 +359,11 @@ class TorsionReport:
 
     @property
     def working_matches(self) -> bool:
-        return self.residual_working <= 1e-4
+        return self.residual_working <= FORMULA_MATCH_ABS
 
     @property
     def printed_matches(self) -> bool:
-        return self.residual_printed <= 1e-4
+        return self.residual_printed <= FORMULA_MATCH_ABS
 
 
 def branch_term_from_values(values_by_degree: dict) -> float:
@@ -395,8 +398,8 @@ def check_anomaly(log_T_vs: float, log_a: float, log_volH: float,
 
 def evaluate_theorem(manifold: str, branch_term: float, log_a0: float,
                      log_lattice_volume: float, log_T_morse: float,
-                     log_W_morse: float, anomaly=None, terms=None,
-                     tol_abs: float = 1e-4) -> TorsionReport:
+                     log_W_morse: float, anomaly=None,
+                     terms=None) -> TorsionReport:
     """Assemble both comparison formulas against the lattice target."""
     working = branch_term - log_a0 - log_lattice_volume
     printed = branch_term + log_a0 - log_lattice_volume

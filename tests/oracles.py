@@ -131,6 +131,30 @@ def quad_exp_potential_1d(t, lo, hi, f, weight=None):
     return val
 
 
+def quad_arc_moment(t, lo, hi, f, i):
+    """scipy quadrature of exp(t f) times the i-th orthonormal mode (the
+    row order of basis_values) over an arc, with the integral of the
+    absolute value of the same integrand as its scale."""
+    k = (i + 1) // 2
+    if i == 0:
+        def mode(th):
+            return 1.0 / np.sqrt(TWO_PI)
+    else:
+        trig = np.cos if i % 2 else np.sin
+
+        def mode(th):
+            return trig(k * th) / np.sqrt(np.pi)
+
+    def g(th):
+        return np.exp(t * f(th)) * mode(th)
+
+    size, _ = scipy.integrate.quad(lambda th: abs(g(th)), lo, hi,
+                                   limit=800, epsrel=1e-8)
+    val, _ = scipy.integrate.quad(g, lo, hi, limit=800,
+                                  epsabs=1e-13 * size, epsrel=1e-12)
+    return val, size
+
+
 def full_circle_exp_sin(t):
     """Closed form for the full-period integral of exp(t sin(k theta)),
     any integer k >= 1: 2 pi I_0(t)."""

@@ -8,7 +8,7 @@ import pytest
 from wittenlab.branches import lowest_eigenvalues
 from wittenlab.config import preset
 from wittenlab.derham import build_torus_complex, laplacian_family
-from wittenlab.experiments import build_complex
+from wittenlab.experiments import build_complex, grid_pairings, run_package
 from wittenlab.integrals import pairing_matrix
 from wittenlab.morse import find_critical_points, flow_complex
 
@@ -27,6 +27,18 @@ def test_bench_pairing_matrix_circle(benchmark, q):
     _, V = np.linalg.eigh(laplacian_family(cx, q).at(4.0))
     M = benchmark(pairing_matrix, cx, q, V[:, :k], flow, 4.0, cfg.tolerances)
     assert M.shape == (k, k)
+
+
+@pytest.mark.parametrize("name", ["circle-sin2", "torus-sin2-product"])
+def test_bench_grid_pairings(benchmark, name):
+    """The whole-grid pairing table of a preset, every degree at every
+    t, paired with the tracked package as in run_torsion."""
+    cfg = preset(name)
+    run = run_package(cfg, assign=True)
+    cx = run.cx
+    flow = flow_complex(cx.f, cx.manifold, run.points, cfg.tolerances)
+    table = benchmark(grid_pairings, cx, run.package, flow, cfg.tolerances)
+    assert len(table) == len(run.package.grid)
 
 
 def test_bench_block_eigensolve_torus24(benchmark):

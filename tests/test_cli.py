@@ -69,7 +69,8 @@ def test_package_json_validates_against_schema(tmp_path, capsys):
 
 
 def test_torsion_json_validates_against_schema(tmp_path, capsys):
-    cfg, path = write_config(tmp_path)
+    # 16 modes fail the anomaly check at t = 4 (test_experiments)
+    cfg, path = write_config(tmp_path, modes=20)
     assert main(["torsion", "--config", path]) == 0
     (outfile,) = printed_files(capsys)
     payload = json.loads(open(outfile).read())
@@ -174,3 +175,20 @@ def test_exit_code_numerical_error(tmp_path, capsys, monkeypatch):
     _, path = write_config(tmp_path, t_max=2.0)
     assert main(["spectrum", "--config", path]) == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_torsion_exit_code_on_failed_anomaly_check(tmp_path, capsys,
+                                                   monkeypatch):
+    import wittenlab.experiments as experiments
+
+    check = experiments.check_anomaly
+
+    def shifted(log_T_vs, log_a, log_volH, log_T_morse):
+        # one log term off by ten times the check's own 1e-3 bound
+        return check(log_T_vs + 1e-2, log_a, log_volH, log_T_morse)
+
+    monkeypatch.setattr(experiments, "check_anomaly", shifted)
+    # 20 modes pass the unpatched check at every sample
+    _, path = write_config(tmp_path, modes=20)
+    assert main(["torsion", "--config", path]) == 3
+    assert "anomaly identity fails at t=0.0" in capsys.readouterr().err

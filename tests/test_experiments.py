@@ -6,7 +6,7 @@ import pytest
 from wittenlab.branches import LABEL_VS, LABEL_ZERO
 from wittenlab.config import ExperimentConfig, Tolerances
 from wittenlab.derham import witten_laplacian
-from wittenlab.errors import ConfigError
+from wittenlab.errors import ConfigError, NumericalError
 from wittenlab.experiments import (_anomaly_sample_ts, grid_pairings,
                                    int_morphism, morse_finite_complex,
                                    package_vectors,
@@ -107,20 +107,28 @@ def test_run_morse_structure():
 
 
 def test_run_torsion_small_circle():
-    run = run_torsion(small_circle_config())
+    # 16 modes leave the t = 4 anomaly sample unresolved (see below)
+    run = run_torsion(small_circle_config(modes=20))
     rep = run.report
-    # the comparison formula closes at t = 0 quantities, which 16 modes
-    # already resolve to machine precision
+    # the comparison formula closes at t = 0 quantities, which a small
+    # cutoff already resolves to machine precision
     assert rep.residual_working < 1e-8
     assert rep.residual_printed > 0.5  # the sign-flipped assembly is off
     # composite identities away from t = 0 degrade with the spectral
-    # tail of the frames; at 16 modes the t = 4 sample is the worst
+    # tail of the frames; the t = 4 sample is the worst
     assert rep.anomaly[0][1] < 1e-12
     assert all(r < 5e-3 for _, r in rep.anomaly)
     assert all(r < 1e-3 for _, r in run.chain_residuals)
     for q, rows in run.positivity.items():
         signs = {s for _, _, s, _ in rows}
         assert len(signs) == 1 and 0.0 not in signs
+
+
+def test_run_torsion_enforces_the_anomaly_check():
+    # at 16 modes the frames' spectral tail puts the t = 4 residual at
+    # 1.4e-3, above the check's 1e-3 bound
+    with pytest.raises(NumericalError, match="anomaly identity fails at t=4.0"):
+        run_torsion(small_circle_config())
 
 
 def count_critical_point_searches(monkeypatch):
@@ -144,7 +152,7 @@ def test_critical_points_found_once_per_flow(monkeypatch):
     f = torus_sin2_product()
     pts = find_critical_points(f, "torus")
     calls = count_critical_point_searches(monkeypatch)
-    run_torsion(small_circle_config())
+    run_torsion(small_circle_config(modes=20))
     assert calls == ["circle"]
     del calls[:]
     flow_complex(f, "torus", pts, Tolerances())

@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from wittenlab.derham import build_torus_complex
+import wittenlab.integrals as integrals
+from wittenlab.config import preset
+from wittenlab.derham import build_circle_complex, build_torus_complex
 from wittenlab.errors import ConfigError, NumericalError
-from wittenlab.integrals import (DetValue, a_log_total, det_log,
+from wittenlab.experiments import grid_pairings
+from wittenlab.integrals import (CellMoments, DetValue, a_log_total, det_log,
                                  int_cochain, integral_A, integrate_1d,
-                                 integrate_2d, pairing_matrix)
+                                 pairing_matrix)
 from wittenlab.morse import find_critical_points, flow_complex
 from wittenlab.trigpoly import (TWO_PI, TrigPoly, circle_sin2,
                                 torus_sin2_product)
@@ -79,22 +82,6 @@ def test_integrate_1d_budget_exhaustion_one_rough_column():
     assert smooth[0] == pytest.approx(TWO_PI, rel=1e-12)
     with pytest.raises(NumericalError):
         integrate_1d(fn, 0.0, TWO_PI, rel_tol=1e-12, budget=3)
-
-
-def test_integrate_2d_separable_product():
-    f2 = torus_sin2_product()
-    f1 = circle_sin2()
-    box = (0.2, 1.9, 0.5, 3.1)
-    for t in (0.0, 1.3):
-        got = integrate_2d(
-            lambda a, b, t=t: np.exp(t * f2(a[:, None], b[None, :])), box, 1e-11)
-        ia = integrate_1d(lambda x: np.exp(t * f1(x)), box[0], box[1], 1e-12)
-        ib = integrate_1d(lambda x: np.exp(t * f1(x)), box[2], box[3], 1e-12)
-        assert got == pytest.approx(ia * ib, rel=1e-9)
-    ref = oracles.quad_exp_potential_2d(1.3, ((0.2, 1.9), (0.5, 3.1)), f2)
-    got = integrate_2d(
-        lambda a, b: np.exp(1.3 * f2(a[:, None], b[None, :])), box, 1e-11)
-    assert got == pytest.approx(ref, rel=1e-8)
 
 
 def band_limited_scalar(rng, N, kmax):
@@ -288,6 +275,88 @@ def test_pairing_matrix_form_block_against_oracle_torus(rng, torus_cx6):
         got = pairing_matrix(cx, q, forms, flow, t)
         assert_close_to_oracle(got, oracle_pairing(cx, q, forms, flow, t),
                                1e-9)
+
+
+def arcs_of(flow):
+    """The distinct (factor, arc axis) pairs of a flow's cell pieces."""
+    return sorted({(a, ax) for pieces in flow.cells for piece in pieces
+                   for a, ax in enumerate(piece.axes) if ax[0] == "arc"})
+
+
+def assert_moments_match_oracle(cx, ts, factor_fns, columns):
+    """Sampled (t, i) moment columns of every arc against scipy quad,
+    within 1e-10 of the column's integral of |e^{t f_a} phi_i|."""
+    flow = flow_of(cx.f, cx.manifold)
+    moments = CellMoments(cx, ts)
+    for a, ax in arcs_of(flow):
+        _, lo, hi = ax
+        M = moments.axis(a, ax)
+        assert M.shape == (len(ts), 2 * cx.N + 1)
+        for k, t in enumerate(ts):
+            for i in columns:
+                ref, size = oracles.quad_arc_moment(t, lo, hi, factor_fns[a], i)
+                assert abs(M[k, i] - ref) <= 1e-10 * size
+
+
+def test_arc_moments_against_oracle_circle():
+    cfg = preset("circle-sin2")
+    cx = build_circle_complex(cfg.modes, cfg.potential_trigpoly())
+    assert_moments_match_oracle(cx, cfg.grid(), [lambda th: np.sin(2 * th)],
+                                (0, 1, 4, 2 * cx.N))
+    # the high-mode columns, at the steepest and the flattest weights
+    assert_moments_match_oracle(cx, [0.0, 15.0], [lambda th: np.sin(2 * th)],
+                                range(2 * cx.N + 1))
+
+
+def test_arc_moments_against_oracle_torus_factors():
+    # a constant term rides on the first factor; both factors are shifted
+    f = shifted_sin2_product(0.4, 1.3) + 0.3
+    cx = build_torus_complex(6, f)
+    factor_fns = [lambda th: np.sin(2 * th + 0.4) + 0.3,
+                  lambda th: np.sin(2 * th + 1.3)]
+    assert_moments_match_oracle(cx, [0.0, 0.7, 5.0, 15.0], factor_fns,
+                                range(2 * cx.N + 1))
+
+
+@pytest.mark.parametrize("manifold", ["circle", "torus"])
+def test_grid_pass_matches_one_t_pairings(rng, circle_cx8, torus_cx6,
+                                          manifold):
+    """One pass over the whole grid against separate one-t matrices:
+    panels refined for the steepest t never loosen a flat column."""
+    cx = circle_cx8 if manifold == "circle" else torus_cx6
+    ts = np.arange(0.0, 15.01, 0.5) if manifold == "circle" else \
+        np.arange(0.0, 5.01, 0.5)
+    flow = flow_of(cx.f, manifold)
+    moments = CellMoments(cx, ts)
+    for q in range(cx.n + 1):
+        forms = rng.standard_normal((ts.size, cx.dims[q], 3))
+        grid = moments.pairing(q, forms, flow)
+        assert grid.shape == (ts.size, 3, len(flow.degrees[q]))
+        for k, t in enumerate(ts):
+            one = pairing_matrix(cx, q, forms[k], flow, t)
+            assert np.max(np.abs(grid[k] - one)) <= \
+                1e-13 * np.max(np.abs(one))
+
+
+def test_grid_pass_integrates_each_arc_once(monkeypatch, circle_torsion,
+                                            torus_torsion):
+    """One adaptive integral per distinct (factor, arc) for the whole
+    grid and every degree: 4 arcs on circle-sin2, 4 + 4 on the torus."""
+    calls = []
+
+    def counting(fn, lo, hi, *args, **kwargs):
+        calls.append((lo, hi))
+        return integrate_1d(fn, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(integrals, "integrate_1d", counting)
+    for run, want in ((circle_torsion, 4), (torus_torsion, 8)):
+        cx = run.package_run.cx
+        tol = run.config.tolerances
+        flow = flow_complex(cx.f, cx.manifold, run.package_run.points, tol)
+        calls.clear()
+        table = grid_pairings(cx, run.package_run.package, flow, tol)
+        assert len(table) == len(run.package_run.package.grid)
+        assert len(calls) == want == len(arcs_of(flow))
 
 
 def test_det_log_known_values():
