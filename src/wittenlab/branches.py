@@ -368,9 +368,13 @@ def _windowed(fam: LaplacianFamily) -> bool:
 
 
 def _solver_matrix(fam: LaplacianFamily, t: float):
-    """fam at t in the form its eigensolver takes."""
-    A = fam.at(t)
-    return A.toarray() if sp.issparse(A) and not _windowed(fam) else A
+    """fam at t in the form its eigensolver takes: CSR for the windowed
+    solve, else the dense block, scattered straight from the pattern."""
+    if _windowed(fam):
+        return fam.at(t)
+    A = np.zeros((fam.dim, fam.dim))
+    np.put(A, fam.flat, fam.values(t))
+    return A
 
 
 def track_branches(cx: DeRhamComplex, q: int, grid, k: int | None = None,
@@ -489,7 +493,7 @@ def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
                 # and bisection below shrinks the last step if the samples
                 # have not converged to it yet
                 W, t0_slopes, t0_cluster_key = _polish_t0(
-                    w_full, V_full, cols, W, fam.A1, tol.cluster_rel
+                    w_full, V_full, cols, W, fam.term(1), tol.cluster_rel
                 )
                 ov = np.abs(np.sum(cur_V * W, axis=0))
             if float(np.min(ov)) < tol.overlap_min:

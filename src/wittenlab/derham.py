@@ -70,13 +70,14 @@ def basis_matrix_1d(N: int, theta) -> np.ndarray:
     return out
 
 
-def diff_matrix_1d(N: int) -> np.ndarray:
+def diff_matrix_1d(N: int):
+    """Exact derivative on the cutoff scalar space (CSR)."""
     d = np.zeros((2 * N + 1, 2 * N + 1))
     for k in range(1, N + 1):
         ic, isn = 2 * k - 1, 2 * k
         d[isn, ic] = -float(k)  # cos k -> -k sin k
         d[ic, isn] = float(k)  # sin k -> k cos k
-    return d
+    return sp.csr_matrix(d)
 
 
 def expand_1d(p: TrigPoly, N: int) -> np.ndarray:
@@ -94,12 +95,12 @@ def expand_1d(p: TrigPoly, N: int) -> np.ndarray:
     return vec
 
 
-def mult_matrix_1d(N: int, g: TrigPoly) -> np.ndarray:
-    """Galerkin matrix of multiplication by g on the cutoff scalar space."""
+def mult_matrix_1d(N: int, g: TrigPoly):
+    """Galerkin matrix (CSR) of multiplication by g on the scalar space."""
     if g.arity != 1:
         raise ConfigError("multiplier must have arity 1")
     cols = [expand_1d(g * mode_poly_1d(k, kind), N) for k, kind in scalar_modes(N)]
-    return np.column_stack(cols)
+    return sp.csr_matrix(np.column_stack(cols))
 
 
 def mult_matrix_2d(N: int, g: TrigPoly):
@@ -117,10 +118,10 @@ def mult_matrix_2d(N: int, g: TrigPoly):
     out = sp.csr_matrix((m, m))
     for (a, b), (c, s) in sorted(g.terms.items()):
         bb, sg = abs(b), (1.0 if b >= 0 else -1.0)
-        Ca = sp.csr_matrix(mult_matrix_1d(N, TrigPoly.cosine((a,))))
-        Sa = sp.csr_matrix(mult_matrix_1d(N, TrigPoly.sine((a,))))
-        Cb = sp.csr_matrix(mult_matrix_1d(N, TrigPoly.cosine((bb,))))
-        Sb = sp.csr_matrix(mult_matrix_1d(N, TrigPoly.sine((bb,))))
+        Ca = mult_matrix_1d(N, TrigPoly.cosine((a,)))
+        Sa = mult_matrix_1d(N, TrigPoly.sine((a,)))
+        Cb = mult_matrix_1d(N, TrigPoly.cosine((bb,)))
+        Sb = mult_matrix_1d(N, TrigPoly.sine((bb,)))
         if c != 0.0:
             out = out + c * (sp.kron(Ca, Cb, format="csr")
                              - sg * sp.kron(Sa, Sb, format="csr"))
@@ -128,50 +129,6 @@ def mult_matrix_2d(N: int, g: TrigPoly):
             out = out + s * (sp.kron(Sa, Cb, format="csr")
                              + sg * sp.kron(Ca, Sb, format="csr"))
     return out.tocsr()
-
-
-# -- signed permutation star -------------------------------------------
-
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    """Linear map (S v)[i] = sign[i] * v[perm[i]]."""
-
-    perm: np.ndarray
-    sign: np.ndarray
-
-    @classmethod
-    def identity(cls, n: int) -> "SignedPermutation":
-        return cls(np.arange(n), np.ones(n))
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        # works for vectors and for matrices (rows are permuted/flipped)
-        if sp.issparse(v):
-            return self.to_sparse() @ v
-        return self.sign.reshape(-1, *([1] * (v.ndim - 1))) * v[self.perm]
-
-    def right_apply(self, A: np.ndarray) -> np.ndarray:
-        """A @ S for a matrix A."""
-        if sp.issparse(A):
-            return A @ self.to_sparse()
-        inv = self.inverse()
-        return A[:, inv.perm] * inv.sign  # (A S)[:, j] = sign_inv[j] A[:, perm_inv[j]]
-
-    def inverse(self) -> "SignedPermutation":
-        inv_perm = np.empty_like(self.perm)
-        inv_perm[self.perm] = np.arange(self.perm.size)
-        return SignedPermutation(inv_perm, self.sign[inv_perm])
-
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """self after other: (self o other) v = self(other(v))."""
-        return SignedPermutation(
-            other.perm[self.perm], self.sign * other.sign[self.perm]
-        )
-
-    def to_sparse(self):
-        n = self.perm.size
-        return sp.csr_matrix((self.sign, (np.arange(n), self.perm)),
-                             shape=(n, n))
 
 
 # -- the complex --------------------------------------------------------
@@ -182,8 +139,10 @@ class DeRhamComplex:
     """Cutoff de Rham complex with deformation data.
 
     D[q] is the exact exterior derivative on degree q, E[q] the projected
-    multiplication by df (wedge), S[q] the Hodge star to degree n - q.
-    All coefficient bases are orthonormal, so adjoints are transposes.
+    multiplication by df (wedge), S[q] the Hodge star to degree n - q, a
+    signed permutation matrix.  Every operator is CSR on both manifolds.
+    All coefficient bases are orthonormal, so adjoints are transposes
+    (the star's inverse is its transpose).
     """
 
     manifold: str
@@ -267,7 +226,7 @@ def build_circle_complex(N: int, f: TrigPoly | None = None) -> DeRhamComplex:
     dim = 2 * N + 1
     D = [diff_matrix_1d(N)]
     E = [mult_matrix_1d(N, f.partial(0))]
-    S = [SignedPermutation.identity(dim), SignedPermutation.identity(dim)]
+    S = [sp.identity(dim, format="csr")] * 2
     return DeRhamComplex(
         manifold="circle",
         n=1,
@@ -297,7 +256,7 @@ def build_torus_complex(N: int, f: TrigPoly | None = None) -> DeRhamComplex:
     _check_cutoff(N, f)
     n1 = 2 * N + 1
     m = n1 * n1
-    d1 = sp.csr_matrix(diff_matrix_1d(N))
+    d1 = diff_matrix_1d(N)
     I1 = sp.identity(n1, format="csr")
     Dth1 = sp.kron(d1, I1, format="csr")
     Dth2 = sp.kron(I1, d1, format="csr")
@@ -310,11 +269,8 @@ def build_torus_complex(N: int, f: TrigPoly | None = None) -> DeRhamComplex:
     E1 = sp.hstack([-M2, M1], format="csr")
 
     # star: 1 -> dth1^dth2, dth1 -> dth2, dth2 -> -dth1, dth1^dth2 -> 1
-    S0 = SignedPermutation.identity(m)
-    perm1 = np.concatenate([np.arange(m, 2 * m), np.arange(m)])
-    sign1 = np.concatenate([-np.ones(m), np.ones(m)])
-    S1 = SignedPermutation(perm1, sign1)
-    S2 = SignedPermutation.identity(m)
+    I = sp.identity(m, format="csr")
+    S1 = sp.bmat([[None, -I], [I, None]], format="csr")
 
     return DeRhamComplex(
         manifold="torus",
@@ -324,7 +280,7 @@ def build_torus_complex(N: int, f: TrigPoly | None = None) -> DeRhamComplex:
         dims=(m, 2 * m, m),
         D=[D0, D1],
         E=[E0, E1],
-        S=[S0, S1, S2],
+        S=[I, S1, I],
         betti=(1, 2, 1),
         volume=TWO_PI**2,
         _m_scalar=m,
@@ -336,46 +292,95 @@ def build_torus_complex(N: int, f: TrigPoly | None = None) -> DeRhamComplex:
 
 @dataclass
 class LaplacianFamily:
-    """Deformed Laplacian of one degree as A0 + t*A1 + t^2*A2 (exact)."""
+    """Deformed Laplacian of one degree as A0 + t*A1 + t^2*A2 (exact).
 
-    A0: np.ndarray
-    A1: np.ndarray
-    A2: np.ndarray
+    The three coefficients are symmetrised once, when the family is
+    built, and kept as the rows of coef: data arrays on one shared CSR
+    pattern (indptr, indices) holding every entry that is nonzero in any
+    of them.  The family at t is one combination of those rows on the
+    pattern; flat holds row * dim + column of each pattern entry, so a
+    dense copy is a single scatter.
+    """
 
-    def at(self, t: float) -> np.ndarray:
-        A = self.A0 + t * self.A1 + (t * t) * self.A2
-        return 0.5 * (A + A.T)
+    indptr: np.ndarray
+    indices: np.ndarray
+    coef: np.ndarray  # (3, nnz): the data of A0, A1, A2
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        rows = np.repeat(np.arange(self.dim), np.diff(self.indptr))
+        self.flat = rows * self.dim + self.indices
+
+    @classmethod
+    def from_terms(cls, A0, A1, A2) -> "LaplacianFamily":
+        """The family of three square matrices, dense or sparse."""
+        terms = [sp.coo_matrix(A) for A in (A0, A1, A2)]
+        n = terms[0].shape[0]
+        for A in terms:
+            A.sum_duplicates()
+        # flat keys row * n + column of every entry and of its transpose
+        keys = [(A.row.astype(np.int64) * n + A.col,
+                 A.col.astype(np.int64) * n + A.row) for A in terms]
+        pattern = np.unique(np.concatenate([k for pair in keys for k in pair]))
+        coef = np.zeros((3, pattern.size))
+        for row, A, (key, key_t) in zip(coef, terms, keys):
+            row[np.searchsorted(pattern, key)] = A.data
+            row[np.searchsorted(pattern, key_t)] += A.data
+        coef *= 0.5  # each coefficient is 0.5 * (A + A.T)
+        keep = np.any(coef != 0.0, axis=0)
+        rows, cols = np.divmod(pattern[keep], n)
+        indptr = np.searchsorted(rows, np.arange(n + 1))
+        return cls(indptr, cols, coef[:, keep])
 
     @property
     def dim(self) -> int:
-        return self.A0.shape[0]
+        return self.indptr.size - 1
+
+    def values(self, t: float) -> np.ndarray:
+        """Data of the family at t on the shared pattern."""
+        return self.coef[0] + t * self.coef[1] + (t * t) * self.coef[2]
+
+    def at(self, t: float):
+        """The family at t, a symmetric CSR matrix."""
+        return self._csr(self.values(t))
+
+    def term(self, j: int):
+        """The coefficient A_j (CSR)."""
+        return self._csr(self.coef[j])
+
+    def _csr(self, data):
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(self.dim, self.dim))
 
     def split(self) -> list:
         """Exact invariant blocks of the family, as (indices, sub-family).
 
-        The blocks are the connected components of the nonzero pattern of
-        |A0| + |A1| + |A2|: every entry coupling two blocks is exactly 0.0
-        in all three coefficients, so each block spans an invariant
-        subspace of the family at every t.  No knowledge of the potential
-        is needed; a potential without frequency structure gives one
-        block.  Blocks are ordered by their first index and keep the
-        storage of the family, so a sparse family holds no dense copies.
+        The blocks are the connected components of the shared pattern:
+        every entry coupling two blocks is exactly 0.0 in all three
+        coefficients, so each block spans an invariant subspace of the
+        family at every t.  No knowledge of the potential is needed; a
+        potential without frequency structure gives one block.  Blocks
+        are ordered by their first index; each sub-family slices the
+        shared arrays of its rows.
         """
-        pattern = (sp.csr_matrix(abs(self.A0)) + sp.csr_matrix(abs(self.A1))
-                   + sp.csr_matrix(abs(self.A2)))
-        pattern.eliminate_zeros()  # stored zeros would count as edges
-        n_blocks, labels = connected_components(pattern, directed=False)
+        n = self.dim
+        graph = self._csr(np.ones(self.indices.size))
+        n_blocks, labels = connected_components(graph, directed=False)
         blocks = sorted((np.flatnonzero(labels == b) for b in range(n_blocks)),
                         key=lambda idx: idx[0])
-
-        def restrict(A, idx):
-            if sp.issparse(A):
-                return A[idx][:, idx].tocsr()
-            return A[np.ix_(idx, idx)]
-
-        return [(idx, LaplacianFamily(*(restrict(A, idx)
-                                        for A in (self.A0, self.A1, self.A2))))
-                for idx in blocks]
+        entry_label = labels[self.flat // n]
+        row_nnz = np.diff(self.indptr)
+        local = np.empty(n, dtype=self.indices.dtype)
+        out = []
+        for idx in blocks:
+            # every entry of a block row lies in the block, in row order
+            local[idx] = np.arange(idx.size)
+            sel = np.flatnonzero(entry_label == labels[idx[0]])
+            indptr = np.zeros(idx.size + 1, dtype=self.indptr.dtype)
+            np.cumsum(row_nnz[idx], out=indptr[1:])
+            out.append((idx, LaplacianFamily(indptr, local[self.indices[sel]],
+                                             self.coef[:, sel])))
+        return out
 
 
 def laplacian_family(cx: DeRhamComplex, q: int) -> LaplacianFamily:
@@ -390,26 +395,16 @@ def laplacian_family(cx: DeRhamComplex, q: int) -> LaplacianFamily:
         parts[0].append(C0 @ C0.T)
         parts[1].append(C0 @ C1.T + C1 @ C0.T)
         parts[2].append(C1 @ C1.T)
-
-    def total(ps):
-        acc = ps[0]
-        for p in ps[1:]:
-            acc = acc + p
-        return acc.tocsr() if sp.issparse(acc) else acc
-
-    return LaplacianFamily(*(total(ps) for ps in parts))
+    return LaplacianFamily.from_terms(*(sum(ps[1:], ps[0]) for ps in parts))
 
 
-def witten_laplacian(cx: DeRhamComplex, q: int, t: float) -> np.ndarray:
-    """Deformed Laplacian on degree q at parameter t."""
+def witten_laplacian(cx: DeRhamComplex, q: int, t: float):
+    """Deformed Laplacian on degree q at parameter t (CSR)."""
     return laplacian_family(cx, q).at(t)
 
 
 def _maxabs(A) -> float:
-    if sp.issparse(A):
-        return float(abs(A).max()) if A.nnz else 0.0
-    A = np.asarray(A)
-    return float(np.max(np.abs(A))) if A.size else 0.0
+    return float(abs(A).max()) if A.nnz else 0.0
 
 
 def d_squared_residual(cx: DeRhamComplex, t: float) -> float:
@@ -440,17 +435,16 @@ def check_duality_identities(cx: DeRhamComplex, ts=(0.0, 1.0, 5.0)) -> dict:
     fam_neg = [laplacian_family(neg, q) for q in range(n + 1)]
     for q in range(n + 1):
         sgn = (-1.0) ** (q * (n - q))
-        comp = cx.S[n - q].compose(cx.S[q])  # star^{n-q} after star^q: acts on deg q
-        mat = comp.to_sparse()
+        comp = cx.S[n - q] @ cx.S[q]  # star^{n-q} after star^q: acts on deg q
         out[("star_square", q)] = _maxabs(
-            mat - sgn * sp.identity(mat.shape[0], format="csr"))
+            comp - sgn * sp.identity(comp.shape[0], format="csr"))
 
         # matrix of star Delta^q star on degree n - q: S_q @ Delta_q @ S_{n-q}
-        conj = cx.S[q].apply(cx.S[n - q].right_apply(fam[q].at(0.0)))
+        conj = cx.S[q] @ fam[q].at(0.0) @ cx.S[n - q]
         out[("star_laplacian", q)] = _maxabs(sgn * conj - fam[n - q].at(0.0))
 
         for t in ts:
-            conj_t = cx.S[q].apply(cx.S[n - q].right_apply(fam[q].at(t)))
+            conj_t = cx.S[q] @ fam[q].at(t) @ cx.S[n - q]
             out[("star_deformed", q, t)] = _maxabs(
                 sgn * conj_t - fam_neg[n - q].at(t)
             )

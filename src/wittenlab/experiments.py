@@ -44,7 +44,6 @@ from .torsion import (
     evaluate_theorem,
     harmonic_basis,
     harmonic_volumes,
-    integer_cohomology_classes,
     torsion_T,
     vol_of_iso,
 )
@@ -232,9 +231,8 @@ def run_torsion(config: ExperimentConfig) -> TorsionRun:
     flow = flow_complex(cx.f, cx.manifold, run.points, tol)
     fc_morse = morse_finite_complex(flow)
     log_T_morse = torsion_T(fc_morse, nullities=cx.betti, tol=tol)
-    covols = cohomology_volumes(fc_morse,
-                                integer_cohomology_classes(flow, cx.manifold),
-                                nullities=cx.betti, tol=tol)
+    covols = cohomology_volumes(fc_morse, flow.classes, nullities=cx.betti,
+                                tol=tol)
     log_W = alternating_log(covols)
     vols, log_V = harmonic_volumes(cx, tol)
 
@@ -372,7 +370,7 @@ def run_duality(config: ExperimentConfig) -> DualityRun:
             G = np.column_stack([deg_g.branches[j].vector_at(t_end)
                                  for j in gg])
             for i in gf:
-                v = star.apply(deg_f.branches[i].vector_at(t_end))
+                v = star @ deg_f.branches[i].vector_at(t_end)
                 resid = 1.0 - float(np.linalg.norm(G.T @ v))
                 worst_star = max(worst_star, abs(resid))
             pairs.append((q, float(v0f),

@@ -237,8 +237,9 @@ class FlowComplex:
     degrees[q] lists the positions in points of the index-q points, the
     basis order of the cochains C^q.  cells[i] holds the descending-cell
     pieces of points[i], d[q]: C^q -> C^{q+1} the integer coboundary,
-    and smale_table one (x coords, y coords, dimension of the trajectory
-    space) row for every pair x above y joined by a flow line.
+    smale_table one (x coords, y coords, dimension of the trajectory
+    space) row for every pair x above y joined by a flow line, and
+    classes[q] the integer cocycles generating H^q, one per column.
     """
 
     points: tuple  # all critical points, sorted by (index, coords)
@@ -247,6 +248,7 @@ class FlowComplex:
     d: tuple  # d[q]: C^q -> C^{q+1}, integer matrices
     smale_table: tuple
     betti: tuple
+    classes: dict  # q -> (len(degrees[q]), betti[q]) integer cocycles
 
 
 def flow_complex(f: TrigPoly, manifold: str, points,
@@ -260,9 +262,12 @@ def flow_complex(f: TrigPoly, manifold: str, points,
     Torus (separable f only): the factor complexes are built once; cells
     are products of factor cells, d follows the graded tensor rule
     d(a (x) b) = da (x) b + (-1)^|a| a (x) db, and the connections are
-    the products of the factor closures.  Raises NumericalError when
-    d o d != 0, a cohomology rank misses its Betti number, or a
-    connection has a negative trajectory-space dimension.
+    the products of the factor closures.  The cohomology generators
+    are the constant cochain and the indicator of the first maximum on
+    the circle, and the products of factor generators on the torus.
+    Raises NumericalError when d o d != 0, a cohomology rank misses its
+    Betti number, or a connection has a negative trajectory-space
+    dimension.
     """
     points = tuple(points)
     n = len(points)
@@ -276,6 +281,10 @@ def flow_complex(f: TrigPoly, manifold: str, points,
                     j = _locate(points, (far,))
                     full[i, j] += sgn * piece.orientation
                     links.append((i, j))
+        top = np.zeros(n)
+        top[[p.index for p in points].index(1)] = 1.0  # the first maximum
+        gens = {0: [np.array([float(p.index == 0) for p in points])],
+                1: [top]}
         betti = (1, 1)
     elif manifold == "torus":
         factors = [flow_complex(h, "circle",
@@ -304,6 +313,15 @@ def flow_complex(f: TrigPoly, manifold: str, points,
         for i, (a, b) in enumerate(pairs):
             links.extend((i, at[y1, y2]) for y1 in _closure(c1, a)
                          for y2 in _closure(c2, b) if at[y1, y2] != i)
+        # products of the factor generators, the first factor varying
+        # fastest: 1(x)1, g(x)1, 1(x)g, g(x)g
+        gens = {}
+        for q2 in range(2):
+            g2 = _on_points(c2, q2)
+            for q1 in range(2):
+                g1 = _on_points(c1, q1)
+                gens.setdefault(q1 + q2, []).append(
+                    np.array([g1[a] * g2[b] for a, b in pairs]))
         betti = (1, 2, 1)
     else:
         raise ConfigError(f"unknown manifold {manifold!r}")
@@ -335,8 +353,17 @@ def flow_complex(f: TrigPoly, manifold: str, points,
                 f"Morse complex cohomology rank at degree {q} is "
                 f"{dims[q] - up - down}, expected {betti[q]}"
             )
+    classes = {q: np.column_stack([g[degrees[q]] for g in gens[q]])
+               for q in range(len(betti))}
     return FlowComplex(points=points, degrees=degrees, cells=cells, d=d,
-                       smale_table=table, betti=betti)
+                       smale_table=table, betti=betti, classes=classes)
+
+
+def _on_points(flow: FlowComplex, q: int) -> np.ndarray:
+    """The degree-q generator of a circle flow as a vector over its points."""
+    out = np.zeros(len(flow.points))
+    out[flow.degrees[q]] = flow.classes[q][:, 0]
+    return out
 
 
 def _full_coboundary(flow: FlowComplex) -> np.ndarray:

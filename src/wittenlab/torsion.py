@@ -291,41 +291,6 @@ def harmonic_volumes(cx: DeRhamComplex, tol: Tolerances | None = None):
     return out, alternating_log(out)
 
 
-def integer_cohomology_classes(mc, manifold: str) -> dict:
-    """Integer cocycle generators of the critical-point complex.
-
-    Degree 0: the constant cochain.  Top degree: the indicator of one
-    maximum.  Torus degree 1: for each factor, the indicator of the
-    saddles built from one fixed factor maximum, summed over the other
-    factor's minima (the product of a factor generator with a constant).
-    """
-    pts = mc.points
-    if manifold == "circle":
-        c0, c1 = len(mc.degrees[0]), len(mc.degrees[1])
-        g1 = np.zeros(c1)
-        g1[0] = 1.0
-        return {0: np.ones((c0, 1)), 1: g1[:, None]}
-    c = [len(mc.degrees[q]) for q in range(3)]
-    saddles = [pts[i] for i in mc.degrees[1]]
-    maxima = [pts[i] for i in mc.degrees[2]]
-    # factor maxima are read off the coordinates of the product maxima
-    m1_star = maxima[0].coords[0]
-    m2_star = maxima[0].coords[1]
-    g1a = np.zeros(c[1])
-    g1b = np.zeros(c[1])
-    for j, s in enumerate(saddles):
-        if abs(s.coords[0] - m1_star) < 1e-9:
-            g1a[j] = 1.0
-        if abs(s.coords[1] - m2_star) < 1e-9:
-            g1b[j] = 1.0
-    g2 = np.zeros(c[2])
-    for j, m in enumerate(maxima):
-        if abs(m.coords[0] - m1_star) < 1e-9 and abs(m.coords[1] - m2_star) < 1e-9:
-            g2[j] = 1.0
-    return {0: np.ones((c[0], 1)), 1: np.column_stack([g1a, g1b]),
-            2: g2[:, None]}
-
-
 # -- theorem assembly -------------------------------------------------------
 
 # absolute residual within which a comparison formula matches its target

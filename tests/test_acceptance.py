@@ -37,7 +37,7 @@ def test_criterion_01_circle_flat_spectrum():
     cfg = preset("circle-sin2")
     t0 = time.perf_counter()
     cx = build_complex(cfg)
-    w = np.linalg.eigvalsh(witten_laplacian(cx, 0, 0.0))
+    w = np.linalg.eigvalsh(witten_laplacian(cx, 0, 0.0).toarray())
     dt = time.perf_counter() - t0
     want = np.array([0.0, 1.0, 1.0, 4.0, 4.0, 9.0, 9.0])
     worst = float(np.max(np.abs(w[:7] - want)))

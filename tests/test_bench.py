@@ -24,7 +24,7 @@ def test_bench_pairing_matrix_circle(benchmark, q):
     points = find_critical_points(cx.f, cx.manifold, cfg.tolerances)
     flow = flow_complex(cx.f, cx.manifold, points, cfg.tolerances)
     k = len(flow.degrees[q])
-    _, V = np.linalg.eigh(laplacian_family(cx, q).at(4.0))
+    _, V = np.linalg.eigh(laplacian_family(cx, q).at(4.0).toarray())
     M = benchmark(pairing_matrix, cx, q, V[:, :k], flow, 4.0, cfg.tolerances)
     assert M.shape == (k, k)
 

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from wittenlab import branches
 from wittenlab.branches import (LABEL_LARGE, LABEL_VS, LABEL_ZERO,
                                 _box_axes, _box_gram, _rebase_split_groups,
-                                classify, eig_sym, eigenvalue_clusters,
-                                match_step, track_branches)
+                                _solver_matrix, classify, eig_sym,
+                                eigenvalue_clusters, match_step,
+                                track_branches)
 from wittenlab.config import Tolerances
 from wittenlab.derham import (LaplacianFamily, build_circle_complex,
                               build_torus_complex, laplacian_family)
@@ -51,11 +53,35 @@ def test_eigenvalue_clusters_grouping():
     assert cl == [(0, 2), (2, 4), (4, 5)]
 
 
+def test_solver_matrix_is_the_family_at_t(circle_cx8, torus_cx6):
+    """The dense block scattered from the shared pattern equals the CSR
+    family at t entry by entry, in every invariant block."""
+    for cx in (circle_cx8, torus_cx6):
+        for q in range(cx.n + 1):
+            for _, sub in laplacian_family(cx, q).split():
+                for t in (0.0, 1.7):
+                    assert np.array_equal(_solver_matrix(sub, t),
+                                          sub.at(t).toarray())
+
+
+def test_windowed_route_tracks_the_dense_values(torus_cx6, monkeypatch):
+    """With every block above the dense limit, the CSR family and the
+    windowed shift-invert solve track the values of the dense route."""
+    grid = np.arange(0.0, 3.0 + 1e-9, 0.5)
+    dense = track_branches(torus_cx6, 1, grid, k=6, tol=Tolerances())
+    monkeypatch.setattr(branches, "DENSE_MAX_DIM", 10)
+    windowed = track_branches(torus_cx6, 1, grid, k=6, tol=Tolerances())
+    for t in grid:
+        a = sorted(b.value_at(t) for b in dense)
+        w = sorted(b.value_at(t) for b in windowed)
+        assert np.max(np.abs(np.array(a) - np.array(w))) < 1e-10
+
+
 def synthetic_family(A0, A1, A2=None):
     n = A0.shape[0]
-    return LaplacianFamily(A0=np.asarray(A0, float),
-                           A1=np.asarray(A1, float),
-                           A2=np.zeros((n, n)) if A2 is None else A2)
+    return LaplacianFamily.from_terms(np.asarray(A0, float),
+                                      np.asarray(A1, float),
+                                      np.zeros((n, n)) if A2 is None else A2)
 
 
 def test_tracking_follows_exact_crossing():
@@ -89,7 +115,7 @@ def test_tracking_resolves_avoided_crossing():
     brs = track_branches(None, 0, grid, k=2, tol=Tolerances(), family=fam)
     for b in brs:
         for t in grid:
-            lam = np.linalg.eigvalsh(fam.at(t))
+            lam = np.linalg.eigvalsh(fam.at(t).toarray())
             assert np.min(np.abs(lam - b.value_at(t))) < 1e-10
     # the two branches never cross: the gap stays >= 2 eps
     for t in grid:
@@ -102,7 +128,7 @@ def test_circle_branch_values_stay_in_spectrum(circle_cx8):
     fam = laplacian_family(circle_cx8, 0)
     brs = track_branches(circle_cx8, 0, grid, k=5, tol=Tolerances())
     for t in grid:
-        lam = np.linalg.eigvalsh(fam.at(t))
+        lam = np.linalg.eigvalsh(fam.at(t).toarray())
         for b in brs:
             assert np.min(np.abs(lam - b.value_at(t))) < 1e-10
     # the 5 smallest at t=4 are not the flat head: one of the lambda=1
@@ -118,7 +144,8 @@ def test_t0_slopes_match_finite_differences(circle_cx8):
     vals0 = sorted(b.value_at(0.0) for b in brs)
     assert vals0 == pytest.approx([0, 1, 1, 4, 4], abs=1e-10)
     slopes = sorted(b.t0_slope for b in brs)
-    fd = sorted(oracles.fd_branch_slopes(fam.at, 0.0, h=1e-6)[:5])
+    fd = sorted(oracles.fd_branch_slopes(lambda t: fam.at(t).toarray(), 0.0,
+                                       h=1e-6)[:5])
     assert np.max(np.abs(np.array(slopes) - np.array(fd))) < 1e-4
 
 
@@ -272,8 +299,9 @@ def test_t0_cluster_ids_are_unique_across_blocks():
     1 + t +- 0.3 t^2 and 1 - t/2 +- 0.3 t^2): one shared id per pair, and
     different ids for the two blocks."""
     X = np.array([[0.0, 0.3], [0.3, 0.0]])
-    fam = LaplacianFamily(A0=np.eye(4), A1=np.diag([1.0, 1.0, -0.5, -0.5]),
-                          A2=_block_diag(X, X))
+    fam = LaplacianFamily.from_terms(np.eye(4),
+                                     np.diag([1.0, 1.0, -0.5, -0.5]),
+                                     _block_diag(X, X))
     grid = np.linspace(0.0, 1.0, 5)
     brs = track_branches(None, 0, grid, k=4, tol=Tolerances(), family=fam)
     ids = [b.t0_cluster for b in brs]

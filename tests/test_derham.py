@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wittenlab.derham import (LaplacianFamily, build_circle_complex,
+from wittenlab.derham import (build_circle_complex,
                               build_torus_complex, check_duality_identities,
-                              d_squared_residual, laplacian_family,
+                              LaplacianFamily, d_squared_residual,
+                              laplacian_family,
                               mult_matrix_2d, witten_laplacian)
 from wittenlab.errors import ConfigError
 from wittenlab.branches import eig_sym, lowest_eigenvalues
@@ -17,7 +18,7 @@ FP = lambda th: 2 * np.cos(2 * th)
 
 
 def test_circle_flat_spectrum(circle_cx8):
-    w = np.linalg.eigvalsh(witten_laplacian(circle_cx8, 0, 0.0))
+    w = np.linalg.eigvalsh(witten_laplacian(circle_cx8, 0, 0.0).toarray())
     want = np.sort([0.0] + [float(k * k) for k in range(1, 9)
                             for _ in range(2)])
     assert np.max(np.abs(w - want)) < 1e-11
@@ -28,7 +29,7 @@ def test_circle_operator_matches_collocation(circle_cx8):
     for q in (0, 1):
         fam = laplacian_family(circle_cx8, q)
         for t in (0.0, 0.7, 3.0):
-            A = fam.at(t)
+            A = fam.at(t).toarray()
             B = oracles.collocation_circle_operator(8, t, FP, q)
             assert np.max(np.abs(A - B)) < 1e-11
 
@@ -43,7 +44,7 @@ def test_torus_function_spectrum_is_sum_of_circle_spectra(torus_cx6, t):
     """The product structure survives the cutoff exactly for the square
     mode set: every degree-0 eigenvalue is a sum of two circle ones."""
     cx1 = build_circle_complex(6, circle_sin2())
-    w0 = np.linalg.eigvalsh(witten_laplacian(cx1, 0, t))
+    w0 = np.linalg.eigvalsh(witten_laplacian(cx1, 0, t).toarray())
     w = np.linalg.eigvalsh(witten_laplacian(torus_cx6, 0, t).toarray())
     want = oracles.sum_spectrum(w0, w0)
     assert np.max(np.abs(w - want)) < 1e-9
@@ -52,8 +53,8 @@ def test_torus_function_spectrum_is_sum_of_circle_spectra(torus_cx6, t):
 @pytest.mark.parametrize("t", [0.0, 1.3])
 def test_torus_one_form_spectrum_tensor(torus_cx6, t):
     cx1 = build_circle_complex(6, circle_sin2())
-    w0 = np.linalg.eigvalsh(witten_laplacian(cx1, 0, t))
-    w1 = np.linalg.eigvalsh(witten_laplacian(cx1, 1, t))
+    w0 = np.linalg.eigvalsh(witten_laplacian(cx1, 0, t).toarray())
+    w1 = np.linalg.eigvalsh(witten_laplacian(cx1, 1, t).toarray())
     w = np.linalg.eigvalsh(witten_laplacian(torus_cx6, 1, t).toarray())
     want = oracles.torus_spectrum_from_circle(w0, w1, 1)
     assert np.max(np.abs(w - want)) < 1e-9
@@ -65,11 +66,11 @@ def test_d_squared_vanishes(circle_cx8, torus_cx6, t):
     assert d_squared_residual(torus_cx6, t) < 1e-12
 
 
-def test_laplacians_symmetric(torus_cx6):
-    for q in (0, 1, 2):
-        A = witten_laplacian(torus_cx6, q, 1.7)
-        A = A.toarray() if sp.issparse(A) else A
-        assert np.max(np.abs(A - A.T)) < 1e-12
+def test_laplacians_symmetric(circle_cx8, torus_cx6):
+    for cx in (circle_cx8, torus_cx6):
+        for q in range(cx.n + 1):
+            A = witten_laplacian(cx, q, 1.7)
+            assert (A - A.T).count_nonzero() == 0
 
 
 def test_duality_identities_smallness(circle_cx8, torus_cx6):
@@ -83,7 +84,7 @@ def test_star_is_isometry(torus_cx6):
     for q in (0, 1, 2):
         S = torus_cx6.S[q]
         v = np.linspace(-1, 1, torus_cx6.dims[q])
-        assert np.linalg.norm(S.apply(v)) == pytest.approx(np.linalg.norm(v),
+        assert np.linalg.norm(S @ v) == pytest.approx(np.linalg.norm(v),
                                                            rel=1e-12)
 
 
@@ -109,9 +110,14 @@ def test_mult_matrix_2d_matches_collocation(f, partials):
         assert np.max(np.abs(M.toarray() - want)) < 1e-12
 
 
-def test_torus_operators_are_sparse(torus_cx6):
-    for q in range(2):
-        for A in (torus_cx6.D[q], torus_cx6.E[q]):
+def test_torus_operators_are_sparse(circle_cx8, torus_cx6):
+    """One storage on both manifolds: every operator, star and Laplacian
+    coefficient is CSR."""
+    for cx in (circle_cx8, torus_cx6):
+        fams = [laplacian_family(cx, q) for q in range(cx.n + 1)]
+        ops = cx.D + cx.E + cx.S + [fam.term(j) for fam in fams
+                                    for j in range(3)]
+        for A in ops + [fam.at(1.3) for fam in fams]:
             assert sp.issparse(A) and A.format == "csr"
 
 
@@ -151,49 +157,45 @@ def test_nonpolynomial_free_cutoff_is_exactly_closed(circle_cx8):
     assert res < 1e-11
 
 
-def test_signed_permutation_sparse_and_dense_agree(torus_cx6, rng):
-    for q in (0, 1, 2):
-        S = torus_cx6.S[q]
-        v = rng.standard_normal(torus_cx6.dims[q])
-        dense = S.apply(v)
-        assert np.max(np.abs(S.to_sparse() @ v - dense)) < 1e-13
-        spv = S.apply(sp.csr_matrix(v).T)
-        assert np.max(np.abs(spv.toarray().ravel() - dense)) < 1e-13
-        A = rng.standard_normal((3, torus_cx6.dims[q]))
-        assert np.max(np.abs(S.right_apply(A) - A @ S.to_sparse())) < 1e-13
-        inv = S.inverse()
-        assert np.max(np.abs(inv.apply(dense) - v)) < 1e-13
-
-
-def _dense(A):
-    return A.toarray() if sp.issparse(A) else A
-
-
-def _in_storage(fam, sparse):
-    conv = sp.csr_matrix if sparse else _dense
-    return LaplacianFamily(*(conv(A) for A in (fam.A0, fam.A1, fam.A2)))
+def test_stars_are_signed_permutations(circle_cx8, torus_cx6):
+    """Each star has entries in {-1, 0, 1}, one nonzero per row and per
+    column, and its transpose is its inverse exactly."""
+    for cx in (circle_cx8, torus_cx6):
+        for S in cx.S:
+            A = S.toarray()
+            assert set(np.unique(A)) <= {-1.0, 0.0, 1.0}
+            assert np.all(np.count_nonzero(A, axis=0) == 1)
+            assert np.all(np.count_nonzero(A, axis=1) == 1)
+            assert np.array_equal(A.T @ A, np.eye(A.shape[0]))
 
 
 @pytest.mark.parametrize("sparse", [False, True])
 def test_split_blocks_are_exactly_invariant(circle_cx8, torus_cx6, sparse):
     """Invariance certificate: every entry of A0, A1, A2 coupling two
-    blocks is exactly 0.0, and each sub-family is the restriction, in
-    both the dense and the CSR storage of the family."""
+    blocks is exactly 0.0, and each sub-family is the restriction, for
+    a family built from CSR terms and for one rebuilt from dense copies
+    of them (which must give the same shared pattern and data)."""
     for cx in (circle_cx8, torus_cx6):
         for q in range(cx.n + 1):
-            fam = _in_storage(laplacian_family(cx, q), sparse)
+            fam = laplacian_family(cx, q)
+            if not sparse:
+                dense = LaplacianFamily.from_terms(
+                    *(fam.term(j).toarray() for j in range(3)))
+                assert np.array_equal(dense.indptr, fam.indptr)
+                assert np.array_equal(dense.indices, fam.indices)
+                assert np.array_equal(dense.coef, fam.coef)
+                fam = dense
             blocks = fam.split()
             label = np.full(fam.dim, -1)
             for b, (idx, _) in enumerate(blocks):
                 label[idx] = b
             assert np.all(label >= 0)
             coupling = label[:, None] != label[None, :]
-            for name in ("A0", "A1", "A2"):
-                A = _dense(getattr(fam, name))
+            for j in range(3):
+                A = fam.term(j).toarray()
                 assert np.all(A[coupling] == 0.0)
                 for idx, sub in blocks:
-                    assert sp.issparse(getattr(sub, name)) == sparse
-                    assert np.array_equal(_dense(getattr(sub, name)),
+                    assert np.array_equal(sub.term(j).toarray(),
                                           A[np.ix_(idx, idx)])
 
 
@@ -205,7 +207,8 @@ def test_merged_block_spectra_match_full_solve(circle_cx8, torus_cx6, t):
             blocks = fam.split()
             assert len(blocks) == want[q]
             w, owner = lowest_eigenvalues(blocks, t, fam.dim)
-            assert np.max(np.abs(w - np.linalg.eigvalsh(_dense(fam.at(t))))) < 1e-10
+            full = np.linalg.eigvalsh(fam.at(t).toarray())
+            assert np.max(np.abs(w - full)) < 1e-10
             assert np.array_equal(np.bincount(owner),
                                   [len(idx) for idx, _ in blocks])
 

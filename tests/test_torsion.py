@@ -10,10 +10,9 @@ from wittenlab.morse import find_critical_points, flow_complex
 from wittenlab.torsion import (ComplexMorphism, FiniteComplex, alternating_log,
                                branch_term_from_values, check_anomaly,
                                cohomology_volumes, det_prime, evaluate_theorem,
-                               harmonic_basis, harmonic_volumes,
-                               integer_cohomology_classes, torsion_T,
+                               harmonic_basis, harmonic_volumes, torsion_T,
                                vol_of_iso)
-from wittenlab.trigpoly import TWO_PI, circle_sin2, torus_sin2_product
+from wittenlab.trigpoly import TWO_PI, TrigPoly, circle_sin2
 
 import oracles
 
@@ -141,8 +140,7 @@ def test_harmonic_basis_gap_guard():
 def test_cohomology_volumes_circle_is_two():
     mc = flow_of(circle_sin2(), "circle")
     fc = morse_finite_complex(mc)
-    classes = integer_cohomology_classes(mc, "circle")
-    vols = cohomology_volumes(fc, classes)
+    vols = cohomology_volumes(fc, mc.classes)
     # covolume of the constant cochain over two minima is sqrt 2; the
     # single-maximum indicator projects to 1/sqrt 2
     assert vols[0] == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
@@ -150,12 +148,37 @@ def test_cohomology_volumes_circle_is_two():
     assert alternating_log(vols) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
+# (cos 2t, sin 2t) amplitudes of sin(2t + k pi / 2), k = 0..3, exact
+QUARTER_TURNS = ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0))
+# the 16 quarter-turn rotations of the two factors of the preset (the
+# first is the preset), and the generic phases (0.4, 1.3)
+TORUS_FACTOR_AMPLITUDES = [(a, b) for a in QUARTER_TURNS
+                           for b in QUARTER_TURNS] \
+    + [((math.sin(0.4), math.cos(0.4)), (math.sin(1.3), math.cos(1.3)))]
+
+
+def sin2_rotated(amp1, amp2):
+    """Sum over axes i of c_i cos(2 theta_i) + s_i sin(2 theta_i)."""
+    f = TrigPoly.zero(2)
+    for key, (c, s) in (((2, 0), amp1), ((0, 2), amp2)):
+        f = f + TrigPoly.cosine(key, c) + TrigPoly.sine(key, s)
+    return f
+
+
 def test_cohomology_volumes_torus_is_one():
-    mc = flow_of(torus_sin2_product(), "torus")
-    fc = morse_finite_complex(mc)
-    classes = integer_cohomology_classes(mc, "torus")
-    vols = cohomology_volumes(fc, classes)
-    assert alternating_log(vols) == pytest.approx(0.0, abs=1e-12)
+    """The flow-complex classes are integer cocycles with the product
+    supports (4 minima; 2 + 2 saddles; 1 maximum) and alternating
+    covolume 1, for every rotation of the factors."""
+    for amps in TORUS_FACTOR_AMPLITUDES:
+        mc = flow_of(sin2_rotated(*amps), "torus")
+        fc = morse_finite_complex(mc)
+        for q, C in mc.classes.items():
+            if q < len(mc.d):
+                assert not np.any(mc.d[q] @ C), amps
+        sums = {q: C.sum(axis=0).tolist() for q, C in mc.classes.items()}
+        assert sums == {0: [4], 1: [2, 2], 2: [1]}, amps
+        vols = cohomology_volumes(fc, mc.classes)
+        assert alternating_log(vols) == pytest.approx(0.0, abs=1e-12), amps
 
 
 def test_cohomology_volumes_rejects_non_cocycle():
