@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .config import Tolerances
 from .derham import DeRhamComplex, LaplacianFamily, laplacian_family
@@ -34,19 +35,26 @@ LABEL_ZERO = "ZERO"
 LABEL_VS = "VS_POSITIVE"
 LABEL_LARGE = "LARGE"
 
-# largest invariant block solved by dense eigh; larger blocks (a generic
-# torus potential at 24 modes gives one degree-1 block of 4802 rows) take
-# the windowed shift-invert solve
+# largest invariant block solved densely; larger blocks (a generic torus
+# potential at 24 modes gives one degree-1 block of 4802 rows) take the
+# shift-invert solve
 DENSE_MAX_DIM = 2000
+
+# largest dense block solved whole by np.linalg.eigh: on small blocks the
+# LAPACK subset solve (syevr) costs more than the whole spectrum (17 rows:
+# 89 us against 48 us), and it wins from about 64-100 rows up
+SMALL_BLOCK_DIM = 64
 
 
 def eig_sym(A, k: int | None = None, residual_tol: float = 1e-9):
     """Validated symmetric eigensolve, eigenvalues ascending.
 
-    Returns (w, V) for the k smallest pairs (all if k is None).  Both the
-    input symmetry and the residual ||A v - lambda v|| of every returned
-    pair are checked against residual_tol * ||A||.  Sparse input takes a
-    shift-inverted iterative path and then requires an explicit k.
+    Returns (w, V) for the k smallest pairs (all if k is None).  The
+    input symmetry is checked against residual_tol * max|A|, and the
+    residual ||A v - lambda v|| of every returned pair against
+    residual_tol times the largest returned |lambda| (at least 1).
+    Sparse input takes a shift-inverted iterative path and then requires
+    an explicit k.
     """
     if sp.issparse(A):
         if k is None:
@@ -58,14 +66,22 @@ def eig_sym(A, k: int | None = None, residual_tol: float = 1e-9):
     asym = float(np.max(np.abs(A - A.T))) if A.size else 0.0
     if asym > residual_tol * (1.0 + scale):
         raise NumericalError(f"matrix is not symmetric: asymmetry {asym:.3e}")
-    w, V = np.linalg.eigh(0.5 * (A + A.T))
-    spec_scale = max(1.0, float(np.max(np.abs(w))))
-    if k is not None:
-        w, V = w[:k], V[:, :k]
-    res = float(np.max(np.abs(A @ V - V * w))) if w.size else 0.0
-    if res > residual_tol * spec_scale:
-        raise NumericalError(f"eigenpair residual {res:.3e} exceeds tolerance")
+    w, V = _dense_smallest(0.5 * (A + A.T), A.shape[0] if k is None else k)
+    _validate_residuals(A, w, V, residual_tol, w)
     return w, V
+
+
+def _dense_smallest(A, m: int):
+    """The m smallest eigenpairs of the dense symmetric A, ascending.
+
+    Small matrices, and a request for the whole spectrum, take a full
+    np.linalg.eigh; otherwise LAPACK's syevr computes the subset alone.
+    """
+    n = A.shape[0]
+    if n <= SMALL_BLOCK_DIM or not 0 < m < n:
+        w, V = np.linalg.eigh(A)
+        return w[:m], V[:, :m]
+    return sla.eigh(A, subset_by_index=[0, m - 1], driver="evr")
 
 
 def _eig_smallest_sparse(A, k: int, residual_tol: float = 1e-9):
@@ -118,23 +134,40 @@ def eigenvalue_clusters(w: np.ndarray, cluster_rel: float):
     return out
 
 
+def _min_cost_assignment(cost) -> np.ndarray:
+    """Column of each row in a minimum-cost assignment (rows <= columns).
+
+    When the cheapest columns of the rows are distinct they are the
+    optimum, since no assignment beats every row's minimum.  Otherwise
+    the matching routine decides; it reads zero entries as missing
+    edges, so the costs are shifted to at least 1 first, and as every
+    row is matched once the shift changes every total alike.
+    """
+    C = np.asarray(cost, dtype=float)
+    cols = np.argmin(C, axis=1)
+    if np.unique(cols).size == cols.size:
+        return cols
+    rows, cols = min_weight_full_bipartite_matching(
+        sp.csr_matrix(C - C.min() + 1.0))
+    out = np.empty(C.shape[0], dtype=int)
+    out[rows] = cols
+    return out
+
+
 def match_step(prev_V: np.ndarray, w_next: np.ndarray, V_next: np.ndarray,
                cluster_rel: float = 1e-6):
     """Match tracked vectors to the eigenbasis at the next parameter value.
 
-    prev_V has one column per tracked branch; (w_next, V_next) is a full
-    ascending eigendecomposition.  Returns (cols, W, overlaps): column
-    indices into V_next per branch, the aligned vectors, and the diagonal
-    overlaps after alignment.  Assignment maximizes total |<v_prev, v>|;
-    inside near-degenerate clusters of w_next an arbitrary orthogonal
-    rotation is permitted (the eigenvectors are only subspace-unique
-    there), realized as an orthogonal Procrustes fit to the predecessors.
+    prev_V has one column per tracked branch; (w_next, V_next) are the
+    lowest eigenpairs, ascending, in complete clusters.  Returns (cols,
+    W, overlaps): column indices into V_next per branch, the aligned
+    vectors, and the diagonal overlaps after alignment.  Assignment
+    maximizes total |<v_prev, v>|; inside near-degenerate clusters of
+    w_next an arbitrary orthogonal rotation is permitted (the
+    eigenvectors are only subspace-unique there), realized as an
+    orthogonal Procrustes fit to the predecessors.
     """
-    k = prev_V.shape[1]
-    O = prev_V.T @ V_next
-    rows, cols_raw = linear_sum_assignment(-np.abs(O))
-    cols = np.empty(k, dtype=int)
-    cols[rows] = cols_raw
+    cols = _min_cost_assignment(-np.abs(prev_V.T @ V_next))
     W = V_next[:, cols].copy()
 
     for lo, hi in eigenvalue_clusters(w_next, cluster_rel):
@@ -244,9 +277,8 @@ def _rebase_split_groups(prev_V, w_next, V_next, cols, W, ov, tol):
             slot_cols.extend(range(lo, hi))
             slot_cl.extend([ci] * (hi - lo))
         cost = -E[np.ix_(bidx, np.array(slot_cl))]
-        rr, cc = linear_sum_assignment(cost)
         chosen = {}
-        for r, c in zip(rr, cc):
+        for r, c in enumerate(_min_cost_assignment(cost)):
             chosen.setdefault(slot_cl[c], []).append((bidx[r], slot_cols[c]))
         for ci, pairs in chosen.items():
             lo, hi = clusters[ci]
@@ -294,10 +326,7 @@ def _polish_t0(w_full, V_full, cols, W, A1, cluster_rel):
         s_all, Q = np.linalg.eigh(0.5 * (B + B.T))
         cand = U @ Q
         # pick which first-order candidate each tracked branch continues into
-        Ov = W[:, sel].T @ cand
-        r, c = linear_sum_assignment(-np.abs(Ov))
-        chosen = np.empty(sel.size, dtype=int)
-        chosen[r] = c
+        chosen = _min_cost_assignment(-np.abs(W[:, sel].T @ cand))
         for glo, ghi in eigenvalue_clusters(s_all, cluster_rel):
             mem = sel[(chosen >= glo) & (chosen < ghi)]
             if mem.size == 0:
@@ -343,23 +372,72 @@ class EigenBranch:
         return self.vectors[i]
 
 
-def lowest_eigenvalues(blocks, t: float, k: int, residual_tol: float = 1e-9):
+def lowest_eigenvalues(blocks, t: float, k: int,
+                       tol: Tolerances | None = None):
     """The k smallest eigenvalues at t of a family split into blocks.
 
-    blocks is LaplacianFamily.split() output.  Every block is solved on
-    its own (validated by eig_sym) and the values are merged; returns
-    (values, owner) ascending, owner[i] being the block of values[i], with
-    ties broken by block order.
+    blocks is LaplacianFamily.split() output.  Every block gets covered
+    solves and the values are merged; returns (values, owner) ascending,
+    owner[i] being the block of values[i].  Values within tol.cluster_rel
+    of each other count as tied, and ties go by block order, so which
+    block owns a value that k cuts out of a cluster does not depend on
+    rounding.
     """
-    vals, owner = [], []
-    for b, (_, sub) in enumerate(blocks):
-        kb = min(k, sub.dim - 1) if _windowed(sub) else min(k, sub.dim)
-        w, _ = eig_sym(_solver_matrix(sub, t), k=kb, residual_tol=residual_tol)
-        vals.append(w)
-        owner.append(np.full(w.size, b))
-    vals, owner = np.concatenate(vals), np.concatenate(owner)
-    order = np.lexsort((owner, vals))[:k]  # stable: block-local order kept
-    return vals[order], owner[order]
+    _, values, owner = _lowest_solves(blocks, t, k, tol or Tolerances())
+    return values, owner
+
+
+def _lowest_solves(blocks, t: float, k: int, tol: Tolerances):
+    """Covered solves at t of every block that decide the k smallest.
+
+    Each block starts from the smallest window.  A block whose last
+    value reaches the cluster that k cuts, or one below it, may hold
+    more of the k smallest, so it grows its window until its values
+    pass that cluster or the block is solved whole.  Returns (solves,
+    values, owner), values and owner as lowest_eigenvalues gives them;
+    each block's share is a prefix of its solve, whose residuals are
+    validated.
+    """
+    solvers = [_CoveredSolver(sub, 1, tol) for _, sub in blocks]
+    solves = [s.solve(t) for s in solvers]
+    while True:
+        values, owner, reach = _merge_lowest([w for w, _ in solves], k,
+                                             tol.cluster_rel)
+        short = [b for b in reach if solves[b][0].size < blocks[b][1].dim]
+        if not short:
+            break
+        for b in short:
+            if not solvers[b].widen():
+                raise TrackingError(
+                    f"eigensolver window cap {solvers[b].cap} cannot cover "
+                    f"the {k} smallest values at t={t:.6g}")
+            solves[b] = solvers[b].solve(t)
+    for (_, sub), (w, V) in zip(blocks, solves):
+        _validate_residuals(sub.at(t), w, V, tol.eig_residual, w)
+    return solves, values, owner
+
+
+def _merge_lowest(values, k: int, cluster_rel: float):
+    """The k smallest of the per-block ascending values.
+
+    The k are chosen by clusters of tied values, each cluster in block
+    order, so every block gets a prefix of its own values.  Returns
+    (values, owner) of the chosen, sorted by (value, block), and the
+    blocks whose last value lies in the cut cluster or below it.
+    """
+    w = np.concatenate(values)
+    owner = np.concatenate([np.full(v.size, b) for b, v in enumerate(values)])
+    order = np.argsort(w, kind="stable")
+    cluster = np.empty(w.size, dtype=int)
+    for c, (lo, hi) in enumerate(eigenvalue_clusters(w[order], cluster_rel)):
+        cluster[order[lo:hi]] = c
+    # concatenation position is (block, block-local index)
+    pick = np.lexsort((np.arange(w.size), cluster))[:k]
+    cut = cluster[pick[-1]] if pick.size else -1
+    last = np.cumsum([v.size for v in values]) - 1
+    reach = np.flatnonzero(cluster[last] <= cut).tolist()
+    pick = pick[np.lexsort((owner[pick], w[pick]))]
+    return w[pick], owner[pick], reach
 
 
 def _windowed(fam: LaplacianFamily) -> bool:
@@ -377,6 +455,70 @@ def _solver_matrix(fam: LaplacianFamily, t: float):
     return A
 
 
+class _CoveredSolver:
+    """Eigensolves of one family whose complete clusters cover k values.
+
+    Each solve asks for the window smallest pairs: from syevr on dense
+    blocks, from shift-invert Lanczos above DENSE_MAX_DIM, and from a
+    full np.linalg.eigh on small blocks and once the window reaches the
+    block.  A cluster cut by the window edge comes back as an arbitrary
+    partial slice of its degenerate subspace, and matching onto such a
+    slice corrupts a tracked branch without tripping the overlap gate.
+    So the top cluster of a partial window is dropped, and the window
+    grows until the complete clusters hold k values and, when a value
+    is needed, reach past it with a margin.
+    """
+
+    def __init__(self, fam: LaplacianFamily, k: int, tol: Tolerances):
+        self.fam, self.k, self.tol = fam, k, tol
+        dim = fam.dim
+        # Lanczos needs a window below dim - 1; a dense one can reach dim
+        self.cap = min(dim - 2, max(256, 8 * k)) if _windowed(fam) else dim
+        self.window = min(self.cap, max(2 * k + 4, k + 8))
+        if not _windowed(fam) and dim <= SMALL_BLOCK_DIM:
+            self.window = dim  # a full eigh fills the whole block anyway
+
+    def widen(self) -> bool:
+        """Double the window up to its cap; False when already there."""
+        if self.window >= self.cap:
+            return False
+        self.window = min(self.cap, 2 * self.window)
+        return True
+
+    def solve(self, t: float, needed: float | None = None):
+        while True:
+            if _windowed(self.fam):
+                w, V = _eig_smallest_sparse(self.fam.at(t), self.window,
+                                            self.tol.eig_residual)
+            else:
+                w, V = _dense_smallest(_solver_matrix(self.fam, t),
+                                       self.window)
+            if w.size == self.fam.dim:
+                return w, V  # the whole spectrum: no cluster is cut
+            eps = self.tol.cluster_rel * max(1.0, float(abs(w[-1])))
+            j = w.size - 1
+            while j > 0 and w[j] - w[j - 1] <= eps:
+                j -= 1
+            margin = None if needed is None else (
+                needed + 1e-2 * (1.0 + abs(needed)))
+            if j >= self.k and (margin is None or w[j - 1] >= margin):
+                return w[:j], V[:, :j]
+            if not self.widen():
+                raise TrackingError(
+                    f"eigensolver window cap {self.cap} cannot cover the "
+                    f"tracked branches at t={t:.6g}"
+                )
+
+
+def _sign_gauge(V: np.ndarray) -> np.ndarray:
+    """V with each column's sign fixed independently of the solver: the
+    entry of largest magnitude is positive, the first index winning
+    among entries within 1e-8 relative of it."""
+    mag = np.abs(V)
+    lead = np.argmax(mag >= (1.0 - 1e-8) * mag.max(axis=0), axis=0)
+    return V * np.sign(V[lead, np.arange(V.shape[1])])
+
+
 def track_branches(cx: DeRhamComplex, q: int, grid, k: int | None = None,
                    tol: Tolerances | None = None,
                    family: LaplacianFamily | None = None):
@@ -384,11 +526,12 @@ def track_branches(cx: DeRhamComplex, q: int, grid, k: int | None = None,
 
     The grid must be strictly increasing and start at 0.  The family is
     split into its exact invariant blocks (LaplacianFamily.split); each
-    block receives its share of the k smallest values at the last grid
-    point, ties broken by (value, block order), and is tracked on its
-    own, so exact crossings between blocks are not tracking events.  The
-    branches come back in the full dimension, ordered by their value at
-    the last grid point, with t0_cluster ids unique across blocks.
+    block is solved once at the last grid point, receives its share of
+    the k smallest values there (lowest_eigenvalues' tie rule), and is
+    tracked on its own from that solve, so exact crossings between
+    blocks are not tracking events.  The branches come back in the full
+    dimension, ordered by their value at the last grid point, with
+    t0_cluster ids unique across blocks.
 
     Adaptive bisection inserts samples wherever the consecutive overlap
     falls below tol.overlap_min, down to 2^-6 of the smallest grid step;
@@ -408,15 +551,13 @@ def track_branches(cx: DeRhamComplex, q: int, grid, k: int | None = None,
     if k > dim:
         raise TrackingError(f"k={k} exceeds dimension {dim}")
     blocks = fam.split()
-    if len(blocks) == 1:
-        return _track_family(fam, q, grid, k, tol)
-    _, owner = lowest_eigenvalues(blocks, float(grid[-1]), k, tol.eig_residual)
+    starts, _, owner = _lowest_solves(blocks, float(grid[-1]), k, tol)
     merged = [None] * k
-    for b, (idx, sub) in enumerate(blocks):
+    for b, ((idx, sub), start) in enumerate(zip(blocks, starts)):
         slots = np.flatnonzero(owner == b)  # merged positions, ascending
         if slots.size == 0:
             continue
-        tracked = _track_family(sub, q, grid, slots.size, tol)
+        tracked = _track_family(sub, q, grid, slots.size, tol, start)
         for slot, br in zip(slots, tracked):
             vectors = np.zeros((len(br.ts), dim))
             vectors[:, idx] = br.vectors
@@ -428,49 +569,17 @@ def track_branches(cx: DeRhamComplex, q: int, grid, k: int | None = None,
 
 
 def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
-                  tol: Tolerances):
-    """track_branches on one family as a whole, branches ascending at t_max."""
-    dim = fam.dim
+                  tol: Tolerances, start):
+    """track_branches on one family as a whole, branches ascending at t_max.
+
+    start is a covered, validated solve at t_max holding at least k
+    values."""
     min_step = float(np.min(np.diff(grid))) * 2.0**-6
-    sparse_mode = _windowed(fam)
-    # iterative solves only see a window of the spectrum.  Matching may
-    # only ever look at candidates whose full eigenvalue cluster fits in
-    # the window: a cluster cut by the window edge comes back as an
-    # arbitrary partial slice of the degenerate subspace, and adopting
-    # such a slice corrupts the tracked branch without tripping the
-    # per-step overlap gate.  The pool below therefore drops the top
-    # cluster and the window grows until the remaining complete
-    # clusters cover every tracked value with a margin.
-    window = min(dim - 2, max(2 * k + 4, k + 8)) if sparse_mode else None
-    window_cap = min(dim - 2, max(256, 8 * k)) if sparse_mode else None
-
-    def solve_covered(t, needed=None):
-        nonlocal window
-        while True:
-            if not sparse_mode:
-                return np.linalg.eigh(_solver_matrix(fam, t))
-            w, V = _eig_smallest_sparse(fam.at(t), window, tol.eig_residual)
-            eps = tol.cluster_rel * max(1.0, float(abs(w[-1])))
-            j = w.size - 1
-            while j > 0 and w[j] - w[j - 1] <= eps:
-                j -= 1
-            if j >= k and (needed is None or
-                           w[j - 1] >= needed + 1e-2 * (1.0 + abs(needed))):
-                return w[:j], V[:, :j]
-            if window >= window_cap:
-                raise TrackingError(
-                    f"eigensolver window cap {window_cap} cannot cover the "
-                    f"tracked branches at t={t:.6g}"
-                )
-            window = min(window_cap, 2 * window)
-
+    solver = _CoveredSolver(fam, k, tol)
     t_cur = float(grid[-1])
-    w_full, V_full = solve_covered(t_cur)
-    _validate_residuals(fam.at(t_cur), w_full[:k], V_full[:, :k], tol.eig_residual,
-                        float(max(1.0, np.max(np.abs(w_full)))))
-    cur_V = V_full[:, :k].copy()
-    cur_w = w_full[:k].copy()
-    samples = [(t_cur, w_full[:k].copy(), cur_V.copy())]
+    cur_V = _sign_gauge(start[1][:, :k])
+    cur_w = start[0][:k].copy()
+    samples = [(t_cur, cur_w.copy(), cur_V.copy())]
     step_overlaps = []
     t0_slopes = None
     t0_cluster_key = None
@@ -479,7 +588,7 @@ def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
         seg = [float(target)]
         while seg:
             t_next = seg[-1]
-            w_full, V_full = solve_covered(t_next, needed=float(np.max(cur_w)))
+            w_full, V_full = solver.solve(t_next, needed=float(np.max(cur_w)))
             cols, W, ov = match_step(cur_V, w_full, V_full, tol.cluster_rel)
             if (float(np.min(ov)) < tol.overlap_min
                     and (t_cur - t_next) <= min_step * (1 + 1e-9)):
@@ -498,10 +607,9 @@ def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
                 ov = np.abs(np.sum(cur_V * W, axis=0))
             if float(np.min(ov)) < tol.overlap_min:
                 if (t_cur - t_next) <= min_step * (1 + 1e-9):
-                    if sparse_mode and window < window_cap:
-                        # the continuation may live outside the solver
-                        # window; widen and retry before giving up
-                        window = min(window_cap, 2 * window)
+                    # the continuation may live outside the solver
+                    # window; widen and retry before giving up
+                    if solver.widen():
                         continue
                     raise TrackingError(
                         f"branch matching failed on [{t_next:.6g}, {t_cur:.6g}] "
@@ -510,9 +618,8 @@ def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
                 seg.append(0.5 * (t_cur + t_next))
                 continue
             if t_next == grid[0]:
-                scale = float(max(1.0, np.max(np.abs(w_full))))
                 _validate_residuals(fam.at(t_next), w_full[cols], W,
-                                    tol.eig_residual, scale)
+                                    tol.eig_residual, w_full)
             seg.pop()
             samples.append((t_next, w_full[cols].copy(), W.copy()))
             step_overlaps.append(ov)
@@ -542,9 +649,12 @@ def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
     return branches
 
 
-def _validate_residuals(A, w, V, residual_tol, scale):
+def _validate_residuals(A, w, V, residual_tol, window):
+    """Raise unless max |A V - V diag(w)| is within residual_tol times the
+    largest |value| of the solve's window (at least 1)."""
+    scale = max(1.0, float(np.max(np.abs(window)))) if len(window) else 1.0
     res = float(np.max(np.abs(A @ V - V * w))) if len(w) else 0.0
-    if res > residual_tol * scale:
+    if not res <= residual_tol * scale:  # a NaN residual fails too
         raise NumericalError(f"eigenpair residual {res:.3e} exceeds tolerance")
 
 
@@ -773,15 +883,12 @@ def assign_to_critical_points(pkg: PackageDegree, points, cx: DeRhamComplex,
         R = np.column_stack(chosen_u)  # orthogonal: deflation keeps u's orthonormal
         reps[:, rep_count:rep_count + kc] = Wc @ R
         # branch <-> representative bijection inside the cluster
-        r, c = linear_sum_assignment(-np.abs(R))
-        for a, b in zip(r, c):
+        for a, b in enumerate(_min_cost_assignment(-np.abs(R))):
             rep_of_branch[sel[a]] = rep_count + b
         rep_count += kc
 
     M = localization_masses(cx, q, reps, coords, radius, nodes)
-    rr, cc = linear_sum_assignment(-M)
-    point_of_rep = np.empty(len(pool), dtype=int)
-    point_of_rep[rr] = cc
+    point_of_rep = _min_cost_assignment(-M)
 
     pkg.assignment_warnings = []
     for i, b in enumerate(pool):

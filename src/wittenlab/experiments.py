@@ -76,7 +76,7 @@ def run_spectrum(config: ExperimentConfig, k: int | None = None) -> SpectrumRun:
         kq = k or min(cx.dims[q], 8)
         blocks = laplacian_family(cx, q).split()
         values[q] = np.array([
-            lowest_eigenvalues(blocks, t, kq, config.tolerances.eig_residual)[0]
+            lowest_eigenvalues(blocks, t, kq, config.tolerances)[0]
             for t in ts])
     return SpectrumRun(config=config, ts=ts, values=values)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Tolerances
-from .derham import DeRhamComplex, expand_1d, witten_laplacian
+from .derham import DeRhamComplex, expand_1d
 from .errors import ConfigError, NumericalError
 from .trigpoly import TWO_PI, TrigPoly
 
@@ -260,9 +260,10 @@ def harmonic_volumes(cx: DeRhamComplex, tol: Tolerances | None = None):
 
     The lattice generators are represented by the translation-invariant
     forms (1 in degree 0, the normalized angle differentials above),
-    expanded in the cutoff basis and checked to be annihilated by the
-    undeformed Laplacian.  Returns ({q: log V_q}, log of the
-    alternating product).
+    expanded in the cutoff basis and checked to be harmonic: closed and
+    coclosed, which in the L2-orthonormal basis reads D[q] B = 0 and
+    D[q-1]^T B = 0.  Returns ({q: log V_q}, log of the alternating
+    product).
     """
     tol = tol or Tolerances()
     one = expand_1d(TrigPoly.const(1, 1.0), cx.N)  # the constant 1
@@ -278,9 +279,10 @@ def harmonic_volumes(cx: DeRhamComplex, tol: Tolerances | None = None):
                 2: [v0 * (scale * scale)]}
     out = {}
     for q, vecs in gens.items():
-        L = witten_laplacian(cx, q, 0.0)
         B = np.column_stack(vecs)
-        r = np.max(np.abs(L @ B))
+        products = (([cx.D[q] @ B] if q < cx.n else [])
+                    + ([cx.D[q - 1].T @ B] if q > 0 else []))
+        r = max(float(np.max(np.abs(P))) for P in products)
         if r > 1e-10 * max(1.0, float(np.max(np.abs(B)))):
             raise NumericalError(f"lattice generator in degree {q} is not "
                                  f"harmonic (residual {r:.2e})")

@@ -5,7 +5,8 @@ Run them with:  python -m pytest -m bench tests/test_bench.py
 import numpy as np
 import pytest
 
-from wittenlab.branches import lowest_eigenvalues
+from wittenlab.branches import (_CoveredSolver, _lowest_solves,
+                                lowest_eigenvalues, match_step)
 from wittenlab.config import preset
 from wittenlab.derham import build_torus_complex, laplacian_family
 from wittenlab.experiments import build_complex, grid_pairings, run_package
@@ -41,16 +42,42 @@ def test_bench_grid_pairings(benchmark, name):
     assert len(table) == len(run.package.grid)
 
 
-def test_bench_block_eigensolve_torus24(benchmark):
-    """One eigensolve: every invariant block of the torus-sin2-product
-    degree-1 Laplacian at 24 modes (dimension 4802), t = 5, all values."""
+def _torus24_degree1():
+    """The torus-sin2-product degree-1 blocks at 24 modes (dimension
+    4802) and the number of branches the package run tracks there."""
     cfg = preset("torus-sin2-product")
     cx = build_torus_complex(24, cfg.potential_trigpoly())
-    fam = laplacian_family(cx, 1)
-    blocks = fam.split()
-    w, _ = benchmark(lowest_eigenvalues, blocks, 5.0, fam.dim,
-                     cfg.tolerances.eig_residual)
-    assert w.shape == (fam.dim,) and np.all(np.diff(w) >= 0)
+    blocks = laplacian_family(cx, 1).split()
+    return cfg, blocks, 8 + cfg.k_extra
+
+
+def test_bench_block_eigensolve_torus24(benchmark):
+    """One eigensolve: the t = 5 solve of every invariant block of the
+    torus-sin2-product degree-1 Laplacian at 24 modes, merged to the
+    k = c_1 + k_extra smallest values the tracker asks for."""
+    cfg, blocks, k = _torus24_degree1()
+    w, owner = benchmark(lowest_eigenvalues, blocks, 5.0, k, cfg.tolerances)
+    assert w.shape == (k,) and np.all(np.diff(w) >= 0)
+
+
+def test_bench_tracking_step_torus24(benchmark):
+    """One tracking step: the covered solve at t = 4.75 of the largest
+    degree-1 block that tracks a branch (torus-sin2-product, 24 modes)
+    and the match of its t = 5 vectors onto it."""
+    cfg, blocks, k = _torus24_degree1()
+    tol = cfg.tolerances
+    starts, _, owner = _lowest_solves(blocks, 5.0, k, tol)
+    b = max(set(owner.tolist()), key=lambda b: blocks[b][1].dim)
+    kb = int(np.sum(owner == b))
+    w0, V0 = starts[b][0][:kb], starts[b][1][:, :kb]
+    solver = _CoveredSolver(blocks[b][1], kb, tol)
+
+    def step():
+        w, V = solver.solve(4.75, needed=float(np.max(w0)))
+        return match_step(V0, w, V, tol.cluster_rel)
+
+    _, _, ov = benchmark(step)
+    assert np.min(ov) >= tol.overlap_min
 
 
 def test_bench_torus_assembly12(benchmark):

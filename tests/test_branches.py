@@ -4,9 +4,10 @@ import scipy.sparse as sp
 
 from wittenlab import branches
 from wittenlab.branches import (LABEL_LARGE, LABEL_VS, LABEL_ZERO,
-                                _box_axes, _box_gram, _rebase_split_groups,
-                                _solver_matrix, classify, eig_sym,
-                                eigenvalue_clusters, match_step,
+                                _box_axes, _box_gram, _CoveredSolver,
+                                _rebase_split_groups, _solver_matrix,
+                                classify, eig_sym, eigenvalue_clusters,
+                                lowest_eigenvalues, match_step,
                                 track_branches)
 from wittenlab.config import Tolerances
 from wittenlab.derham import (LaplacianFamily, build_circle_complex,
@@ -37,6 +38,13 @@ def test_eig_sym_k_slice(rng):
 
 def test_eig_sym_rejects_asymmetric(rng):
     A = rng.standard_normal((6, 6))
+    with pytest.raises(NumericalError):
+        eig_sym(A)
+
+
+def test_eig_sym_rejects_nan():
+    A = np.eye(5)
+    A[2, 2] = np.nan
     with pytest.raises(NumericalError):
         eig_sym(A)
 
@@ -75,6 +83,104 @@ def test_windowed_route_tracks_the_dense_values(torus_cx6, monkeypatch):
         a = sorted(b.value_at(t) for b in dense)
         w = sorted(b.value_at(t) for b in windowed)
         assert np.max(np.abs(np.array(a) - np.array(w))) < 1e-10
+
+
+def test_windowed_dense_route_matches_full_eigh(monkeypatch):
+    """The torus preset at 12 modes has blocks above SMALL_BLOCK_DIM,
+    which take the syevr window.  Tracked with a full eigh on every
+    block instead, every degree gives the same samples and values, the
+    same vectors and signs wherever the t_max eigenspace of a block is
+    simple, and the same span inside each cluster of tied values."""
+    cx = build_torus_complex(12, torus_sin2_product())
+    grid = np.arange(0.0, 5.0 + 1e-9, 0.25)
+    for q, k in ((0, 10), (1, 14), (2, 10)):
+        dims = [sub.dim for _, sub in laplacian_family(cx, q).split()]
+        assert max(dims) > branches.SMALL_BLOCK_DIM
+        windowed = track_branches(cx, q, grid, k=k)
+        monkeypatch.setattr(branches, "SMALL_BLOCK_DIM", 10**9)
+        full = track_branches(cx, q, grid, k=k)
+        monkeypatch.undo()
+        for a, b in zip(full, windowed):
+            assert np.array_equal(a.ts, b.ts)
+            assert np.max(np.abs(a.values - b.values)) < 1e-10
+        lam = np.array([b.values[-1] for b in full])
+        for lo, hi in eigenvalue_clusters(lam, Tolerances().cluster_rel):
+            Vf = np.column_stack([b.vectors[-1] for b in full[lo:hi]])
+            Vw = np.column_stack([b.vectors[-1] for b in windowed[lo:hi]])
+            assert np.linalg.svd(Vf.T @ Vw, compute_uv=False).min() > 1 - 1e-10
+            for a, b in zip(full[lo:hi], windowed[lo:hi]):
+                # the package is simple in its block; a LARGE pair
+                # degenerate inside one block is fixed only up to a
+                # rotation of its span
+                simple = abs(a.vectors[-1] @ b.vectors[-1]) > 1 - 1e-8
+                if a.values[-1] < 1.0 or simple:
+                    assert np.max(np.abs(a.vectors - b.vectors)) < 1e-10
+
+
+def _rotated_spectrum(vals, seed=7):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (vals.size, vals.size)))
+    return (Q * vals) @ Q.T
+
+
+def test_covered_solve_grows_past_a_cut_cluster():
+    """An 11-fold cluster at positions 2-12 straddles the first syevr
+    window (11 values): the solve drops the cut cluster, grows the
+    window and returns the cluster whole, never a part of it."""
+    vals = np.arange(100.0)
+    vals[2:13] = 2.0
+    fam = synthetic_family(_rotated_spectrum(vals), np.zeros((100, 100)))
+    solver = _CoveredSolver(fam, 3, Tolerances())
+    first = solver.window
+    assert 2 < first < 13 and fam.dim > branches.SMALL_BLOCK_DIM
+    w, V = solver.solve(0.0)
+    assert solver.window > first
+    assert np.sum(np.abs(w - 2.0) < 1e-9) == 11
+    assert np.max(np.abs(fam.at(0.0) @ V - V * w)) < 1e-10
+
+
+@pytest.mark.parametrize("factor, raises", [(1.05, True), (0.95, False)])
+def test_residual_validated_against_the_window_scale(monkeypatch, factor,
+                                                     raises):
+    """The covered window of a 100-row block holds the values 1..8 (the
+    top value 9 of the 9-value window is dropped): a residual just above
+    eig_residual * 8 raises, just below it passes."""
+    fam = synthetic_family(_rotated_spectrum(np.arange(1.0, 101.0)),
+                           np.zeros((100, 100)))
+    tol = Tolerances()
+    solve = branches._dense_smallest
+
+    def nudged(A, m):
+        w, V = solve(A, m)
+        w = w.copy()
+        w[0] += factor * tol.eig_residual * 8.0 / np.max(np.abs(V[:, 0]))
+        return w, V
+
+    monkeypatch.setattr(branches, "_dense_smallest", nudged)
+    if raises:
+        with pytest.raises(NumericalError):
+            track_branches(None, 0, [0.0, 1.0], k=1, tol=tol, family=fam)
+    else:
+        track_branches(None, 0, [0.0, 1.0], k=1, tol=tol, family=fam)
+
+
+def test_lowest_eigenvalues_cut_does_not_depend_on_rounding():
+    """The value 2 sits in blocks 0, 1 and 2, and k = 3 takes the 1 of
+    block 3 and two of the three 2s: the tie goes to blocks 0 and 1,
+    however the 2s move at the 1e-14 level."""
+    coupling = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def owners(shift):
+        A0 = _block_diag(*[np.diag([2.0 + s, 5.0]) for s in shift],
+                         np.diag([1.0, 5.0]))
+        fam = synthetic_family(A0, _block_diag(*[coupling] * 4))
+        w, owner = lowest_eigenvalues(fam.split(), 0.0, 3)
+        assert w == pytest.approx([1.0, 2.0, 2.0], abs=1e-13)
+        return sorted(owner.tolist())
+
+    for shift in ([0.0, 0.0, 0.0], [1e-14, 0.0, -1e-14],
+                  [-1e-14, 1e-14, 0.0], [1e-14, 1e-14, -1e-14]):
+        assert owners(shift) == [0, 1, 3]
 
 
 def synthetic_family(A0, A1, A2=None):

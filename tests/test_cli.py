@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -192,3 +194,12 @@ def test_torsion_exit_code_on_failed_anomaly_check(tmp_path, capsys,
     _, path = write_config(tmp_path, modes=20)
     assert main(["torsion", "--config", path]) == 3
     assert "anomaly identity fails at t=0.0" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    """The command line imports no scipy.optimize: branch matching runs
+    on scipy.sparse.csgraph, which the package loads anyway."""
+    code = "import sys, wittenlab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
