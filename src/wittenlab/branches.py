@@ -13,6 +13,7 @@ t = 0 they generally are not.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -440,9 +441,15 @@ def _merge_lowest(values, k: int, cluster_rel: float):
     return w[pick], owner[pick], reach
 
 
+def _factored(fam: LaplacianFamily) -> bool:
+    """Whether fam is one Kronecker sum F1 (x) I + I (x) F2 as a whole,
+    solved from the full spectra of its two circle-factor families."""
+    return len(fam.factors) == 1
+
+
 def _windowed(fam: LaplacianFamily) -> bool:
     """Whether fam is solved by windowed shift-invert instead of dense eigh."""
-    return fam.dim > DENSE_MAX_DIM
+    return fam.dim > DENSE_MAX_DIM and not _factored(fam)
 
 
 def _solver_matrix(fam: LaplacianFamily, t: float):
@@ -467,6 +474,11 @@ class _CoveredSolver:
     So the top cluster of a partial window is dropped, and the window
     grows until the complete clusters hold k values and, when a value
     is needed, reach past it with a margin.
+
+    A Kronecker-sum block (_factored) sees its whole spectrum from the
+    full eigh of its two circle factors, so its cut moves up from the
+    window instead: to the end of the cluster it falls in, and on until
+    it also holds k values and passes the margin.
     """
 
     def __init__(self, fam: LaplacianFamily, k: int, tol: Tolerances):
@@ -486,6 +498,10 @@ class _CoveredSolver:
         return True
 
     def solve(self, t: float, needed: float | None = None):
+        margin = None if needed is None else (
+            needed + 1e-2 * (1.0 + abs(needed)))
+        if _factored(self.fam):
+            return self._solve_factored(t, margin)
         while True:
             if _windowed(self.fam):
                 w, V = _eig_smallest_sparse(self.fam.at(t), self.window,
@@ -499,8 +515,6 @@ class _CoveredSolver:
             j = w.size - 1
             while j > 0 and w[j] - w[j - 1] <= eps:
                 j -= 1
-            margin = None if needed is None else (
-                needed + 1e-2 * (1.0 + abs(needed)))
             if j >= self.k and (margin is None or w[j - 1] >= margin):
                 return w[:j], V[:, :j]
             if not self.widen():
@@ -508,6 +522,33 @@ class _CoveredSolver:
                     f"eigensolver window cap {self.cap} cannot cover the "
                     f"tracked branches at t={t:.6g}"
                 )
+
+    def _solve_factored(self, t: float, margin: float | None):
+        """The covered solve of a Kronecker-sum block from its factors.
+
+        The pairs are (lambda_a + mu_b, u_a (x) v_b), built only for the
+        values kept, and validated against the assembled block, which
+        certifies the Kronecker identity at every solve.
+        """
+        _, F1, F2 = self.fam.factors[0]
+        w1, U1 = np.linalg.eigh(_solver_matrix(F1, t))
+        w2, U2 = np.linalg.eigh(_solver_matrix(F2, t))
+        sums = (w1[:, None] + w2).ravel()
+        order = np.argsort(sums, kind="stable")
+        s = sums[order]
+        # cut after position i where a cluster ends, at least the
+        # window and k values in, and past the margin
+        ends = np.diff(s) > self.tol.cluster_rel * np.maximum(
+            1.0, np.abs(s[1:]))
+        ends[:max(self.window, self.k) - 1] = False
+        if margin is not None:
+            ends &= s[:-1] >= margin
+        cut = int(np.argmax(ends)) + 1 if ends.any() else s.size
+        a, b = np.divmod(order[:cut], w2.size)
+        V = (U1[:, None, a] * U2[None, :, b]).reshape(self.fam.dim, cut)
+        w = s[:cut]
+        _validate_residuals(self.fam.at(t), w, V, self.tol.eig_residual, w)
+        return w, V
 
 
 def _sign_gauge(V: np.ndarray) -> np.ndarray:
@@ -790,8 +831,16 @@ def _absolute_clusters(w, tol_abs):
 # -- localization and critical point assignment --------------------------
 
 
-def _box_axes(center, radius, nodes):
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(nodes: int):
+    """The nodes-point Gauss-Legendre rule on [-1, 1], computed once."""
     x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _box_axes(center, radius, nodes):
+    x, w = _gauss_legendre(nodes)
     pts = center + radius * x
     return pts, radius * w
 

@@ -18,6 +18,7 @@ sweeps only pay one assembly.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -99,6 +100,13 @@ def mult_matrix_1d(N: int, g: TrigPoly):
     """Galerkin matrix (CSR) of multiplication by g on the scalar space."""
     if g.arity != 1:
         raise ConfigError("multiplier must have arity 1")
+    if set(g.terms) <= {(0,)}:
+        # a constant is an exact scaled identity; the expansion below
+        # would give (1/sqrt(pi)) * sqrt(pi), which is not 1 in floating
+        # point, and leave a rounding residue between exact blocks
+        n = 2 * N + 1
+        c = g.terms.get((0,), (0.0, 0.0))[0]
+        return c * sp.identity(n, format="csr") if c else sp.csr_matrix((n, n))
     cols = [expand_1d(g * mode_poly_1d(k, kind), N) for k, kind in scalar_modes(N)]
     return sp.csr_matrix(np.column_stack(cols))
 
@@ -300,11 +308,19 @@ class LaplacianFamily:
     of them.  The family at t is one combination of those rows on the
     pattern; flat holds row * dim + column of each pattern entry, so a
     dense copy is a single scatter.
+
+    factors lists Kronecker-sum parts (offset, F1, F2) of two circle-
+    factor families, when the family is known to have them: on the rows
+    offset + i * F2.dim + j (i < F1.dim, j < F2.dim) the family is
+    F1 (x) I + I (x) F2 at every t, and the parts cover every row.  A
+    family with one part is that Kronecker sum as a whole, with the
+    spectrum {lambda_a + mu_b} of its factors.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     coef: np.ndarray  # (3, nnz): the data of A0, A1, A2
+    factors: tuple = field(default=(), repr=False)
     flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -312,7 +328,7 @@ class LaplacianFamily:
         self.flat = rows * self.dim + self.indices
 
     @classmethod
-    def from_terms(cls, A0, A1, A2) -> "LaplacianFamily":
+    def from_terms(cls, A0, A1, A2, factors=()) -> "LaplacianFamily":
         """The family of three square matrices, dense or sparse."""
         terms = [sp.coo_matrix(A) for A in (A0, A1, A2)]
         n = terms[0].shape[0]
@@ -330,7 +346,7 @@ class LaplacianFamily:
         keep = np.any(coef != 0.0, axis=0)
         rows, cols = np.divmod(pattern[keep], n)
         indptr = np.searchsorted(rows, np.arange(n + 1))
-        return cls(indptr, cols, coef[:, keep])
+        return cls(indptr, cols, coef[:, keep], tuple(factors))
 
     @property
     def dim(self) -> int:
@@ -362,12 +378,23 @@ class LaplacianFamily:
         potential without frequency structure gives one block.  Blocks
         are ordered by their first index; each sub-family slices the
         shared arrays of its rows.
+
+        A block whose rows are exactly those of a pair of factor blocks,
+        offset + (ix[:, None] * F2.dim + iy).ravel() for blocks ix of F1
+        and iy of F2 in some part of factors, carries that pair as its
+        one factor part.
         """
         n = self.dim
         graph = self._csr(np.ones(self.indices.size))
         n_blocks, labels = connected_components(graph, directed=False)
         blocks = sorted((np.flatnonzero(labels == b) for b in range(n_blocks)),
                         key=lambda idx: idx[0])
+        pairs = {}  # first row -> (rows, factor part) of each factor pair
+        for offset, F1, F2 in self.factors:
+            for ix, B1 in F1.split():
+                for iy, B2 in F2.split():
+                    rows = offset + (ix[:, None] * F2.dim + iy).ravel()
+                    pairs[rows[0]] = (rows, ((0, B1, B2),))
         entry_label = labels[self.flat // n]
         row_nnz = np.diff(self.indptr)
         local = np.empty(n, dtype=self.indices.dtype)
@@ -378,8 +405,11 @@ class LaplacianFamily:
             sel = np.flatnonzero(entry_label == labels[idx[0]])
             indptr = np.zeros(idx.size + 1, dtype=self.indptr.dtype)
             np.cumsum(row_nnz[idx], out=indptr[1:])
+            rows, part = pairs.get(idx[0], (None, ()))
+            exact = rows is not None and np.array_equal(rows, idx)
             out.append((idx, LaplacianFamily(indptr, local[self.indices[sel]],
-                                             self.coef[:, sel])))
+                                             self.coef[:, sel],
+                                             part if exact else ())))
         return out
 
 
@@ -395,7 +425,38 @@ def laplacian_family(cx: DeRhamComplex, q: int) -> LaplacianFamily:
         parts[0].append(C0 @ C0.T)
         parts[1].append(C0 @ C1.T + C1 @ C0.T)
         parts[2].append(C1 @ C1.T)
-    return LaplacianFamily.from_terms(*(sum(ps[1:], ps[0]) for ps in parts))
+    return LaplacianFamily.from_terms(*(sum(ps[1:], ps[0]) for ps in parts),
+                                      factors=_factor_families(cx, q))
+
+
+def _factor_families(cx: DeRhamComplex, q: int) -> tuple:
+    """Kronecker-sum parts of the degree-q family on a torus whose
+    potential is h1(th1) + h2(th2) + const, built from the circle
+    complexes of h1 and h2; () on the circle and for other potentials.
+
+    A q-form on the product is a p1-form on the first circle times a
+    p2-form on the second, p1 + p2 = q: degree 0 is L0(h1) (+) L0(h2),
+    degree 1 the dth1 part L1(h1) (+) L0(h2) and, offset by the scalar
+    dimension, the dth2 part L0(h1) (+) L1(h2), degree 2 L1(h1) (+) L1(h2),
+    (+) the Kronecker sum.  The assembled family is not built from
+    these, so solves from the factors are checked against it.
+    """
+    if cx.manifold != "torus" or not cx.f.is_separable():
+        return ()
+    L1, L2 = (_circle_families(cx.N, tuple(sorted(h.terms.items())))
+              for h in cx.f.factor_parts()[:2])
+    degrees = {0: ((0, 0, 0),), 1: ((0, 1, 0), (cx._m_scalar, 0, 1)),
+               2: ((0, 1, 1),)}[q]
+    return tuple((offset, L1[p1], L2[p2]) for offset, p1, p2 in degrees)
+
+
+@functools.lru_cache(maxsize=8)
+def _circle_families(N: int, terms: tuple) -> tuple:
+    """(L0, L1) of the circle complex of the potential with these terms,
+    built once per potential and cutoff; the families are shared and
+    never modified."""
+    cx = build_circle_complex(N, TrigPoly(1, dict(terms)))
+    return laplacian_family(cx, 0), laplacian_family(cx, 1)
 
 
 def witten_laplacian(cx: DeRhamComplex, q: int, t: float):

@@ -9,9 +9,13 @@ from wittenlab.branches import (_CoveredSolver, _lowest_solves,
                                 lowest_eigenvalues, match_step)
 from wittenlab.config import preset
 from wittenlab.derham import build_torus_complex, laplacian_family
-from wittenlab.experiments import build_complex, grid_pairings, run_package
-from wittenlab.integrals import pairing_matrix
+from wittenlab.experiments import (build_complex, grid_pairings, int_morphism,
+                                   morse_finite_complex, run_package,
+                                   vs_complex)
+from wittenlab.integrals import a_log_total, det_log, pairing_matrix
 from wittenlab.morse import find_critical_points, flow_complex
+from wittenlab.torsion import (alternating_log, check_anomaly, harmonic_basis,
+                               torsion_T, vol_of_iso)
 
 pytestmark = pytest.mark.bench
 
@@ -91,4 +95,36 @@ def test_bench_torus_assembly12(benchmark):
         return [laplacian_family(cx, q).split() for q in range(cx.n + 1)]
 
     blocks = benchmark(assemble)
-    assert [len(b) for b in blocks] == [9, 16, 9]
+    assert [len(b) for b in blocks] == [9, 18, 9]
+
+
+@pytest.mark.parametrize("name", ["circle-sin2", "torus-sin2-product"])
+def test_bench_torsion_assembly(benchmark, name):
+    """The torsion assembly at one t (t = 2), as run_torsion does it at
+    each anomaly sample: the package complex and its torsion, the
+    integration morphism into the Morse cochains and its harmonic
+    volume, closed by the anomaly identity."""
+    cfg = preset(name)
+    tol = cfg.tolerances
+    run = run_package(cfg, assign=True)
+    cx, pkg = run.cx, run.package
+    flow = flow_complex(cx.f, cx.manifold, run.points, tol)
+    pairings = grid_pairings(cx, pkg, flow, tol)[2.0]
+    fc_morse = morse_finite_complex(flow)
+    log_T_morse = torsion_T(fc_morse, nullities=cx.betti, tol=tol)
+
+    def assemble():
+        fc_vs = vs_complex(cx, pkg, 2.0)
+        morph = int_morphism(pairings, fc_vs, fc_morse)
+        log_T_vs = torsion_T(fc_vs, nullities=cx.betti, tol=tol)
+        log_a = a_log_total({q: det_log(P) for q, P in enumerate(pairings)})
+        vol_h = {}
+        for q in range(cx.n + 1):
+            H_vs = harmonic_basis(fc_vs, q, cx.betti[q], tol)
+            H_c = harmonic_basis(fc_morse, q, cx.betti[q], tol)
+            vol_h[q] = vol_of_iso(H_c.T @ morph.maps[q] @ H_vs)
+        return check_anomaly(log_T_vs, log_a, alternating_log(vol_h),
+                             log_T_morse)
+
+    ok, _ = benchmark(assemble)
+    assert ok

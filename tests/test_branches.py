@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wittenlab import branches
+from wittenlab import branches, derham
 from wittenlab.branches import (LABEL_LARGE, LABEL_VS, LABEL_ZERO,
                                 _box_axes, _box_gram, _CoveredSolver,
                                 _rebase_split_groups, _solver_matrix,
@@ -14,7 +14,7 @@ from wittenlab.derham import (LaplacianFamily, build_circle_complex,
                               build_torus_complex, laplacian_family)
 from wittenlab.errors import (ConfigError, GapNotFoundError, NumericalError,
                               TrackingError, ZeroCountError)
-from wittenlab.trigpoly import circle_sin2, torus_sin2_product
+from wittenlab.trigpoly import TrigPoly, circle_sin2, torus_sin2_product
 
 import oracles
 
@@ -74,7 +74,9 @@ def test_solver_matrix_is_the_family_at_t(circle_cx8, torus_cx6):
 
 def test_windowed_route_tracks_the_dense_values(torus_cx6, monkeypatch):
     """With every block above the dense limit, the CSR family and the
-    windowed shift-invert solve track the values of the dense route."""
+    windowed shift-invert solve track the values of the dense route.
+    Both routes solve the assembled blocks, not the circle factors."""
+    monkeypatch.setattr(derham, "_factor_families", lambda *_: ())
     grid = np.arange(0.0, 3.0 + 1e-9, 0.5)
     dense = track_branches(torus_cx6, 1, grid, k=6, tol=Tolerances())
     monkeypatch.setattr(branches, "DENSE_MAX_DIM", 10)
@@ -90,10 +92,12 @@ def test_windowed_dense_route_matches_full_eigh(monkeypatch):
     which take the syevr window.  Tracked with a full eigh on every
     block instead, every degree gives the same samples and values, the
     same vectors and signs wherever the t_max eigenspace of a block is
-    simple, and the same span inside each cluster of tied values."""
+    simple, and the same span inside each cluster of tied values.  Both
+    routes solve the assembled blocks, not the circle factors."""
     cx = build_torus_complex(12, torus_sin2_product())
     grid = np.arange(0.0, 5.0 + 1e-9, 0.25)
     for q, k in ((0, 10), (1, 14), (2, 10)):
+        monkeypatch.setattr(derham, "_factor_families", lambda *_: ())
         dims = [sub.dim for _, sub in laplacian_family(cx, q).split()]
         assert max(dims) > branches.SMALL_BLOCK_DIM
         windowed = track_branches(cx, q, grid, k=k)
@@ -446,3 +450,119 @@ def test_box_gram_matches_column_loop(rng):
         got = _box_gram(cx, q, W, (0.7, 2.1), 0.6, 48)
         want = _box_gram_loop(cx, q, W, (0.7, 2.1), 0.6, 48)
         assert np.max(np.abs(got - want)) < 1e-14
+
+
+# -- Kronecker-sum blocks of separable torus potentials -----------------
+
+
+def _quarter_turn_torus(N, turns):
+    """The torus complex of sum_i s_i trig(2 th_i), one of sin 2th,
+    cos 2th, -sin 2th, -cos 2th per factor."""
+    f = TrigPoly.zero(2)
+    for key, turn in zip(((2, 0), (0, 2)), turns):
+        amp = -1.0 if turn.startswith("-") else 1.0
+        f = f + (TrigPoly.sine(key, amp) if turn.endswith("sin")
+                 else TrigPoly.cosine(key, amp))
+    return build_torus_complex(N, f)
+
+
+def _gaps(lam, rel):
+    """Positions i where a cluster of the ascending lam starts (i > 0)."""
+    return {i for i in range(1, lam.size)
+            if lam[i] - lam[i - 1] > rel * (1.0 + abs(lam[i]))}
+
+
+@pytest.mark.parametrize("turns", [None, ("sin", "cos"), ("cos", "-sin"),
+                                   ("-sin", "-cos"), ("-cos", "sin")])
+def test_factored_solve_matches_direct_eigh(torus_cx6, turns):
+    """Every block of a separable torus family is solved from its circle
+    factors.  Against a dense eigh of the assembled block: the values
+    agree within 1e-12 max(1, |lambda|), the cut ends a cluster, every
+    cluster spans the same subspace, and a needed value is passed with
+    the solver's margin; for the first window and for the whole block."""
+    cx = torus_cx6 if turns is None else _quarter_turn_torus(12, turns)
+    tol = Tolerances()
+    for q in range(3):
+        for _, sub in laplacian_family(cx, q).split():
+            assert branches._factored(sub)
+            for t in (0.0, 2.5, 5.0):
+                lam, U = np.linalg.eigh(sub.at(t).toarray())
+                starts = _gaps(lam, tol.cluster_rel)
+                needed = float(lam[min(3, lam.size - 1)])
+                solver = _CoveredSolver(sub, 1, tol)
+                for window, need in ((solver.window, None),
+                                     (solver.window, needed),
+                                     (sub.dim, None)):
+                    solver.window = window
+                    w, V = solver.solve(t, needed=need)
+                    n = w.size
+                    assert n >= min(window, sub.dim)
+                    assert np.all(np.abs(w - lam[:n])
+                                  <= 1e-12 * np.maximum(1.0, np.abs(lam[:n])))
+                    assert n == lam.size or n in starts
+                    if need is not None and n < lam.size:
+                        assert w[-1] >= need + 1e-2 * (1.0 + abs(need))
+                    bounds = [0] + sorted(i for i in starts if i < n) + [n]
+                    for lo, hi in zip(bounds[:-1], bounds[1:]):
+                        cos = np.linalg.svd(U[:, lo:hi].T @ V[:, lo:hi],
+                                            compute_uv=False)
+                        assert cos.min() > 1.0 - 1e-9
+
+
+def test_separable_torus_solves_no_assembled_block(monkeypatch):
+    """Tracking the 12-mode torus preset never solves an assembled block:
+    every solve comes from the circle factors."""
+    def refuse(*args):
+        raise AssertionError("assembled block solved")
+
+    monkeypatch.setattr(branches, "_dense_smallest", refuse)
+    monkeypatch.setattr(branches, "_eig_smallest_sparse", refuse)
+    cx = build_torus_complex(12, torus_sin2_product())
+    grid = np.arange(0.0, 5.0 + 1e-9, 0.25)
+    for q, k in ((0, 10), (1, 14), (2, 10)):
+        assert len(track_branches(cx, q, grid, k=k)) == k
+
+
+def test_nonseparable_torus_tracks_the_direct_values():
+    """sin 2th1 + sin 2th2 + 0.3 cos(th1 + th2) is not a sum of circle
+    potentials: its blocks carry no factors, and the tracked values are
+    eigenvalues of the assembled family, the k smallest at t_max."""
+    f = (TrigPoly.sine((2, 0)) + TrigPoly.sine((0, 2))
+         + TrigPoly.cosine((1, 1), 0.3))
+    cx = build_torus_complex(6, f)
+    grid = np.arange(0.0, 3.0 + 1e-9, 0.5)
+    for q, k in ((0, 4), (1, 8), (2, 4)):
+        fam = laplacian_family(cx, q)
+        assert not any(branches._factored(sub) for _, sub in fam.split())
+        brs = track_branches(cx, q, grid, k=k)
+        for t in grid:
+            lam = np.linalg.eigvalsh(fam.at(t).toarray())
+            for b in brs:
+                v = b.value_at(t)
+                assert np.min(np.abs(lam - v)) < 1e-10 * max(1.0, abs(v))
+        at_max = sorted(b.value_at(grid[-1]) for b in brs)
+        assert np.max(np.abs(np.array(at_max) - lam[:k])) < 1e-10
+
+
+def test_corrupted_factor_family_fails_the_certificate(torus_cx6,
+                                                       monkeypatch):
+    """A factor family off by 0.1 % in A2 gives factored pairs that are
+    not eigenpairs of the assembled block: every solve raises, a lone
+    tracking-step solve as well as the tracking run."""
+    build = derham._factor_families
+
+    def corrupted(cx, q):
+        parts = build(cx, q)
+        if not parts:  # the circle factors themselves
+            return parts
+        (offset, F1, F2), *rest = parts
+        bad = LaplacianFamily(F1.indptr, F1.indices,
+                              F1.coef * np.array([[1.0], [1.0], [1.001]]))
+        return ((offset, bad, F2), *rest)
+
+    monkeypatch.setattr(derham, "_factor_families", corrupted)
+    for _, sub in laplacian_family(torus_cx6, 0).split():
+        with pytest.raises(NumericalError):
+            _CoveredSolver(sub, 1, Tolerances()).solve(2.5)
+    with pytest.raises(NumericalError):
+        track_branches(torus_cx6, 0, [0.0, 2.5, 5.0], k=4)

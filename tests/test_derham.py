@@ -201,7 +201,7 @@ def test_split_blocks_are_exactly_invariant(circle_cx8, torus_cx6, sparse):
 
 @pytest.mark.parametrize("t", [0.0, 2.3])
 def test_merged_block_spectra_match_full_solve(circle_cx8, torus_cx6, t):
-    for cx, want in ((circle_cx8, (3, 3)), (torus_cx6, (9, 16, 9))):
+    for cx, want in ((circle_cx8, (3, 3)), (torus_cx6, (9, 18, 9))):
         for q in range(cx.n + 1):
             fam = laplacian_family(cx, q)
             blocks = fam.split()
@@ -222,3 +222,42 @@ def test_potential_without_frequency_structure_gives_one_block():
         blocks = laplacian_family(cx, q).split()
         assert len(blocks) == 1
         assert np.array_equal(blocks[0][0], np.arange(cx.dims[q]))
+
+
+@pytest.mark.parametrize("N", [12, 24])
+def test_separable_degree1_cross_block_is_exactly_zero(N):
+    """On the preset potential sin 2th1 + sin 2th2 the dth1 and dth2
+    components of a 1-form do not couple: the cross block of A0, A1
+    and A2 is exactly 0.0, so the split keeps their blocks apart."""
+    cx = build_torus_complex(N, torus_sin2_product())
+    fam = laplacian_family(cx, 1)
+    m = cx.dims[0]
+    for j in range(3):
+        assert abs(fam.term(j)[:m, m:]).max() == 0.0
+    assert [len(laplacian_family(cx, q).split()) for q in range(3)] \
+        == [9, 18, 9]
+
+
+def test_separable_blocks_carry_their_circle_factors(torus_cx6):
+    """Every block of a separable torus family carries one pair of
+    circle-factor blocks, and the Kronecker sum of the pair is the
+    block in each coefficient, up to rounding."""
+    for q in range(3):
+        for idx, sub in laplacian_family(torus_cx6, q).split():
+            ((offset, F1, F2),) = sub.factors
+            assert offset == 0 and F1.dim * F2.dim == idx.size
+            for j in range(3):
+                K = (np.kron(F1.term(j).toarray(), np.eye(F2.dim))
+                     + np.kron(np.eye(F1.dim), F2.term(j).toarray()))
+                A = sub.term(j).toarray()
+                assert np.max(np.abs(K - A)) <= 1e-14 * max(1.0, np.abs(A).max())
+
+
+def test_nonseparable_family_has_no_factors():
+    f = (TrigPoly.sine((2, 0)) + TrigPoly.sine((0, 2))
+         + TrigPoly.cosine((1, 1), 0.3))
+    cx = build_torus_complex(6, f)
+    for q in range(3):
+        fam = laplacian_family(cx, q)
+        assert fam.factors == ()
+        assert all(sub.factors == () for _, sub in fam.split())
