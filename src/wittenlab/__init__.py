@@ -19,7 +19,6 @@ from .branches import (
     SpectralPackage,
     assign_to_critical_points,
     classify,
-    eig_sym,
     localization_masses,
     match_step,
     track_branches,

@@ -47,31 +47,6 @@ DENSE_MAX_DIM = 2000
 SMALL_BLOCK_DIM = 64
 
 
-def eig_sym(A, k: int | None = None, residual_tol: float = 1e-9):
-    """Validated symmetric eigensolve, eigenvalues ascending.
-
-    Returns (w, V) for the k smallest pairs (all if k is None).  The
-    input symmetry is checked against residual_tol * max|A|, and the
-    residual ||A v - lambda v|| of every returned pair against
-    residual_tol times the largest returned |lambda| (at least 1).
-    Sparse input takes a shift-inverted iterative path and then requires
-    an explicit k.
-    """
-    if sp.issparse(A):
-        if k is None:
-            raise ConfigError("full sparse eigendecomposition is not "
-                              "supported; pass an explicit k")
-        return _eig_smallest_sparse(A, k, residual_tol)
-    A = np.asarray(A, dtype=float)
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    asym = float(np.max(np.abs(A - A.T))) if A.size else 0.0
-    if asym > residual_tol * (1.0 + scale):
-        raise NumericalError(f"matrix is not symmetric: asymmetry {asym:.3e}")
-    w, V = _dense_smallest(0.5 * (A + A.T), A.shape[0] if k is None else k)
-    _validate_residuals(A, w, V, residual_tol, w)
-    return w, V
-
-
 def _dense_smallest(A, m: int):
     """The m smallest eigenpairs of the dense symmetric A, ascending.
 

@@ -105,10 +105,14 @@ def _package_payload(run) -> dict:
             "n_large": len(deg.large),
             "warnings": list(deg.assignment_warnings),
         }
-    points = [{"coords": list(p.coords), "index": p.index, "value": p.value,
-               "hessian": list(p.hessian)} for p in run.points]
     return {"manifold": pkg.manifold, "grid": [float(t) for t in pkg.grid],
-            "degrees": degrees, "critical_points": points}
+            "degrees": degrees, "critical_points": _point_rows(run.points)}
+
+
+def _point_rows(points) -> list:
+    """One JSON row per critical point."""
+    return [{"coords": list(p.coords), "index": p.index, "value": p.value,
+             "hessian": list(p.hessian)} for p in points]
 
 
 def cmd_spectrum(args) -> int:
@@ -161,9 +165,7 @@ def cmd_morse(args) -> int:
     cfg = build_config(args)
     flow = run_morse(cfg)
     payload = _base_payload(cfg)
-    payload["points"] = [{"coords": list(p.coords), "index": p.index,
-                          "value": p.value, "hessian": list(p.hessian)}
-                         for p in flow.points]
+    payload["points"] = _point_rows(flow.points)
     payload["cells"] = {
         str(i): [{"axes": [list(a) for a in c.axes],
                   "orientation": c.orientation,

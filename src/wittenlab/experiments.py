@@ -22,7 +22,7 @@ from .branches import (
     lowest_eigenvalues,
     track_branches,
 )
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _potential_to_json
 from .derham import (
     DeRhamComplex,
     build_circle_complex,
@@ -88,21 +88,32 @@ def run_spectrum(config: ExperimentConfig, k: int | None = None) -> SpectrumRun:
 class PackageRun:
     config: ExperimentConfig
     cx: DeRhamComplex
-    points: list
+    points: tuple
     package: SpectralPackage
+    flow: FlowComplex | None  # None for a non-separable torus potential
 
     def degree(self, q: int) -> PackageDegree:
         return self.package.degrees[q]
 
 
 def run_package(config: ExperimentConfig, assign: bool = True) -> PackageRun:
-    """Track, classify, and localize the full spectral package."""
+    """Track, classify, and localize the full spectral package.
+
+    The critical points come from the flow complex wherever it exists:
+    the circle and separable torus potentials.  A non-separable torus
+    potential has no flow, and its points come from the 2-D search.
+    """
     cx = build_complex(config)
-    points = find_critical_points(cx.f, cx.manifold, config.tolerances)
+    tol = config.tolerances
+    if cx.f.is_separable():
+        flow = flow_complex(cx.f, cx.manifold, tol)
+        points = flow.points
+    else:
+        flow = None
+        points = tuple(find_critical_points(cx.f, cx.manifold, tol))
     counts = [sum(1 for p in points if p.index == q) for q in range(cx.n + 1)]
     degrees = config.degrees or list(range(cx.n + 1))
     ts = config.grid()
-    tol = config.tolerances
     pkg = SpectralPackage(manifold=cx.manifold, grid=ts, degrees={})
     for q in degrees:
         k = min(counts[q] + config.k_extra, cx.dims[q])
@@ -112,7 +123,8 @@ def run_package(config: ExperimentConfig, assign: bool = True) -> PackageRun:
             pts_q = [p for p in points if p.index == q]
             assign_to_critical_points(deg, pts_q, cx, tol=tol)
         pkg.degrees[q] = deg
-    return PackageRun(config=config, cx=cx, points=points, package=pkg)
+    return PackageRun(config=config, cx=cx, points=points, package=pkg,
+                      flow=flow)
 
 
 # -- morse flow -------------------------------------------------------------
@@ -120,10 +132,8 @@ def run_package(config: ExperimentConfig, assign: bool = True) -> PackageRun:
 
 def run_morse(config: ExperimentConfig) -> FlowComplex:
     """The certified flow complex of the configured potential."""
-    f = config.potential_trigpoly()
-    tol = config.tolerances
-    points = find_critical_points(f, config.manifold, tol)
-    return flow_complex(f, config.manifold, points, tol)
+    return flow_complex(config.potential_trigpoly(), config.manifold,
+                        config.tolerances)
 
 
 # -- the virtually small complex and its pairing ----------------------------
@@ -228,7 +238,10 @@ def run_torsion(config: ExperimentConfig) -> TorsionRun:
     if sorted(pkg.degrees) != list(range(cx.n + 1)):
         raise ConfigError("torsion needs every degree tracked")
 
-    flow = flow_complex(cx.f, cx.manifold, run.points, tol)
+    flow = run.flow
+    if flow is None:
+        raise ConfigError("unsupported flow: torus gradient cells need a "
+                          "separable potential")
     fc_morse = morse_finite_complex(flow)
     log_T_morse = torsion_T(fc_morse, nullities=cx.betti, tol=tol)
     covols = cohomology_volumes(fc_morse, flow.classes, nullities=cx.betti,
@@ -328,8 +341,8 @@ def run_duality(config: ExperimentConfig) -> DualityRun:
     """
     run_f = run_package(config, assign=True)
     identity = check_duality_identities(run_f.cx)
-    neg = ExperimentConfig.from_dict({**config.as_dict(),
-                                      "potential": _negate_potential_json(config)})
+    neg = ExperimentConfig.from_dict(
+        {**config.as_dict(), "potential": _potential_to_json(-run_f.cx.f)})
     run_g = run_package(neg, assign=True)
 
     n = run_f.cx.n
@@ -416,14 +429,6 @@ def _t0_groups(branches, rel: float = 1e-6):
                 continue
         merged.append(list(g))
     return merged
-
-
-def _negate_potential_json(config: ExperimentConfig):
-    f = config.potential_trigpoly()
-    neg = -f
-    terms = [{"freq": list(freq), "cos": c, "sin": s}
-             for freq, (c, s) in sorted(neg.terms.items())]
-    return {"arity": neg.arity, "terms": terms}
 
 
 # -- anomaly identity on random complexes ------------------------------------

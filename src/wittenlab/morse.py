@@ -1,14 +1,18 @@
 """Critical points and gradient-flow cells of the built-in potentials.
 
-Critical points are located by multi-start Newton iteration on the
-gradient and certified nondegenerate; the count is cross-checked against
-the Euler characteristic (zero for both model manifolds).  Descending
-cells of -grad f are written in closed form: any Morse function works on
-the circle, and separable potentials work on the torus, where every cell
-is a product of factor cells.  Non-separable torus flows would need
-numerical cell tracing and are rejected explicitly.  flow_complex
-assembles the cells, the integer coboundary and the transversality
-table of one potential in a single object.
+find_critical_points is the one Newton search: multi-start Newton
+iteration on the gradient, certified nondegenerate, with the count
+cross-checked against the Euler characteristic (zero for both model
+manifolds).  flow_complex builds the complex of one potential in a
+single object (its points, cells, integer coboundary and
+transversality table) and finds its own points: on the circle by the
+Newton search, on a separable torus as the products of the points of
+the two circle-factor flows, so that each torus point carries its
+factor pair by construction.  Descending cells of -grad f are written
+in closed form: any Morse function works on the circle, and every cell
+of a separable torus potential is a product of factor cells.
+Non-separable torus flows would need numerical cell tracing and are
+rejected explicitly.
 """
 from __future__ import annotations
 
@@ -163,33 +167,21 @@ def _angdist(x, y) -> float:
     return d
 
 
-def _circle_neighbors(points, x: CriticalPoint):
-    """(left, right) cyclic neighbors of x with unwrapped angular offsets."""
-    ring = sorted(points, key=lambda p: p.coords[0])
-    i = _locate(ring, x.coords)
-    right = ring[(i + 1) % len(ring)]
-    left = ring[(i - 1) % len(ring)]
-    d_r = (right.coords[0] - x.coords[0]) % TWO_PI
-    d_l = (x.coords[0] - left.coords[0]) % TWO_PI
-    return (left, d_l), (right, d_r)
-
-
 def _circle_cells(points, x: CriticalPoint):
+    """The cell pieces of x: the point of a minimum, or the two arcs that
+    flank a maximum and end at its cyclic neighbors."""
     th = x.coords[0]
     if x.index == 0:
         return [UnstableCell(owner=x, axes=(("point", th),))]
-    (left, d_l), (right, d_r) = _circle_neighbors(points, x)
-    right_cell = UnstableCell(
-        owner=x,
-        axes=(("arc", th, th + d_r),),
-        boundary=((0, right.coords[0], +1),),
-    )
-    left_cell = UnstableCell(
-        owner=x,
-        axes=(("arc", th - d_l, th),),
-        boundary=((0, left.coords[0], -1),),
-    )
-    return [left_cell, right_cell]
+    ring = sorted(points, key=lambda p: p.coords[0])
+    i = ring.index(x)
+    left, right = ring[i - 1], ring[(i + 1) % len(ring)]
+    d_l = (th - left.coords[0]) % TWO_PI
+    d_r = (right.coords[0] - th) % TWO_PI
+    return [UnstableCell(owner=x, axes=(("arc", th - d_l, th),),
+                         boundary=((0, left.coords[0], -1),)),
+            UnstableCell(owner=x, axes=(("arc", th, th + d_r),),
+                         boundary=((0, right.coords[0], +1),))]
 
 
 def factor_potentials(f: TrigPoly):
@@ -207,15 +199,9 @@ def factor_potentials(f: TrigPoly):
 
 
 def _locate(points, coords) -> int:
-    """Position of the critical point at coords.
-
-    Newton refines the 2-D points and the factor points separately, so
-    equal points may differ in the last bits.
-    """
-    for k, p in enumerate(points):
-        if _angdist(p.coords, coords) < 1e-9:
-            return k
-    raise NumericalError(f"no critical point at {coords}")
+    """Position of the point at coords; the cells copy their far ends
+    from the points, so the match is exact."""
+    return [p.coords for p in points].index(coords)
 
 
 def _closure(flow: "FlowComplex", i: int) -> list:
@@ -251,29 +237,32 @@ class FlowComplex:
     classes: dict  # q -> (len(degrees[q]), betti[q]) integer cocycles
 
 
-def flow_complex(f: TrigPoly, manifold: str, points,
+def flow_complex(f: TrigPoly, manifold: str,
                  tol: Tolerances | None = None) -> FlowComplex:
-    """Cells, coboundary and transversality table of the flow of -grad f.
+    """Points, cells, coboundary and transversality table of the flow
+    of -grad f.
 
-    points are the critical points of f as find_critical_points returns
-    them.  Circle: a maximum's two flanking arcs end at its neighbors,
-    giving n(max, right) = +1 and n(max, left) = -1, the
-    Stokes-consistent signs for increasing-angle arc orientations.
-    Torus (separable f only): the factor complexes are built once; cells
-    are products of factor cells, d follows the graded tensor rule
-    d(a (x) b) = da (x) b + (-1)^|a| a (x) db, and the connections are
-    the products of the factor closures.  The cohomology generators
-    are the constant cochain and the indicator of the first maximum on
-    the circle, and the products of factor generators on the torus.
-    Raises NumericalError when d o d != 0, a cohomology rank misses its
-    Betti number, or a connection has a negative trajectory-space
-    dimension.
+    Circle: the points are those of find_critical_points; a maximum's
+    two flanking arcs end at its neighbors, giving n(max, right) = +1
+    and n(max, left) = -1, the Stokes-consistent signs for
+    increasing-angle arc orientations.  Torus (separable f only): the
+    two factor flows are built once, and every point is a product of
+    factor points, its coordinates concatenated, its index and value
+    added and its Hessian eigenvalues the sorted pair; the points are
+    sorted by (index, coords).  Cells are products of factor cells, d
+    follows the graded tensor rule d(a (x) b) = da (x) b + (-1)^|a| a
+    (x) db, and the connections are the products of the factor
+    closures.  The cohomology generators are the constant cochain and
+    the indicator of the first maximum on the circle, and the products
+    of factor generators on the torus.  Raises NumericalError when d o
+    d != 0, a cohomology rank misses its Betti number, or a connection
+    has a negative trajectory-space dimension.
     """
-    points = tuple(points)
-    n = len(points)
-    full = np.zeros((n, n), dtype=int)  # full[y, x]: coefficient of y in d x
     links = []  # (x, y) positions, x above y
     if manifold == "circle":
+        points = tuple(find_critical_points(f, manifold, tol))
+        n = len(points)
+        full = np.zeros((n, n), dtype=int)  # full[y, x]: coefficient of y in d x
         cells = tuple(tuple(_circle_cells(points, x)) for x in points)
         for i, pieces in enumerate(cells):
             for piece in pieces:
@@ -287,16 +276,15 @@ def flow_complex(f: TrigPoly, manifold: str, points,
                 1: [top]}
         betti = (1, 1)
     elif manifold == "torus":
-        factors = [flow_complex(h, "circle",
-                                find_critical_points(h, "circle", tol), tol)
-                   for h in factor_potentials(f)]
-        c1, c2 = factors
-        pairs = [(_locate(c1.points, x.coords[:1]),
-                  _locate(c2.points, x.coords[1:])) for x in points]
+        c1, c2 = factors = [flow_complex(h, "circle", tol)
+                            for h in factor_potentials(f)]
+        prods = {(a, b): _product_point(x1, x2)
+                 for a, x1 in enumerate(c1.points)
+                 for b, x2 in enumerate(c2.points)}
+        pairs = sorted(prods, key=lambda ab: (prods[ab].index,
+                                              prods[ab].coords))
+        points = tuple(prods[ab] for ab in pairs)
         at = {ab: i for i, ab in enumerate(pairs)}
-        if len(at) != n or n != len(c1.points) * len(c2.points):
-            raise NumericalError("critical points are not the products of "
-                                 "the factor critical points")
         cells = tuple(tuple(
             UnstableCell(owner=x, axes=(p1.axes[0], p2.axes[0]),
                          orientation=p1.orientation * p2.orientation,
@@ -373,3 +361,10 @@ def _full_coboundary(flow: FlowComplex) -> np.ndarray:
     for q, m in enumerate(flow.d):
         full[np.ix_(flow.degrees[q + 1], flow.degrees[q])] = m
     return full
+
+
+def _product_point(x1: CriticalPoint, x2: CriticalPoint) -> CriticalPoint:
+    """The torus critical point of h1 + h2 at the factor points x1, x2."""
+    return CriticalPoint(coords=x1.coords + x2.coords,
+                         index=x1.index + x2.index, value=x1.value + x2.value,
+                         hessian=tuple(sorted(x1.hessian + x2.hessian)))

@@ -3,10 +3,13 @@
 Nothing here reuses the package's assembly code paths.  Operators are
 rebuilt by pointwise collocation on a fine grid, spectra by tensor
 enumeration, torsion by singular values, integrals via adaptive
-quadrature from scipy or closed forms.  The tests then demand agreement
+quadrature from scipy or closed forms, torus critical points by a grid
+scan and Newton.  The tests then demand agreement
 between these routes and the package; keeping the routes separate is
 what gives the comparisons teeth.
 """
+
+import math
 
 import numpy as np
 import scipy.integrate
@@ -196,6 +199,67 @@ def fd_hessian(func, pt, h=1e-4):
             H[i, j] = (func(pt + ei + ej) - func(pt + ei - ej)
                        - func(pt - ei + ej) + func(pt - ei - ej)) / (4 * h * h)
     return 0.5 * (H + H.T)
+
+
+# ---------------------------------------------------------------------------
+# torus critical points by grid scan plus Newton
+
+# (cos 2t, sin 2t) amplitudes of sin(2t + k pi / 2), k = 0..3, exact
+QUARTER_TURNS = ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0))
+# the 16 quarter-turn rotations of the two factors of sin 2th1 + sin 2th2
+# (the first is the unrotated potential), and the generic phases (0.4, 1.3)
+TORUS_FACTOR_AMPLITUDES = [(a, b) for a in QUARTER_TURNS
+                           for b in QUARTER_TURNS] \
+    + [((math.sin(0.4), math.cos(0.4)), (math.sin(1.3), math.cos(1.3)))]
+
+
+def _trig_derivatives(terms, x):
+    """Gradient (m, 2) and Hessian (m, 2, 2) at the rows of x of
+    sum over terms of c cos(k . x) + s sin(k . x)."""
+    g = np.zeros(x.shape)
+    H = np.zeros(x.shape + (2,))
+    for k, (c, s) in terms.items():
+        k = np.asarray(k, dtype=float)
+        ph = x @ k
+        g += np.outer(s * np.cos(ph) - c * np.sin(ph), k)
+        H -= (c * np.cos(ph) + s * np.sin(ph))[:, None, None] * np.outer(k, k)
+    return g, H
+
+
+def torus_critical_points(terms, grid=64, steps=30):
+    """(index, coords) of every critical point of a torus potential,
+    sorted by index, then by coordinates rounded to 1e-9.
+
+    terms maps a frequency pair (k1, k2) to its (cos, sin) amplitudes.
+    The scan keeps the nodes of a grid x grid mesh where |grad f|^2 is
+    no larger than at its eight neighbours; full Newton steps from each
+    converge to a critical point, and points within 1e-8 are merged.
+    """
+    axis = np.arange(grid) * (TWO_PI / grid)
+    x = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    g, _ = _trig_derivatives(terms, x)
+    g2 = np.sum(g * g, axis=1).reshape(grid, grid)
+    low = np.ones_like(g2, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            low &= g2 <= np.roll(np.roll(g2, di, 0), dj, 1)
+    x = x[low.ravel()]
+    for _ in range(steps):
+        g, H = _trig_derivatives(terms, x)
+        x = x - np.linalg.solve(H, g[..., None])[..., 0]
+    g, H = _trig_derivatives(terms, x)
+    x = np.mod(x[np.max(np.abs(g), axis=1) < 1e-13], TWO_PI)
+    x[x > TWO_PI - 1e-9] = 0.0
+    points = []
+    for xi in x:
+        if all(np.max(np.abs(np.angle(np.exp(1j * (xi - y))))) > 1e-8
+               for y in points):
+            points.append(xi)
+    _, H = _trig_derivatives(terms, np.array(points))
+    index = np.sum(np.linalg.eigvalsh(H) < 0, axis=1)
+    out = [(int(i), tuple(float(c) for c in xi))
+           for i, xi in zip(index, points)]
+    return sorted(out, key=lambda p: (p[0], tuple(np.round(p[1], 9))))
 
 
 # ---------------------------------------------------------------------------

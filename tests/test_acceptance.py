@@ -17,7 +17,6 @@ from wittenlab.derham import witten_laplacian
 from wittenlab.experiments import (build_complex, package_vectors,
                                    random_based_complex, run_verify_anomaly)
 from wittenlab.integrals import det_log, pairing_matrix
-from wittenlab.morse import flow_complex
 
 LINES = []
 
@@ -188,7 +187,7 @@ def test_criterion_09_pairing_positivity(circle_torsion, torus_torsion):
     for name, run in (("circle", circle_torsion), ("torus", torus_torsion)):
         cx = run.package_run.cx
         tol = run.config.tolerances
-        flow = flow_complex(cx.f, cx.manifold, run.package_run.points, tol)
+        flow = run.package_run.flow
         for q, rows in run.positivity.items():
             signs = [r[2] for r in rows]
             # determinant signs are a basis gauge; what the statement

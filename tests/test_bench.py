@@ -13,7 +13,7 @@ from wittenlab.experiments import (build_complex, grid_pairings, int_morphism,
                                    morse_finite_complex, run_package,
                                    vs_complex)
 from wittenlab.integrals import a_log_total, det_log, pairing_matrix
-from wittenlab.morse import find_critical_points, flow_complex
+from wittenlab.morse import flow_complex
 from wittenlab.torsion import (alternating_log, check_anomaly, harmonic_basis,
                                torsion_T, vol_of_iso)
 
@@ -26,8 +26,7 @@ def test_bench_pairing_matrix_circle(benchmark, q):
     lowest eigenvectors of the deformed Laplacian, one per cell."""
     cfg = preset("circle-sin2")
     cx = build_complex(cfg)
-    points = find_critical_points(cx.f, cx.manifold, cfg.tolerances)
-    flow = flow_complex(cx.f, cx.manifold, points, cfg.tolerances)
+    flow = flow_complex(cx.f, cx.manifold, cfg.tolerances)
     k = len(flow.degrees[q])
     _, V = np.linalg.eigh(laplacian_family(cx, q).at(4.0).toarray())
     M = benchmark(pairing_matrix, cx, q, V[:, :k], flow, 4.0, cfg.tolerances)
@@ -40,10 +39,19 @@ def test_bench_grid_pairings(benchmark, name):
     t, paired with the tracked package as in run_torsion."""
     cfg = preset(name)
     run = run_package(cfg, assign=True)
-    cx = run.cx
-    flow = flow_complex(cx.f, cx.manifold, run.points, cfg.tolerances)
-    table = benchmark(grid_pairings, cx, run.package, flow, cfg.tolerances)
+    table = benchmark(grid_pairings, run.cx, run.package, run.flow,
+                      cfg.tolerances)
     assert len(table) == len(run.package.grid)
+
+
+def test_bench_torus_flow(benchmark):
+    """One torus flow build: the torus-sin2-product points, cells and
+    coboundary from its two circle-factor flows, as run_package builds
+    it."""
+    cfg = preset("torus-sin2-product")
+    f = cfg.potential_trigpoly()
+    flow = benchmark(flow_complex, f, "torus", cfg.tolerances)
+    assert [len(flow.degrees[q]) for q in range(3)] == [4, 8, 4]
 
 
 def _torus24_degree1():
@@ -107,8 +115,7 @@ def test_bench_torsion_assembly(benchmark, name):
     cfg = preset(name)
     tol = cfg.tolerances
     run = run_package(cfg, assign=True)
-    cx, pkg = run.cx, run.package
-    flow = flow_complex(cx.f, cx.manifold, run.points, tol)
+    cx, pkg, flow = run.cx, run.package, run.flow
     pairings = grid_pairings(cx, pkg, flow, tol)[2.0]
     fc_morse = morse_finite_complex(flow)
     log_T_morse = torsion_T(fc_morse, nullities=cx.betti, tol=tol)

@@ -5,8 +5,9 @@ import scipy.sparse as sp
 from wittenlab import branches, derham
 from wittenlab.branches import (LABEL_LARGE, LABEL_VS, LABEL_ZERO,
                                 _box_axes, _box_gram, _CoveredSolver,
-                                _rebase_split_groups, _solver_matrix,
-                                classify, eig_sym, eigenvalue_clusters,
+                                _eig_smallest_sparse, _rebase_split_groups,
+                                _solver_matrix, _validate_residuals,
+                                classify, eigenvalue_clusters,
                                 lowest_eigenvalues, match_step,
                                 track_branches)
 from wittenlab.config import Tolerances
@@ -19,40 +20,25 @@ from wittenlab.trigpoly import TrigPoly, circle_sin2, torus_sin2_product
 import oracles
 
 
-def test_eig_sym_matches_dense(rng):
-    M = rng.standard_normal((12, 12))
-    A = 0.5 * (M + M.T)
-    w, V = eig_sym(A)
-    wd = np.linalg.eigvalsh(A)
-    assert np.max(np.abs(w - wd)) < 1e-10
-    assert np.max(np.abs(A @ V - V * w)) < 1e-9
+def test_sparse_solve_rejects_asymmetric(rng):
+    A = sp.csr_matrix(rng.standard_normal((12, 12)))
+    with pytest.raises(NumericalError, match="not symmetric"):
+        _eig_smallest_sparse(A, 3)
 
 
-def test_eig_sym_k_slice(rng):
-    M = rng.standard_normal((10, 10))
-    A = 0.5 * (M + M.T)
-    w, V = eig_sym(A, k=3)
-    assert w.shape == (3,) and V.shape == (10, 3)
-    assert np.max(np.abs(w - np.linalg.eigvalsh(A)[:3])) < 1e-10
+def test_sparse_solve_rejects_a_window_outside_the_block():
+    A = sp.eye(8, format="csr")
+    for k in (0, 8):
+        with pytest.raises(ConfigError):
+            _eig_smallest_sparse(A, k)
 
 
-def test_eig_sym_rejects_asymmetric(rng):
-    A = rng.standard_normal((6, 6))
-    with pytest.raises(NumericalError):
-        eig_sym(A)
-
-
-def test_eig_sym_rejects_nan():
+def test_residual_check_rejects_nan():
     A = np.eye(5)
     A[2, 2] = np.nan
-    with pytest.raises(NumericalError):
-        eig_sym(A)
-
-
-def test_eig_sym_sparse_needs_k():
-    A = sp.eye(8, format="csr")
-    with pytest.raises(ConfigError):
-        eig_sym(A)
+    w, V = np.ones(5), np.eye(5)
+    with pytest.raises(NumericalError, match="residual"):
+        _validate_residuals(A, w, V, 1e-9, w)
 
 
 def test_eigenvalue_clusters_grouping():

@@ -3,8 +3,9 @@ import sys
 import numpy as np
 import pytest
 
+from wittenlab import experiments
 from wittenlab.branches import LABEL_VS, LABEL_ZERO
-from wittenlab.config import ExperimentConfig, Tolerances
+from wittenlab.config import ExperimentConfig, Tolerances, preset
 from wittenlab.derham import witten_laplacian
 from wittenlab.errors import ConfigError, NumericalError
 from wittenlab.experiments import (_anomaly_sample_ts, grid_pairings,
@@ -14,9 +15,8 @@ from wittenlab.experiments import (_anomaly_sample_ts, grid_pairings,
                                    run_duality, run_morse, run_package,
                                    run_spectrum, run_torsion,
                                    run_verify_anomaly, vs_complex)
-from wittenlab.morse import find_critical_points, flow_complex
+from wittenlab.morse import find_critical_points
 from wittenlab.torsion import torsion_T
-from wittenlab.trigpoly import torus_sin2_product
 
 
 def small_circle_config(**kw):
@@ -84,9 +84,8 @@ def test_vs_complex_structure(circle_run):
 def test_int_morphism_is_a_chain_map(circle_run):
     run = circle_run
     cx = run.cx
-    flow = flow_complex(cx.f, "circle", run.points)
-    fc_morse = morse_finite_complex(flow)
-    pairings = grid_pairings(cx, run.package, flow)
+    fc_morse = morse_finite_complex(run.flow)
+    pairings = grid_pairings(cx, run.package, run.flow)
     fc_vs = vs_complex(cx, run.package, 0.0)
     m0 = int_morphism(pairings[0.0], fc_vs, fc_morse)
     assert m0.chain_residual < 1e-12
@@ -150,15 +149,36 @@ def count_critical_point_searches(monkeypatch):
 
 
 def test_critical_points_found_once_per_flow(monkeypatch):
-    f = torus_sin2_product()
-    pts = find_critical_points(f, "torus")
     calls = count_critical_point_searches(monkeypatch)
     run_torsion(small_circle_config(modes=20))
     assert calls == ["circle"]
     del calls[:]
-    flow_complex(f, "torus", pts, Tolerances())
-    # one search per circle factor; the torus points come from the caller
+    run_torsion(preset("torus-sin2-product"))
+    # one search per circle factor; the torus points are their products
     assert calls == ["circle", "circle"]
+
+
+def test_nonseparable_torus_package_takes_the_2d_search(monkeypatch):
+    """A non-separable torus potential has no flow, so run_package takes
+    its points from the 2-D search.  The run is stopped once tracking
+    starts: at this cutoff the classification fails its zero count."""
+    potential = {"arity": 2, "terms": [
+        {"freq": [2, 0], "sin": 1.0}, {"freq": [0, 2], "sin": 1.0},
+        {"freq": [1, 1], "cos": 0.3}]}
+    cfg = ExperimentConfig(manifold="torus", potential=potential, modes=6,
+                           t_max=1.0, t_step=0.5)
+    calls = count_critical_point_searches(monkeypatch)
+
+    class TrackingStarted(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise TrackingStarted
+
+    monkeypatch.setattr(experiments, "track_branches", stop)
+    with pytest.raises(TrackingStarted):
+        run_package(cfg)
+    assert calls == ["torus"]
 
 
 def test_run_duality_small_circle():

@@ -12,15 +12,11 @@ from wittenlab.experiments import grid_pairings
 from wittenlab.integrals import (CellMoments, DetValue, a_log_total, det_log,
                                  int_cochain, integral_A, integrate_1d,
                                  pairing_matrix)
-from wittenlab.morse import find_critical_points, flow_complex
+from wittenlab.morse import flow_complex
 from wittenlab.trigpoly import (TWO_PI, TrigPoly, circle_sin2,
                                 torus_sin2_product)
 
 import oracles
-
-
-def flow_of(f, manifold):
-    return flow_complex(f, manifold, find_critical_points(f, manifold))
 
 
 def test_integrate_1d_known_values():
@@ -102,7 +98,7 @@ def band_limited_scalar_2d(rng, N, kmax):
 
 
 def test_point_cell_pairing_closed_form(circle_cx8):
-    flow = flow_of(circle_cx8.f, "circle")
+    flow = flow_complex(circle_cx8.f, "circle")
     i = flow.degrees[0][0]
     pt, (piece,) = flow.points[i], flow.cells[i]
     e0 = np.zeros(circle_cx8.dims[0])
@@ -115,7 +111,7 @@ def test_point_cell_pairing_closed_form(circle_cx8):
 
 def test_arc_cell_pairing_against_quad(circle_cx8):
     f = circle_cx8.f
-    flow = flow_of(f, "circle")
+    flow = flow_complex(f, "circle")
     pieces = flow.cells[flow.degrees[1][0]]
     e0 = np.zeros(circle_cx8.dims[1])
     e0[0] = 1.0
@@ -130,7 +126,7 @@ def test_arc_cell_pairing_against_quad(circle_cx8):
 
 def test_integral_orientation_flips_sign(circle_cx8):
     import dataclasses
-    flow = flow_of(circle_cx8.f, "circle")
+    flow = flow_complex(circle_cx8.f, "circle")
     piece = flow.cells[flow.degrees[1][0]][0]
     flipped = dataclasses.replace(piece, orientation=-piece.orientation)
     w = np.zeros(circle_cx8.dims[1])
@@ -141,7 +137,7 @@ def test_integral_orientation_flips_sign(circle_cx8):
 
 
 def test_integral_degree_mismatch(circle_cx8):
-    flow = flow_of(circle_cx8.f, "circle")
+    flow = flow_complex(circle_cx8.f, "circle")
     piece = flow.cells[flow.degrees[0][0]][0]
     with pytest.raises(ConfigError):
         integral_A(circle_cx8, 1, np.zeros(circle_cx8.dims[1]), piece, 0.0)
@@ -152,7 +148,7 @@ def test_stokes_circle(rng, circle_cx8):
     derivative, as long as the form stays clear of the cutoff so the
     projected multiplication is exact."""
     cx = circle_cx8
-    flow = flow_of(cx.f, "circle")
+    flow = flow_complex(cx.f, "circle")
     for t in (0.0, 0.8, 3.0):
         w = band_limited_scalar(rng, cx.N, cx.N - 2)
         lhs = flow.d[0] @ int_cochain(cx, 0, w, flow, t)
@@ -176,7 +172,7 @@ def shifted_sin2_product(a, b):
 ])
 def test_stokes_torus(rng, potential):
     cx = build_torus_complex(6, potential())
-    flow = flow_of(cx.f, "torus")
+    flow = flow_complex(cx.f, "torus")
     t = 0.7
     w = band_limited_scalar_2d(rng, cx.N, cx.N - 2)
     lhs = flow.d[0] @ int_cochain(cx, 0, w, flow, t)
@@ -252,7 +248,7 @@ def assert_close_to_oracle(got, ref, rel):
 
 def test_pairing_matrix_form_block_against_oracle_circle(rng, circle_cx8):
     cx = circle_cx8
-    flow = flow_of(cx.f, "circle")
+    flow = flow_complex(cx.f, "circle")
     for q in (0, 1):
         for t in (0.0, 4.0, 15.0):
             forms = np.column_stack([band_limited_scalar(rng, cx.N, cx.N - 2)
@@ -264,7 +260,7 @@ def test_pairing_matrix_form_block_against_oracle_circle(rng, circle_cx8):
 
 def test_pairing_matrix_form_block_against_oracle_torus(rng, torus_cx6):
     cx = torus_cx6
-    flow = flow_of(cx.f, "torus")
+    flow = flow_complex(cx.f, "torus")
     t = 0.7
     for q in (0, 1, 2):
         blocks = 2 if q == 1 else 1
@@ -286,7 +282,7 @@ def arcs_of(flow):
 def assert_moments_match_oracle(cx, ts, factor_fns, columns):
     """Sampled (t, i) moment columns of every arc against scipy quad,
     within 1e-10 of the column's integral of |e^{t f_a} phi_i|."""
-    flow = flow_of(cx.f, cx.manifold)
+    flow = flow_complex(cx.f, cx.manifold)
     moments = CellMoments(cx, ts)
     for a, ax in arcs_of(flow):
         _, lo, hi = ax
@@ -326,7 +322,7 @@ def test_grid_pass_matches_one_t_pairings(rng, circle_cx8, torus_cx6,
     cx = circle_cx8 if manifold == "circle" else torus_cx6
     ts = np.arange(0.0, 15.01, 0.5) if manifold == "circle" else \
         np.arange(0.0, 5.01, 0.5)
-    flow = flow_of(cx.f, manifold)
+    flow = flow_complex(cx.f, manifold)
     moments = CellMoments(cx, ts)
     for q in range(cx.n + 1):
         forms = rng.standard_normal((ts.size, cx.dims[q], 3))
@@ -350,9 +346,8 @@ def test_grid_pass_integrates_each_arc_once(monkeypatch, circle_torsion,
 
     monkeypatch.setattr(integrals, "integrate_1d", counting)
     for run, want in ((circle_torsion, 4), (torus_torsion, 8)):
-        cx = run.package_run.cx
+        cx, flow = run.package_run.cx, run.package_run.flow
         tol = run.config.tolerances
-        flow = flow_complex(cx.f, cx.manifold, run.package_run.points, tol)
         calls.clear()
         table = grid_pairings(cx, run.package_run.package, flow, tol)
         assert len(table) == len(run.package_run.package.grid)
@@ -383,7 +378,7 @@ def test_a_log_total_arithmetic():
 
 def test_a_q_shape_guard_and_consistency(rng, circle_cx8):
     cx = circle_cx8
-    flow = flow_of(cx.f, "circle")
+    flow = flow_complex(cx.f, "circle")
     forms = rng.standard_normal((cx.dims[0], 2))
     M = pairing_matrix(cx, 0, forms, flow, 0.5)
     d = det_log(M)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wittenlab import morse
 from wittenlab.errors import (ConfigError, DegenerateCriticalPointError,
                               NumericalError)
 from wittenlab.morse import (CriticalPoint, factor_potentials,
@@ -15,10 +16,6 @@ import oracles
 def ang_eq(a, b, tol=1e-9):
     d = abs(a - b) % TWO_PI
     return min(d, TWO_PI - d) < tol
-
-
-def flow_of(f, manifold):
-    return flow_complex(f, manifold, find_critical_points(f, manifold))
 
 
 def test_circle_critical_points():
@@ -63,6 +60,43 @@ def test_torus_critical_points():
         assert int(np.sum(hw < 0)) == p.index
 
 
+@pytest.mark.parametrize("amps", oracles.TORUS_FACTOR_AMPLITUDES)
+def test_torus_flow_points_match_the_search_and_the_oracle(amps):
+    """The torus flow builds its points from the circle factors.  On the
+    16 quarter-turn potentials and on the phases (0.4, 1.3) they come in
+    the order of the 2-D Newton search and of the grid-scan oracle, with
+    the same indices and coordinates within 1e-12."""
+    terms = {(2, 0): amps[0], (0, 2): amps[1]}
+    f = TrigPoly(2, terms)
+    want = oracles.torus_critical_points(terms)
+    assert len(want) == 16
+    for got in (flow_complex(f, "torus").points,
+                find_critical_points(f, "torus")):
+        assert [p.index for p in got] == [i for i, _ in want]
+        for p, (_, coords) in zip(got, want):
+            assert all(ang_eq(a, b, 1e-12) for a, b in zip(p.coords, coords))
+
+
+def test_torus_flow_points_are_factor_products():
+    """Each torus point carries the sum of its factor indices and values
+    and the sorted pair of factor Hessian eigenvalues."""
+    f = torus_sin2_product() + TrigPoly.const(2, 0.5)
+    h1, h2 = factor_potentials(f)
+    by_coords = {(a.coords + b.coords): (a, b)
+                 for a in find_critical_points(h1, "circle")
+                 for b in find_critical_points(h2, "circle")}
+    flow = flow_complex(f, "torus")
+    assert len(flow.points) == len(by_coords) == 16
+    for p in flow.points:
+        a, b = by_coords[p.coords]
+        assert p.index == a.index + b.index
+        assert p.value == a.value + b.value
+        assert p.value == pytest.approx(f(*p.coords), abs=1e-12)
+        assert p.hessian == tuple(sorted(a.hessian + b.hessian))
+    assert flow.points == tuple(sorted(flow.points,
+                                       key=lambda p: (p.index, p.coords)))
+
+
 def test_degenerate_potential_rejected():
     # f = cos(2 theta) + cos(4 theta)/4 has f'' = 0 at theta = pi/2
     f = TrigPoly.cosine((2,)) + TrigPoly.cosine((4,), 0.25)
@@ -92,7 +126,7 @@ def test_factor_potentials_requires_separable():
 
 
 def test_circle_unstable_cells():
-    flow = flow_of(circle_sin2(), "circle")
+    flow = flow_complex(circle_sin2(), "circle")
     minima = [p for p in flow.points if p.index == 0]
     for p, cells in zip(flow.points, flow.cells):
         if p.index == 0:
@@ -119,7 +153,7 @@ def test_circle_unstable_cells():
 
 
 def test_torus_unstable_cells_are_products():
-    flow = flow_of(torus_sin2_product(), "torus")
+    flow = flow_complex(torus_sin2_product(), "torus")
     for p, cells in zip(flow.points, flow.cells):
         assert len(cells) == 2 ** p.index
         for cell in cells:
@@ -130,25 +164,26 @@ def test_torus_unstable_cells_are_products():
 
 def test_morse_smale_certificates():
     # a failed certificate raises, so a built complex has passed it
-    table = flow_of(circle_sin2(), "circle").smale_table
+    table = flow_complex(circle_sin2(), "circle").smale_table
     assert all(dim == 0 for _, _, dim in table)
-    table2 = flow_of(torus_sin2_product(), "torus").smale_table
+    table2 = flow_complex(torus_sin2_product(), "torus").smale_table
     assert all(dim >= 0 for _, _, dim in table2)
     assert len(table2) > 0
 
 
-def test_morse_smale_violation_raises():
+def test_morse_smale_violation_raises(monkeypatch):
     # adjacent maxima: the right arc of the first ends at the second, a
     # connection whose trajectory space has dimension -1
     pts = [CriticalPoint(coords=(c,), index=i, value=float(i),
                          hessian=(1.0 - 2.0 * i,))
            for i, c in ((0, 0.5), (0, 3.5), (1, 1.5), (1, 2.5))]
+    monkeypatch.setattr(morse, "find_critical_points", lambda *_: pts)
     with pytest.raises(NumericalError, match="transversality"):
-        flow_complex(circle_sin2(), "circle", pts)
+        flow_complex(circle_sin2(), "circle")
 
 
 def test_circle_morse_coboundary():
-    mc = flow_of(circle_sin2(), "circle")
+    mc = flow_complex(circle_sin2(), "circle")
     assert mc.betti == (1, 1)
     (d0,) = mc.d
     assert d0.shape == (2, 2)
@@ -159,7 +194,7 @@ def test_circle_morse_coboundary():
 
 
 def test_torus_morse_coboundary():
-    mc = flow_of(torus_sin2_product(), "torus")
+    mc = flow_complex(torus_sin2_product(), "torus")
     assert mc.betti == (1, 2, 1)
     d0, d1 = mc.d
     assert d0.shape == (8, 4) and d1.shape == (4, 8)
@@ -174,12 +209,12 @@ def test_torus_morse_coboundary():
 @pytest.mark.parametrize("phases", [(0.4, 1.3), (4.87, 1.42), (0.1, 2.2),
                                     (2.2, 3.1), (0.0, 0.0)])
 def test_torus_morse_coboundary_phase_shifted(phases):
-    # sin(2 th1 + a) + sin(2 th2 + b): the 2-D Newton points and the
-    # factor points of a shifted potential differ in the last bits
+    # sin(2 th1 + a) + sin(2 th2 + b): shifted phases move the points
+    # off the quarter turns
     a, b = phases
     f = TrigPoly(2, {(2, 0): (math.sin(a), math.cos(a)),
                      (0, 2): (math.sin(b), math.cos(b))})
-    mc = flow_of(f, "torus")
+    mc = flow_complex(f, "torus")
     d0, d1 = mc.d
     assert d0.shape == (8, 4) and d1.shape == (4, 8)
     assert np.max(np.abs(d1 @ d0)) == 0
@@ -190,4 +225,4 @@ def test_torus_morse_coboundary_phase_shifted(phases):
 def test_morse_coboundary_nonseparable_torus_rejected():
     mixed = TrigPoly.cosine((1, 1)) + TrigPoly.cosine((0, 1))
     with pytest.raises(ConfigError):
-        flow_of(mixed, "torus")
+        flow_complex(mixed, "torus")

@@ -6,7 +6,7 @@ import pytest
 from wittenlab.errors import ConfigError, NumericalError
 from wittenlab.experiments import (morse_finite_complex, random_based_complex,
                                    random_chain_iso)
-from wittenlab.morse import find_critical_points, flow_complex
+from wittenlab.morse import flow_complex
 from wittenlab.torsion import (ComplexMorphism, FiniteComplex, alternating_log,
                                branch_term_from_values, check_anomaly,
                                cohomology_volumes, det_prime, evaluate_theorem,
@@ -15,10 +15,6 @@ from wittenlab.torsion import (ComplexMorphism, FiniteComplex, alternating_log,
 from wittenlab.trigpoly import TWO_PI, TrigPoly, circle_sin2
 
 import oracles
-
-
-def flow_of(f, manifold):
-    return flow_complex(f, manifold, find_critical_points(f, manifold))
 
 
 def test_finite_complex_validation():
@@ -138,7 +134,7 @@ def test_harmonic_basis_gap_guard():
 
 
 def test_cohomology_volumes_circle_is_two():
-    mc = flow_of(circle_sin2(), "circle")
+    mc = flow_complex(circle_sin2(), "circle")
     fc = morse_finite_complex(mc)
     vols = cohomology_volumes(fc, mc.classes)
     # covolume of the constant cochain over two minima is sqrt 2; the
@@ -146,15 +142,6 @@ def test_cohomology_volumes_circle_is_two():
     assert vols[0] == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
     assert vols[1] == pytest.approx(-0.5 * math.log(2.0), abs=1e-12)
     assert alternating_log(vols) == pytest.approx(math.log(2.0), abs=1e-12)
-
-
-# (cos 2t, sin 2t) amplitudes of sin(2t + k pi / 2), k = 0..3, exact
-QUARTER_TURNS = ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0))
-# the 16 quarter-turn rotations of the two factors of the preset (the
-# first is the preset), and the generic phases (0.4, 1.3)
-TORUS_FACTOR_AMPLITUDES = [(a, b) for a in QUARTER_TURNS
-                           for b in QUARTER_TURNS] \
-    + [((math.sin(0.4), math.cos(0.4)), (math.sin(1.3), math.cos(1.3)))]
 
 
 def sin2_rotated(amp1, amp2):
@@ -169,8 +156,8 @@ def test_cohomology_volumes_torus_is_one():
     """The flow-complex classes are integer cocycles with the product
     supports (4 minima; 2 + 2 saddles; 1 maximum) and alternating
     covolume 1, for every rotation of the factors."""
-    for amps in TORUS_FACTOR_AMPLITUDES:
-        mc = flow_of(sin2_rotated(*amps), "torus")
+    for amps in oracles.TORUS_FACTOR_AMPLITUDES:
+        mc = flow_complex(sin2_rotated(*amps), "torus")
         fc = morse_finite_complex(mc)
         for q, C in mc.classes.items():
             if q < len(mc.d):
@@ -182,7 +169,7 @@ def test_cohomology_volumes_torus_is_one():
 
 
 def test_cohomology_volumes_rejects_non_cocycle():
-    mc = flow_of(circle_sin2(), "circle")
+    mc = flow_complex(circle_sin2(), "circle")
     fc = morse_finite_complex(mc)
     bad = {0: np.array([[1.0], [0.0]]), 1: np.array([[1.0], [0.0]])}
     with pytest.raises(ConfigError):

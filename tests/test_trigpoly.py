@@ -107,8 +107,7 @@ def test_l2_inner_matches_quadrature(seed):
     p = random_poly(rng, nterms=3)
     q = random_poly(rng, nterms=3)
     theta = np.arange(4096) * (TWO_PI / 4096)
-    pv = np.array([p(t) for t in theta])
-    qv = np.array([q(t) for t in theta])
+    pv, qv = p(theta), q(theta)
     quad = float(np.sum(pv * qv)) * (TWO_PI / 4096)
     assert p.l2_inner(q) == pytest.approx(quad, abs=1e-9)
 
