@@ -20,7 +20,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+from scipy.sparse.csgraph import (connected_components,
+                                  min_weight_full_bipartite_matching)
 
 from .config import Tolerances
 from .derham import DeRhamComplex, LaplacianFamily, laplacian_family
@@ -95,19 +96,25 @@ def _eig_smallest_sparse(A, k: int, residual_tol: float = 1e-9):
     return w, V
 
 
-def eigenvalue_clusters(w: np.ndarray, cluster_rel: float):
-    """Partition an ascending eigenvalue list into near-degenerate runs.
+def _runs(w, limit):
+    """Split the ascending w where a step w[i] - w[i - 1] exceeds limit
+    (one bound, or one per step).
 
     Returns a list of (lo, hi) index ranges, hi exclusive.
     """
-    out = []
-    lo = 0
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] > cluster_rel * (1.0 + abs(w[i])):
-            out.append((lo, i))
-            lo = i
-    out.append((lo, len(w)))
-    return out
+    cuts = (np.flatnonzero(w[1:] - w[:-1] > limit) + 1).tolist()
+    bounds = [0, *cuts, len(w)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def eigenvalue_clusters(w: np.ndarray, cluster_rel: float):
+    """Partition an ascending eigenvalue list into near-degenerate runs:
+    a step above cluster_rel (1 + |w[i]|) up to w[i] starts a new run.
+
+    Returns a list of (lo, hi) index ranges, hi exclusive.
+    """
+    w = np.asarray(w, dtype=float)
+    return _runs(w, cluster_rel * (1.0 + np.abs(w[1:])))
 
 
 def _min_cost_assignment(cost) -> np.ndarray:
@@ -200,28 +207,10 @@ def _rebase_split_groups(prev_V, w_next, V_next, cols, W, ov, tol):
         E[:, ci] = np.sum(P * P, axis=0)
     # connected components of the branch-cluster graph over significant
     # projection energies; a component is one jointly-determined group
-    adj = E >= 0.1
-    comp = -np.ones(k, dtype=int)
-    ccomp = -np.ones(ncl, dtype=int)
-    nc = 0
-    for i in range(k):
-        if comp[i] >= 0:
-            continue
-        comp[i] = nc
-        stack = [("b", i)]
-        while stack:
-            kind, idx = stack.pop()
-            if kind == "b":
-                for ci in np.nonzero(adj[idx])[0]:
-                    if ccomp[ci] < 0:
-                        ccomp[ci] = nc
-                        stack.append(("c", ci))
-            else:
-                for bi in np.nonzero(adj[:, idx])[0]:
-                    if comp[bi] < 0:
-                        comp[bi] = nc
-                        stack.append(("b", bi))
-        nc += 1
+    adj = sp.csr_matrix(E >= 0.1)
+    _, labels = connected_components(sp.bmat([[None, adj], [adj.T, None]]),
+                                     directed=False)
+    comp, ccomp = labels[:k], labels[k:]
     cols = cols.copy()
     W = W.copy()
     ov = ov.copy()
@@ -388,8 +377,6 @@ def _lowest_solves(blocks, t: float, k: int, tol: Tolerances):
                     f"eigensolver window cap {solvers[b].cap} cannot cover "
                     f"the {k} smallest values at t={t:.6g}")
             solves[b] = solvers[b].solve(t)
-    for (_, sub), (w, V) in zip(blocks, solves):
-        _validate_residuals(sub.at(t), w, V, tol.eig_residual, w)
     return solves, values, owner
 
 
@@ -437,23 +424,43 @@ def _solver_matrix(fam: LaplacianFamily, t: float):
     return A
 
 
+def _smallest(fam: LaplacianFamily, t: float, m: int, tol: Tolerances):
+    """The min(m, dim) smallest eigenpairs (w, V) of fam at t, ascending,
+    and the matrix A they are to be validated against: (A, w, V).
+
+    A Kronecker-sum block (_factored) takes them from the full eigh of
+    its two circle factors, the sums lambda_a + mu_b in stable order with
+    the Kronecker products u_a (x) v_b of the kept ones; A is then the
+    assembled block, so the Kronecker identity is certified at every
+    solve.  A block above DENSE_MAX_DIM takes the shift-invert solve of
+    its CSR form, any other _dense_smallest of its dense form.
+    """
+    if _factored(fam):
+        _, F1, F2 = fam.factors[0]
+        w1, U1 = np.linalg.eigh(_solver_matrix(F1, t))
+        w2, U2 = np.linalg.eigh(_solver_matrix(F2, t))
+        sums = (w1[:, None] + w2).ravel()
+        keep = np.argsort(sums, kind="stable")[:m]
+        a, b = np.divmod(keep, w2.size)
+        V = (U1[:, None, a] * U2[None, :, b]).reshape(fam.dim, keep.size)
+        return fam.at(t), sums[keep], V
+    A = _solver_matrix(fam, t)
+    if _windowed(fam):
+        return (A, *_eig_smallest_sparse(A, m, tol.eig_residual))
+    return (A, *_dense_smallest(A, m))
+
+
 class _CoveredSolver:
     """Eigensolves of one family whose complete clusters cover k values.
 
-    Each solve asks for the window smallest pairs: from syevr on dense
-    blocks, from shift-invert Lanczos above DENSE_MAX_DIM, and from a
-    full np.linalg.eigh on small blocks and once the window reaches the
-    block.  A cluster cut by the window edge comes back as an arbitrary
-    partial slice of its degenerate subspace, and matching onto such a
-    slice corrupts a tracked branch without tripping the overlap gate.
-    So the top cluster of a partial window is dropped, and the window
-    grows until the complete clusters hold k values and, when a value
-    is needed, reach past it with a margin.
-
-    A Kronecker-sum block (_factored) sees its whole spectrum from the
-    full eigh of its two circle factors, so its cut moves up from the
-    window instead: to the end of the cluster it falls in, and on until
-    it also holds k values and passes the margin.
+    Each solve asks _smallest for the window smallest pairs.  A cluster
+    cut by the window edge comes back as an arbitrary partial slice of
+    its degenerate subspace, and matching onto such a slice corrupts a
+    tracked branch without tripping the overlap gate.  So unless the
+    window holds the whole spectrum, its top cluster (eigenvalue_clusters)
+    is dropped, and the window grows until the complete clusters hold k
+    values and, when a value is needed, reach past it with a margin.
+    Every solve's pairs are validated before they are returned.
     """
 
     def __init__(self, fam: LaplacianFamily, k: int, tol: Tolerances):
@@ -475,55 +482,24 @@ class _CoveredSolver:
     def solve(self, t: float, needed: float | None = None):
         margin = None if needed is None else (
             needed + 1e-2 * (1.0 + abs(needed)))
-        if _factored(self.fam):
-            return self._solve_factored(t, margin)
         while True:
-            if _windowed(self.fam):
-                w, V = _eig_smallest_sparse(self.fam.at(t), self.window,
-                                            self.tol.eig_residual)
-            else:
-                w, V = _dense_smallest(_solver_matrix(self.fam, t),
-                                       self.window)
-            if w.size == self.fam.dim:
-                return w, V  # the whole spectrum: no cluster is cut
-            eps = self.tol.cluster_rel * max(1.0, float(abs(w[-1])))
-            j = w.size - 1
-            while j > 0 and w[j] - w[j - 1] <= eps:
-                j -= 1
-            if j >= self.k and (margin is None or w[j - 1] >= margin):
-                return w[:j], V[:, :j]
+            A, w, V = _smallest(self.fam, t, self.window, self.tol)
+            n = w.size
+            # the whole spectrum cuts no cluster; a window drops its top one
+            covered = n == self.fam.dim
+            if not covered:
+                n = eigenvalue_clusters(w, self.tol.cluster_rel)[-1][0]
+                covered = n >= self.k and (margin is None
+                                           or w[n - 1] >= margin)
+            if covered:
+                w, V = w[:n], V[:, :n]
+                _validate_residuals(A, w, V, self.tol.eig_residual, w)
+                return w, V
             if not self.widen():
                 raise TrackingError(
                     f"eigensolver window cap {self.cap} cannot cover the "
                     f"tracked branches at t={t:.6g}"
                 )
-
-    def _solve_factored(self, t: float, margin: float | None):
-        """The covered solve of a Kronecker-sum block from its factors.
-
-        The pairs are (lambda_a + mu_b, u_a (x) v_b), built only for the
-        values kept, and validated against the assembled block, which
-        certifies the Kronecker identity at every solve.
-        """
-        _, F1, F2 = self.fam.factors[0]
-        w1, U1 = np.linalg.eigh(_solver_matrix(F1, t))
-        w2, U2 = np.linalg.eigh(_solver_matrix(F2, t))
-        sums = (w1[:, None] + w2).ravel()
-        order = np.argsort(sums, kind="stable")
-        s = sums[order]
-        # cut after position i where a cluster ends, at least the
-        # window and k values in, and past the margin
-        ends = np.diff(s) > self.tol.cluster_rel * np.maximum(
-            1.0, np.abs(s[1:]))
-        ends[:max(self.window, self.k) - 1] = False
-        if margin is not None:
-            ends &= s[:-1] >= margin
-        cut = int(np.argmax(ends)) + 1 if ends.any() else s.size
-        a, b = np.divmod(order[:cut], w2.size)
-        V = (U1[:, None, a] * U2[None, :, b]).reshape(self.fam.dim, cut)
-        w = s[:cut]
-        _validate_residuals(self.fam.at(t), w, V, self.tol.eig_residual, w)
-        return w, V
 
 
 def _sign_gauge(V: np.ndarray) -> np.ndarray:
@@ -668,8 +644,8 @@ def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
 def _validate_residuals(A, w, V, residual_tol, window):
     """Raise unless max |A V - V diag(w)| is within residual_tol times the
     largest |value| of the solve's window (at least 1)."""
-    scale = max(1.0, float(np.max(np.abs(window)))) if len(window) else 1.0
-    res = float(np.max(np.abs(A @ V - V * w))) if len(w) else 0.0
+    scale = max(1.0, float(np.abs(window).max())) if len(window) else 1.0
+    res = float(np.abs(A @ V - V * w).max()) if len(w) else 0.0
     if not res <= residual_tol * scale:  # a NaN residual fails too
         raise NumericalError(f"eigenpair residual {res:.3e} exceeds tolerance")
 
@@ -793,16 +769,6 @@ def _nearest(ts, t):
     return int(np.argmin(np.abs(np.asarray(ts) - t)))
 
 
-def _absolute_clusters(w, tol_abs):
-    out, lo = [], 0
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] > tol_abs:
-            out.append((lo, i))
-            lo = i
-    out.append((lo, len(w)))
-    return out
-
-
 # -- localization and critical point assignment --------------------------
 
 
@@ -884,7 +850,7 @@ def assign_to_critical_points(pkg: PackageDegree, points, cx: DeRhamComplex,
     # near-degenerate on the vanish_max scale (their mutual splittings are
     # exponentially small); localized combinations live across those
     # splittings, hence the absolute cluster threshold here
-    for lo, hi in _absolute_clusters(lamT[order], max(tol.vanish_max, pkg.tol_zero)):
+    for lo, hi in _runs(lamT[order], max(tol.vanish_max, pkg.tol_zero)):
         sel = order[lo:hi]
         Wc = W[:, sel]
         kc = len(sel)

@@ -349,6 +349,7 @@ def run_duality(config: ExperimentConfig) -> DualityRun:
     worst_val = 0.0
     worst_star = 0.0
     pairs = []
+    rel = config.tolerances.cluster_rel
     for q in sorted(run_f.package.degrees):
         if n - q not in run_g.package.degrees:
             raise ConfigError("dual degree missing from the -f run")
@@ -368,8 +369,8 @@ def run_duality(config: ExperimentConfig) -> DualityRun:
 
         t_end = float(run_f.package.grid[-1])
         star = run_f.cx.S[q]
-        groups_f = _t0_groups(deg_f.branches)
-        groups_g = _t0_groups(deg_g.branches)
+        groups_f = _t0_groups(deg_f.branches, rel)
+        groups_g = _t0_groups(deg_g.branches, rel)
         if [len(g) for g in groups_f] != [len(g) for g in groups_g]:
             raise NumericalError(
                 f"t=0 cluster structure differs between degree {q} and its "
@@ -396,7 +397,7 @@ def run_duality(config: ExperimentConfig) -> DualityRun:
                       star_match_residual=float(worst_star), pairs=pairs)
 
 
-def _t0_groups(branches, rel: float = 1e-6):
+def _t0_groups(branches, rel: float):
     """Package branch indices grouped by their t=0 eigenvalue cluster.
 
     Branches sharing a t0_cluster id are jointly determined; groups whose

@@ -45,6 +45,15 @@ def test_eigenvalue_clusters_grouping():
     w = np.array([0.0, 1e-9, 1.0, 1.0 + 1e-8, 2.0])
     cl = eigenvalue_clusters(w, 1e-6)
     assert cl == [(0, 2), (2, 4), (4, 5)]
+    assert eigenvalue_clusters(np.array([]), 1e-6) == [(0, 0)]
+    assert eigenvalue_clusters(np.array([3.0]), 1e-6) == [(0, 1)]
+    # against the per-step loop, on steps planted at and around the bound
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        steps = rng.choice([0.0, 0.5e-6, 1e-6, 2e-6, 1e-3], size=30)
+        w = np.cumsum(steps * (1.0 + rng.random(30)))
+        starts = [lo for lo, _ in eigenvalue_clusters(w, 1e-6)][1:]
+        assert starts == sorted(_gaps(w, 1e-6))
 
 
 def test_solver_matrix_is_the_family_at_t(circle_cx8, torus_cx6):
@@ -127,6 +136,44 @@ def test_covered_solve_grows_past_a_cut_cluster():
     assert solver.window > first
     assert np.sum(np.abs(w - 2.0) < 1e-9) == 11
     assert np.max(np.abs(fam.at(0.0) @ V - V * w)) < 1e-10
+
+
+def test_covered_cut_keeps_a_match_rule_cluster_whole():
+    """80 and 80 + 80.5e-6 tie under eigenvalue_clusters (the step is
+    below 1e-6 (1 + 80)) and straddle the first 9-value window of a
+    100-row block: the solve drops both, returning the 7 values below."""
+    vals = 10.0 * np.arange(1.0, 101.0)
+    vals[7], vals[8] = 80.0, 80.0 + 80.5e-6
+    fam = synthetic_family(_rotated_spectrum(vals), np.zeros((100, 100)))
+    tol = Tolerances()
+    assert eigenvalue_clusters(np.sort(vals), tol.cluster_rel)[7] == (7, 9)
+    solver = _CoveredSolver(fam, 1, tol)
+    assert solver.window == 9
+    w, _ = solver.solve(0.0)
+    assert w.size == 7
+    assert np.max(np.abs(w - vals[:7])) < 1e-10
+
+
+def test_every_tracking_solve_is_validated(monkeypatch):
+    """A dense solve that is wrong only at the interior sample t = 0.5
+    (its lowest value off by 1e-3) fails the residual check there."""
+    A0 = _rotated_spectrum(np.arange(1.0, 21.0))
+    A1 = _rotated_spectrum(np.linspace(-1.0, 1.0, 20), seed=11)
+    fam = synthetic_family(A0, A1)
+    at_half = fam.at(0.5).toarray()
+    solve = branches._dense_smallest
+
+    def wrong_at_half(A, m):
+        w, V = solve(A, m)
+        if np.array_equal(A, at_half):
+            w = w.copy()
+            w[0] += 1e-3
+        return w, V
+
+    monkeypatch.setattr(branches, "_dense_smallest", wrong_at_half)
+    with pytest.raises(NumericalError, match="residual"):
+        track_branches(None, 0, [0.0, 0.5, 1.0], k=2, tol=Tolerances(),
+                       family=fam)
 
 
 @pytest.mark.parametrize("factor, raises", [(1.05, True), (0.95, False)])
@@ -463,9 +510,10 @@ def _gaps(lam, rel):
 def test_factored_solve_matches_direct_eigh(torus_cx6, turns):
     """Every block of a separable torus family is solved from its circle
     factors.  Against a dense eigh of the assembled block: the values
-    agree within 1e-12 max(1, |lambda|), the cut ends a cluster, every
-    cluster spans the same subspace, and a needed value is passed with
-    the solver's margin; for the first window and for the whole block."""
+    agree within 1e-12 max(1, |lambda|), the cut drops the top cluster
+    of the final window, every cluster spans the same subspace, and a
+    needed value is passed with the solver's margin; for the first
+    window and for the whole block."""
     cx = torus_cx6 if turns is None else _quarter_turn_torus(12, turns)
     tol = Tolerances()
     for q in range(3):
@@ -482,7 +530,8 @@ def test_factored_solve_matches_direct_eigh(torus_cx6, turns):
                     solver.window = window
                     w, V = solver.solve(t, needed=need)
                     n = w.size
-                    assert n >= min(window, sub.dim)
+                    assert n == lam.size or n == max(
+                        [0] + [i for i in starts if i < solver.window])
                     assert np.all(np.abs(w - lam[:n])
                                   <= 1e-12 * np.maximum(1.0, np.abs(lam[:n])))
                     assert n == lam.size or n in starts
