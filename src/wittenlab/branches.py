@@ -17,14 +17,9 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import (connected_components,
-                                  min_weight_full_bipartite_matching)
 
 from .config import Tolerances
-from .derham import DeRhamComplex, LaplacianFamily, laplacian_family
+from .derham import CSR, DeRhamComplex, LaplacianFamily, laplacian_family
 from .errors import (
     ConfigError,
     GapNotFoundError,
@@ -58,19 +53,25 @@ def _dense_smallest(A, m: int):
     if n <= SMALL_BLOCK_DIM or not 0 < m < n:
         w, V = np.linalg.eigh(A)
         return w[:m], V[:, :m]
-    return sla.eigh(A, subset_by_index=[0, m - 1], driver="evr")
+    from scipy.linalg import eigh
+
+    return eigh(A, subset_by_index=[0, m - 1], driver="evr")
 
 
-def _eig_smallest_sparse(A, k: int, residual_tol: float = 1e-9):
+def _eig_smallest_sparse(A: CSR, k: int, residual_tol: float = 1e-9):
     """k smallest eigenpairs of a sparse symmetric PSD-shifted matrix.
 
     Shift-invert Lanczos at sigma = -1/2 (strictly below the spectrum of
     every deformed Laplacian, which is PSD up to rounding), so the k
     eigenvalues closest to sigma are exactly the k smallest.  Residuals
     are checked against the same relative tolerance as the dense path;
-    the start vector is fixed to keep runs reproducible.
+    the start vector is fixed to keep runs reproducible.  The solve
+    runs on a scipy copy of A, built here.
     """
-    A = A.tocsc()
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    A = sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape).tocsc()
     n = A.shape[0]
     if not 1 <= k <= n - 1:
         raise ConfigError(f"sparse eigensolve needs 1 <= k <= {n - 1}, got {k}")
@@ -130,8 +131,11 @@ def _min_cost_assignment(cost) -> np.ndarray:
     cols = np.argmin(C, axis=1)
     if np.unique(cols).size == cols.size:
         return cols
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
     rows, cols = min_weight_full_bipartite_matching(
-        sp.csr_matrix(C - C.min() + 1.0))
+        csr_matrix(C - C.min() + 1.0))
     out = np.empty(C.shape[0], dtype=int)
     out[rows] = cols
     return out
@@ -207,9 +211,8 @@ def _rebase_split_groups(prev_V, w_next, V_next, cols, W, ov, tol):
         E[:, ci] = np.sum(P * P, axis=0)
     # connected components of the branch-cluster graph over significant
     # projection energies; a component is one jointly-determined group
-    adj = sp.csr_matrix(E >= 0.1)
-    _, labels = connected_components(sp.bmat([[None, adj], [adj.T, None]]),
-                                     directed=False)
+    adj = CSR.from_dense(E >= 0.1)
+    _, labels = CSR.blocks([[None, adj], [adj.T, None]]).components()
     comp, ccomp = labels[:k], labels[k:]
     cols = cols.copy()
     W = W.copy()
@@ -416,12 +419,9 @@ def _windowed(fam: LaplacianFamily) -> bool:
 
 def _solver_matrix(fam: LaplacianFamily, t: float):
     """fam at t in the form its eigensolver takes: CSR for the windowed
-    solve, else the dense block, scattered straight from the pattern."""
-    if _windowed(fam):
-        return fam.at(t)
-    A = np.zeros((fam.dim, fam.dim))
-    np.put(A, fam.flat, fam.values(t))
-    return A
+    solve, else the dense block."""
+    A = fam.at(t)
+    return A if _windowed(fam) else A.toarray()
 
 
 def _smallest(fam: LaplacianFamily, t: float, m: int, tol: Tolerances):

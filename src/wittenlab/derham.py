@@ -23,14 +23,205 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError
 from .trigpoly import TWO_PI, TrigPoly, circle_sin2, torus_sin2_product
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_TWO_PI = math.sqrt(TWO_PI)
+
+# -- sparse storage --------------------------------------------------------
+
+
+class CSR:
+    """A real matrix in canonical compressed sparse row form: the column
+    indices of each row ascend, without repeats.
+
+    The one operator storage of the package, with only the operations
+    it uses.  Its arithmetic is scipy.sparse's, entry for entry: a sum
+    or a product leaves out the entries that come out exactly 0.0, a
+    product with a dense block sums each row's terms in storage order
+    from 0.0, and a product of two CSR matrices sums each entry's terms
+    in ascending inner index, so every result is bit-identical to
+    scipy's.  Arrays that depend only on the pattern (rows, the product
+    layout) are computed once and shared by the copies with_data makes.
+    """
+
+    __array_ufunc__ = None  # numpy scalars and arrays defer to the methods
+
+    def __init__(self, data, indices, indptr, shape, pattern_cache=None):
+        self.data = data
+        self.indices = indices
+        self.indptr = indptr
+        self.shape = tuple(shape)
+        self._cache = {} if pattern_cache is None else pattern_cache
+
+    @classmethod
+    def from_entries(cls, rows, cols, terms, shape) -> "CSR":
+        """The matrix of the terms at positions (rows, cols): the terms of
+        one position add up from 0.0 in the order given, and positions
+        whose sum is exactly 0.0 are left out."""
+        key = rows * shape[1] + cols
+        order = np.argsort(key, kind="stable")  # keeps the order of terms
+        key = key[order]
+        new = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        total = np.bincount(np.cumsum(new) - 1, weights=terms[order])
+        keep = total != 0.0
+        rows, cols = np.divmod(key[new][keep], shape[1])
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        return cls(total[keep], cols, indptr, shape)
+
+    @classmethod
+    def from_dense(cls, a) -> "CSR":
+        a = np.asarray(a, dtype=float)
+        rows, cols = np.nonzero(a)
+        return cls.from_entries(rows, cols, a[rows, cols], a.shape)
+
+    @classmethod
+    def identity(cls, n: int) -> "CSR":
+        return cls(np.ones(n), np.arange(n), np.arange(n + 1), (n, n))
+
+    @classmethod
+    def blocks(cls, grid) -> "CSR":
+        """The block matrix of a grid (list of rows) of CSR blocks, None
+        for a zero block; every block row and column has one block."""
+        heights = [next(B.shape[0] for B in row if B is not None)
+                   for row in grid]
+        widths = [next(row[j].shape[1] for row in grid if row[j] is not None)
+                  for j in range(len(grid[0]))]
+        r0, c0 = np.cumsum([0] + heights), np.cumsum([0] + widths)
+        parts = [(B.rows + r0[i], B.indices + c0[j], B.data)
+                 for i, row in enumerate(grid)
+                 for j, B in enumerate(row) if B is not None]
+        return cls.from_entries(*map(np.concatenate, zip(*parts)),
+                                (r0[-1], c0[-1]))
+
+    def kron(self, other: "CSR") -> "CSR":
+        """The Kronecker product self (x) other."""
+        (m, n), (p, q) = self.shape, other.shape
+        return CSR.from_entries(
+            (self.rows[:, None] * p + other.rows).ravel(),
+            (self.indices[:, None] * q + other.indices).ravel(),
+            (self.data[:, None] * other.data).ravel(), (m * p, n * q))
+
+    def with_data(self, data) -> "CSR":
+        """The matrix with these values on the same pattern."""
+        return CSR(data, self.indices, self.indptr, self.shape, self._cache)
+
+    def _pattern_array(self, name, make):
+        if name not in self._cache:
+            self._cache[name] = make()
+        return self._cache[name]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return self._pattern_array("rows", lambda: np.repeat(
+            np.arange(self.shape[0]), np.diff(self.indptr)))
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    @property
+    def T(self) -> "CSR":
+        return CSR.from_entries(self.indices, self.rows, self.data,
+                                self.shape[::-1])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.indices] = self.data
+        return out
+
+    def maxabs(self) -> float:
+        """The largest |entry|, 0.0 for an empty matrix."""
+        return float(np.abs(self.data).max()) if self.nnz else 0.0
+
+    def __mul__(self, c) -> "CSR":
+        return self.with_data(self.data * c)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "CSR":
+        return self.with_data(-self.data)
+
+    def __add__(self, other: "CSR") -> "CSR":
+        return CSR.from_entries(np.concatenate([self.rows, other.rows]),
+                                np.concatenate([self.indices, other.indices]),
+                                np.concatenate([self.data, other.data]),
+                                self.shape)
+
+    def __sub__(self, other: "CSR") -> "CSR":
+        return self + (-other)
+
+    def __matmul__(self, other):
+        if isinstance(other, CSR):
+            return self._matmat(other)
+        X = np.asarray(other, dtype=float)
+        B = X.reshape(X.shape[0], -1)
+        entries, cols, order, sizes = self._pattern_array(
+            "by_position", self._by_position)
+        P = np.take(B, cols, axis=0)
+        P *= self.data[entries, None]
+        # slot p holds the p-th term of every row that has one, the rows
+        # by descending length, so each slot adds onto a prefix
+        acc = np.zeros((sizes[0] if sizes.size else 0, B.shape[1]))
+        start = 0
+        for size in sizes:
+            acc[:size] += P[start:start + size]
+            start += size
+        out = np.zeros((self.shape[0], B.shape[1]))
+        out[order[:acc.shape[0]]] = acc
+        return out.reshape((self.shape[0],) + X.shape[1:])
+
+    def _by_position(self):
+        """(entries, cols, order, sizes): order lists the rows by
+        descending length, sizes[p] counts the rows with more than p
+        entries, and entries holds, slot p after slot p - 1, the p-th
+        entry of the first sizes[p] rows of order; cols are their
+        columns."""
+        counts = np.diff(self.indptr)
+        order = np.argsort(-counts, kind="stable")
+        sizes = counts.size - np.cumsum(np.bincount(counts))[:-1]
+        entries = np.concatenate([np.zeros(0, dtype=np.int64)]
+                                 + [self.indptr[order[:s]] + p
+                                    for p, s in enumerate(sizes)])
+        return entries, self.indices[entries], order, sizes
+
+    def _matmat(self, other: "CSR") -> "CSR":
+        # each entry (i, j) of self meets the entries (j, k) of row j of
+        # other; in self's entry order every (i, k) meets its terms in
+        # ascending j
+        per = np.diff(other.indptr)[self.indices]
+        a = np.repeat(np.arange(self.nnz), per)
+        b = np.arange(a.size) + np.repeat(
+            other.indptr[self.indices] - (np.cumsum(per) - per), per)
+        return CSR.from_entries(self.rows[a], other.indices[b],
+                                self.data[a] * other.data[b],
+                                (self.shape[0], other.shape[1]))
+
+    def components(self):
+        """Connected components of the pattern as an undirected graph:
+        (count, label of each node), numbered by their first node.
+
+        Each round hooks the larger of the two labels of every edge to
+        the smaller and then jumps pointers until every label is a root,
+        so the rounds do not grow with the length of a path."""
+        u, v = self.rows, self.indices
+        label = np.arange(self.shape[0])
+        while True:
+            lu, lv = label[u], label[v]
+            if np.array_equal(lu, lv):
+                break
+            np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+            jumped = label[label]
+            while not np.array_equal(jumped, label):
+                label, jumped = jumped, jumped[jumped]
+        first, labels = np.unique(label, return_inverse=True)
+        return first.size, labels
+
 
 # -- scalar Fourier bases ----------------------------------------------
 
@@ -78,7 +269,7 @@ def diff_matrix_1d(N: int):
         ic, isn = 2 * k - 1, 2 * k
         d[isn, ic] = -float(k)  # cos k -> -k sin k
         d[ic, isn] = float(k)  # sin k -> k cos k
-    return sp.csr_matrix(d)
+    return CSR.from_dense(d)
 
 
 def expand_1d(p: TrigPoly, N: int) -> np.ndarray:
@@ -106,9 +297,9 @@ def mult_matrix_1d(N: int, g: TrigPoly):
         # point, and leave a rounding residue between exact blocks
         n = 2 * N + 1
         c = g.terms.get((0,), (0.0, 0.0))[0]
-        return c * sp.identity(n, format="csr") if c else sp.csr_matrix((n, n))
+        return c * CSR.identity(n) if c else CSR.from_dense(np.zeros((n, n)))
     cols = [expand_1d(g * mode_poly_1d(k, kind), N) for k, kind in scalar_modes(N)]
-    return sp.csr_matrix(np.column_stack(cols))
+    return CSR.from_dense(np.column_stack(cols))
 
 
 def mult_matrix_2d(N: int, g: TrigPoly):
@@ -123,7 +314,8 @@ def mult_matrix_2d(N: int, g: TrigPoly):
         raise ConfigError("multiplier must have arity 2")
     n1 = 2 * N + 1
     m = n1 * n1
-    out = sp.csr_matrix((m, m))
+    out = CSR(np.zeros(0), np.zeros(0, dtype=np.int64),
+              np.zeros(m + 1, dtype=np.int64), (m, m))
     for (a, b), (c, s) in sorted(g.terms.items()):
         bb, sg = abs(b), (1.0 if b >= 0 else -1.0)
         Ca = mult_matrix_1d(N, TrigPoly.cosine((a,)))
@@ -131,12 +323,10 @@ def mult_matrix_2d(N: int, g: TrigPoly):
         Cb = mult_matrix_1d(N, TrigPoly.cosine((bb,)))
         Sb = mult_matrix_1d(N, TrigPoly.sine((bb,)))
         if c != 0.0:
-            out = out + c * (sp.kron(Ca, Cb, format="csr")
-                             - sg * sp.kron(Sa, Sb, format="csr"))
+            out = out + c * (Ca.kron(Cb) - sg * Sa.kron(Sb))
         if s != 0.0:
-            out = out + s * (sp.kron(Sa, Cb, format="csr")
-                             + sg * sp.kron(Ca, Sb, format="csr"))
-    return out.tocsr()
+            out = out + s * (Sa.kron(Cb) + sg * Ca.kron(Sb))
+    return out
 
 
 # -- the complex --------------------------------------------------------
@@ -234,7 +424,7 @@ def build_circle_complex(N: int, f: TrigPoly | None = None) -> DeRhamComplex:
     dim = 2 * N + 1
     D = [diff_matrix_1d(N)]
     E = [mult_matrix_1d(N, f.partial(0))]
-    S = [sp.identity(dim, format="csr")] * 2
+    S = [CSR.identity(dim)] * 2
     return DeRhamComplex(
         manifold="circle",
         n=1,
@@ -265,20 +455,20 @@ def build_torus_complex(N: int, f: TrigPoly | None = None) -> DeRhamComplex:
     n1 = 2 * N + 1
     m = n1 * n1
     d1 = diff_matrix_1d(N)
-    I1 = sp.identity(n1, format="csr")
-    Dth1 = sp.kron(d1, I1, format="csr")
-    Dth2 = sp.kron(I1, d1, format="csr")
+    I1 = CSR.identity(n1)
+    Dth1 = d1.kron(I1)
+    Dth2 = I1.kron(d1)
     M1 = mult_matrix_2d(N, f.partial(0))
     M2 = mult_matrix_2d(N, f.partial(1))
-    D0 = sp.vstack([Dth1, Dth2], format="csr")
-    E0 = sp.vstack([M1, M2], format="csr")
+    D0 = CSR.blocks([[Dth1], [Dth2]])
+    E0 = CSR.blocks([[M1], [M2]])
     # d(alpha dth1 + beta dth2) = (d1 beta - d2 alpha) dth1^dth2
-    D1 = sp.hstack([-Dth2, Dth1], format="csr")
-    E1 = sp.hstack([-M2, M1], format="csr")
+    D1 = CSR.blocks([[-Dth2, Dth1]])
+    E1 = CSR.blocks([[-M2, M1]])
 
     # star: 1 -> dth1^dth2, dth1 -> dth2, dth2 -> -dth1, dth1^dth2 -> 1
-    I = sp.identity(m, format="csr")
-    S1 = sp.bmat([[None, -I], [I, None]], format="csr")
+    I = CSR.identity(m)
+    S1 = CSR.blocks([[None, -I], [I, None]])
 
     return DeRhamComplex(
         manifold="torus",
@@ -304,10 +494,9 @@ class LaplacianFamily:
 
     The three coefficients are symmetrised once, when the family is
     built, and kept as the rows of coef: data arrays on one shared CSR
-    pattern (indptr, indices) holding every entry that is nonzero in any
-    of them.  The family at t is one combination of those rows on the
-    pattern; flat holds row * dim + column of each pattern entry, so a
-    dense copy is a single scatter.
+    pattern holding every entry that is nonzero in any of them.  The
+    family at t is one combination of those rows on the pattern, and
+    every at(t) and term(j) shares the pattern's cached arrays.
 
     factors lists Kronecker-sum parts (offset, F1, F2) of two circle-
     factor families, when the family is known to have them: on the rows
@@ -317,56 +506,43 @@ class LaplacianFamily:
     spectrum {lambda_a + mu_b} of its factors.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    pattern: CSR  # the shared pattern; its data, a read-only 1.0, is unused
     coef: np.ndarray  # (3, nnz): the data of A0, A1, A2
     factors: tuple = field(default=(), repr=False)
-    flat: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        rows = np.repeat(np.arange(self.dim), np.diff(self.indptr))
-        self.flat = rows * self.dim + self.indices
 
     @classmethod
     def from_terms(cls, A0, A1, A2, factors=()) -> "LaplacianFamily":
-        """The family of three square matrices, dense or sparse."""
-        terms = [sp.coo_matrix(A) for A in (A0, A1, A2)]
+        """The family of three square matrices, dense or CSR."""
+        terms = [A if isinstance(A, CSR) else CSR.from_dense(A)
+                 for A in (A0, A1, A2)]
+        sym = [0.5 * (A + A.T) for A in terms]
         n = terms[0].shape[0]
-        for A in terms:
-            A.sum_duplicates()
-        # flat keys row * n + column of every entry and of its transpose
-        keys = [(A.row.astype(np.int64) * n + A.col,
-                 A.col.astype(np.int64) * n + A.row) for A in terms]
-        pattern = np.unique(np.concatenate([k for pair in keys for k in pair]))
-        coef = np.zeros((3, pattern.size))
-        for row, A, (key, key_t) in zip(coef, terms, keys):
-            row[np.searchsorted(pattern, key)] = A.data
-            row[np.searchsorted(pattern, key_t)] += A.data
-        coef *= 0.5  # each coefficient is 0.5 * (A + A.T)
-        keep = np.any(coef != 0.0, axis=0)
-        rows, cols = np.divmod(pattern[keep], n)
-        indptr = np.searchsorted(rows, np.arange(n + 1))
-        return cls(indptr, cols, coef[:, keep], tuple(factors))
+        # the union of the three patterns: sums of ones never vanish
+        union = CSR.from_entries(np.concatenate([S.rows for S in sym]),
+                                 np.concatenate([S.indices for S in sym]),
+                                 np.ones(sum(S.nnz for S in sym)), (n, n))
+        key = union.rows * n + union.indices
+        coef = np.zeros((3, union.nnz))
+        for row, S in zip(coef, sym):
+            row[np.searchsorted(key, S.rows * n + S.indices)] = S.data
+        return cls(union.with_data(np.broadcast_to(1.0, union.nnz)), coef,
+                   tuple(factors))
 
     @property
     def dim(self) -> int:
-        return self.indptr.size - 1
+        return self.pattern.shape[0]
 
     def values(self, t: float) -> np.ndarray:
         """Data of the family at t on the shared pattern."""
         return self.coef[0] + t * self.coef[1] + (t * t) * self.coef[2]
 
-    def at(self, t: float):
+    def at(self, t: float) -> CSR:
         """The family at t, a symmetric CSR matrix."""
-        return self._csr(self.values(t))
+        return self.pattern.with_data(self.values(t))
 
-    def term(self, j: int):
-        """The coefficient A_j (CSR)."""
-        return self._csr(self.coef[j])
-
-    def _csr(self, data):
-        return sp.csr_matrix((data, self.indices, self.indptr),
-                             shape=(self.dim, self.dim))
+    def term(self, j: int) -> CSR:
+        """The coefficient A_j."""
+        return self.pattern.with_data(self.coef[j])
 
     def split(self) -> list:
         """Exact invariant blocks of the family, as (indices, sub-family).
@@ -384,31 +560,30 @@ class LaplacianFamily:
         and iy of F2 in some part of factors, carries that pair as its
         one factor part.
         """
-        n = self.dim
-        graph = self._csr(np.ones(self.indices.size))
-        n_blocks, labels = connected_components(graph, directed=False)
-        blocks = sorted((np.flatnonzero(labels == b) for b in range(n_blocks)),
-                        key=lambda idx: idx[0])
+        P = self.pattern
+        n_blocks, labels = P.components()
         pairs = {}  # first row -> (rows, factor part) of each factor pair
         for offset, F1, F2 in self.factors:
             for ix, B1 in F1.split():
                 for iy, B2 in F2.split():
                     rows = offset + (ix[:, None] * F2.dim + iy).ravel()
                     pairs[rows[0]] = (rows, ((0, B1, B2),))
-        entry_label = labels[self.flat // n]
-        row_nnz = np.diff(self.indptr)
-        local = np.empty(n, dtype=self.indices.dtype)
+        entry_label = labels[P.rows]
+        row_nnz = np.diff(P.indptr)
+        local = np.empty(self.dim, dtype=P.indices.dtype)
         out = []
-        for idx in blocks:
+        for b in range(n_blocks):  # components come by their first row
+            idx = np.flatnonzero(labels == b)
             # every entry of a block row lies in the block, in row order
             local[idx] = np.arange(idx.size)
-            sel = np.flatnonzero(entry_label == labels[idx[0]])
-            indptr = np.zeros(idx.size + 1, dtype=self.indptr.dtype)
+            sel = np.flatnonzero(entry_label == b)
+            indptr = np.zeros(idx.size + 1, dtype=P.indptr.dtype)
             np.cumsum(row_nnz[idx], out=indptr[1:])
+            sub = CSR(np.broadcast_to(1.0, sel.size), local[P.indices[sel]],
+                      indptr, (idx.size, idx.size))
             rows, part = pairs.get(idx[0], (None, ()))
             exact = rows is not None and np.array_equal(rows, idx)
-            out.append((idx, LaplacianFamily(indptr, local[self.indices[sel]],
-                                             self.coef[:, sel],
+            out.append((idx, LaplacianFamily(sub, self.coef[:, sel],
                                              part if exact else ())))
         return out
 
@@ -417,14 +592,16 @@ def laplacian_family(cx: DeRhamComplex, q: int) -> LaplacianFamily:
     parts = [[], [], []]
     if q < cx.n:
         B0, B1 = cx.D[q], cx.E[q]
-        parts[0].append(B0.T @ B0)
-        parts[1].append(B0.T @ B1 + B1.T @ B0)
-        parts[2].append(B1.T @ B1)
+        B0t, B1t = B0.T, B1.T
+        parts[0].append(B0t @ B0)
+        parts[1].append(B0t @ B1 + B1t @ B0)
+        parts[2].append(B1t @ B1)
     if q > 0:
         C0, C1 = cx.D[q - 1], cx.E[q - 1]
-        parts[0].append(C0 @ C0.T)
-        parts[1].append(C0 @ C1.T + C1 @ C0.T)
-        parts[2].append(C1 @ C1.T)
+        C0t, C1t = C0.T, C1.T
+        parts[0].append(C0 @ C0t)
+        parts[1].append(C0 @ C1t + C1 @ C0t)
+        parts[2].append(C1 @ C1t)
     return LaplacianFamily.from_terms(*(sum(ps[1:], ps[0]) for ps in parts),
                                       factors=_factor_families(cx, q))
 
@@ -464,16 +641,12 @@ def witten_laplacian(cx: DeRhamComplex, q: int, t: float):
     return laplacian_family(cx, q).at(t)
 
 
-def _maxabs(A) -> float:
-    return float(abs(A).max()) if A.nnz else 0.0
-
-
 def d_squared_residual(cx: DeRhamComplex, t: float) -> float:
     """Max-abs norm of d(t) o d(t); zero up to cutoff closure effects."""
     if cx.n < 2:
         return 0.0
     d = cx.witten_d(t)
-    return _maxabs(d[1] @ d[0])
+    return (d[1] @ d[0]).maxabs()
 
 
 def check_duality_identities(cx: DeRhamComplex, ts=(0.0, 1.0, 5.0)) -> dict:
@@ -497,21 +670,19 @@ def check_duality_identities(cx: DeRhamComplex, ts=(0.0, 1.0, 5.0)) -> dict:
     for q in range(n + 1):
         sgn = (-1.0) ** (q * (n - q))
         comp = cx.S[n - q] @ cx.S[q]  # star^{n-q} after star^q: acts on deg q
-        out[("star_square", q)] = _maxabs(
-            comp - sgn * sp.identity(comp.shape[0], format="csr"))
+        out[("star_square", q)] = (
+            comp - sgn * CSR.identity(comp.shape[0])).maxabs()
 
         # matrix of star Delta^q star on degree n - q: S_q @ Delta_q @ S_{n-q}
         conj = cx.S[q] @ fam[q].at(0.0) @ cx.S[n - q]
-        out[("star_laplacian", q)] = _maxabs(sgn * conj - fam[n - q].at(0.0))
+        out[("star_laplacian", q)] = (sgn * conj - fam[n - q].at(0.0)).maxabs()
 
         for t in ts:
             conj_t = cx.S[q] @ fam[q].at(t) @ cx.S[n - q]
-            out[("star_deformed", q, t)] = _maxabs(
-                sgn * conj_t - fam_neg[n - q].at(t)
-            )
-            out[("parameter_flip", q, t)] = _maxabs(
-                fam[q].at(-t) - fam_neg[q].at(t)
-            )
+            out[("star_deformed", q, t)] = (
+                sgn * conj_t - fam_neg[n - q].at(t)).maxabs()
+            out[("parameter_flip", q, t)] = (
+                fam[q].at(-t) - fam_neg[q].at(t)).maxabs()
     if n == 2:
         for t in ts:
             out[("d_squared", t)] = d_squared_residual(cx, t)

@@ -106,6 +106,20 @@ def test_bench_torus_assembly12(benchmark):
     assert [len(b) for b in blocks] == [9, 18, 9]
 
 
+def test_bench_torus_assembly24(benchmark):
+    """Assembly at the torus-package-sparse cutoff: the torus-sin2-product
+    complex at 24 modes, the Laplacian family of every degree (sparse
+    products of the operators) and its exact invariant blocks."""
+    f = preset("torus-sin2-product").potential_trigpoly()
+
+    def assemble():
+        cx = build_torus_complex(24, f)
+        return [laplacian_family(cx, q).split() for q in range(cx.n + 1)]
+
+    blocks = benchmark(assemble)
+    assert [len(b) for b in blocks] == [9, 18, 9]
+
+
 @pytest.mark.parametrize("name", ["circle-sin2", "torus-sin2-product"])
 def test_bench_torsion_assembly(benchmark, name):
     """The torsion assembly at one t (t = 2), as run_torsion does it at

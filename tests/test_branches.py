@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from wittenlab import branches, derham
 from wittenlab.branches import (LABEL_LARGE, LABEL_VS, LABEL_ZERO,
@@ -11,7 +10,7 @@ from wittenlab.branches import (LABEL_LARGE, LABEL_VS, LABEL_ZERO,
                                 lowest_eigenvalues, match_step,
                                 track_branches)
 from wittenlab.config import Tolerances
-from wittenlab.derham import (LaplacianFamily, build_circle_complex,
+from wittenlab.derham import (CSR, LaplacianFamily, build_circle_complex,
                               build_torus_complex, laplacian_family)
 from wittenlab.errors import (ConfigError, GapNotFoundError, NumericalError,
                               TrackingError, ZeroCountError)
@@ -21,13 +20,13 @@ import oracles
 
 
 def test_sparse_solve_rejects_asymmetric(rng):
-    A = sp.csr_matrix(rng.standard_normal((12, 12)))
+    A = CSR.from_dense(rng.standard_normal((12, 12)))
     with pytest.raises(NumericalError, match="not symmetric"):
         _eig_smallest_sparse(A, 3)
 
 
 def test_sparse_solve_rejects_a_window_outside_the_block():
-    A = sp.eye(8, format="csr")
+    A = CSR.identity(8)
     for k in (0, 8):
         with pytest.raises(ConfigError):
             _eig_smallest_sparse(A, k)
@@ -591,7 +590,7 @@ def test_corrupted_factor_family_fails_the_certificate(torus_cx6,
         if not parts:  # the circle factors themselves
             return parts
         (offset, F1, F2), *rest = parts
-        bad = LaplacianFamily(F1.indptr, F1.indices,
+        bad = LaplacianFamily(F1.pattern,
                               F1.coef * np.array([[1.0], [1.0], [1.001]]))
         return ((offset, bad, F2), *rest)
 

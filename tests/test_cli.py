@@ -196,10 +196,31 @@ def test_torsion_exit_code_on_failed_anomaly_check(tmp_path, capsys,
     assert "anomaly identity fails at t=0.0" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    """The command line imports no scipy.optimize: branch matching runs
-    on scipy.sparse.csgraph, which the package loads anyway."""
-    code = "import sys, wittenlab.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+# the torus-sin2-product preset turned a quarter period on both circles
+# (cos 2th1 + cos 2th2) at 24 modes: its tracking never meets a tie
+# between the cheapest columns of an assignment
+TORUS24_COS2 = {
+    "manifold": "torus", "modes": 24, "t_max": 5.0, "t_step": 0.5,
+    "tolerances": {"vanish_max": 1e-4},
+    "potential": {"arity": 2, "terms": [
+        {"freq": [0, 2], "cos": 1.0, "sin": 0.0},
+        {"freq": [2, 0], "cos": 1.0, "sin": 0.0}]}}
+
+
+def test_default_routes_load_no_scipy(tmp_path):
+    """The command line imports no scipy module, and neither does a
+    circle torsion run or a separable torus package run without a tied
+    assignment: scipy serves only the subset and Lanczos eigensolves of
+    blocks without circle factors and the tie matching."""
+    config = tmp_path / "torus24.json"
+    config.write_text(json.dumps({**TORUS24_COS2,
+                                  "out_dir": str(tmp_path / "torus")}))
+    code = ("import sys, wittenlab.cli as cli\n"
+            "rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(rc, [m for m in sys.modules if m.startswith('scipy')])")
+    for args in ([], ["torsion", "--preset", "circle-sin2",
+                      "--out", str(tmp_path / "circle")],
+                 ["package", "--config", str(config)]):
+        out = subprocess.run([sys.executable, "-c", code, *args],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "0 []", (args, out.stdout)

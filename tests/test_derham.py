@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wittenlab.derham import (build_circle_complex,
+from wittenlab.derham import (CSR, build_circle_complex,
                               build_torus_complex, check_duality_identities,
                               LaplacianFamily, d_squared_residual,
                               laplacian_family,
@@ -70,7 +70,7 @@ def test_laplacians_symmetric(circle_cx8, torus_cx6):
     for cx in (circle_cx8, torus_cx6):
         for q in range(cx.n + 1):
             A = witten_laplacian(cx, q, 1.7)
-            assert (A - A.T).count_nonzero() == 0
+            assert (A - A.T).nnz == 0  # exact zeros are not stored
 
 
 def test_duality_identities_smallness(circle_cx8, torus_cx6):
@@ -105,20 +105,125 @@ def test_mult_matrix_2d_matches_collocation(f, partials):
     trapezoid-rule Galerkin entries of the pointwise derivatives."""
     for i, dfi in enumerate(partials):
         M = mult_matrix_2d(6, f.partial(i))
-        assert sp.issparse(M) and M.format == "csr"
+        assert isinstance(M, CSR)
         want = oracles.collocation_torus_multiplier(6, dfi)
         assert np.max(np.abs(M.toarray() - want)) < 1e-12
 
 
 def test_torus_operators_are_sparse(circle_cx8, torus_cx6):
     """One storage on both manifolds: every operator, star and Laplacian
-    coefficient is CSR."""
+    coefficient is the package's CSR type."""
     for cx in (circle_cx8, torus_cx6):
         fams = [laplacian_family(cx, q) for q in range(cx.n + 1)]
         ops = cx.D + cx.E + cx.S + [fam.term(j) for fam in fams
                                     for j in range(3)]
         for A in ops + [fam.at(1.3) for fam in fams]:
-            assert sp.issparse(A) and A.format == "csr"
+            assert isinstance(A, CSR)
+
+
+def _scipy_copy(A):
+    """The scipy CSR matrix of the same entries, the oracle storage."""
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+
+
+def _bitwise(got, want):
+    """got (package CSR or dense) equals scipy's result bit for bit."""
+    if isinstance(got, CSR):
+        got, want = got.toarray(), want.toarray()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _scipy_terms(cx, q):
+    """A0, A1, A2 of degree q as laplacian_family sums them, formed in
+    scipy, and symmetrised as the family does it."""
+    parts = [[], [], []]
+    if q < cx.n:
+        B0, B1 = _scipy_copy(cx.D[q]), _scipy_copy(cx.E[q])
+        parts[0].append(B0.T @ B0)
+        parts[1].append(B0.T @ B1 + B1.T @ B0)
+        parts[2].append(B1.T @ B1)
+    if q > 0:
+        C0, C1 = _scipy_copy(cx.D[q - 1]), _scipy_copy(cx.E[q - 1])
+        parts[0].append(C0 @ C0.T)
+        parts[1].append(C0 @ C1.T + C1 @ C0.T)
+        parts[2].append(C1 @ C1.T)
+    terms = [sum(ps[1:], ps[0]) for ps in parts]
+    return [0.5 * (T + T.T) for T in terms]
+
+
+def test_csr_arithmetic_matches_scipy_bitwise(circle_cx8, torus_cx6, rng):
+    """Against scipy CSR copies of the same entries: every operator, its
+    transpose, d(t), and each family term(j) and at(t), their products
+    with dense blocks, and the products, sums and differences that
+    laplacian_family and check_duality_identities form are bit-for-bit
+    equal.  The circle D has an empty first row (the constant mode has
+    no derivative), and its products there are exactly 0."""
+    for cx in (circle_cx8, torus_cx6):
+        n = cx.n
+        fams = [laplacian_family(cx, q) for q in range(n + 1)]
+        d = cx.witten_d(0.7)
+        ops = (cx.D + cx.E + cx.S + d
+               + [fam.term(j) for fam in fams for j in range(3)]
+               + [fam.at(t) for fam in fams for t in (1.3, -2.0)])
+        pairs = [(A, _scipy_copy(A)) for A in ops]
+        pairs += [(A.T, S.T) for A, S in pairs]
+        for A, S in pairs:
+            _bitwise(A, S)
+            X = rng.standard_normal((A.shape[1], 5))
+            X[::3, 1] = 0.0
+            _bitwise(A @ X, S @ X)
+            _bitwise(A @ X[:, 0], S @ X[:, 0])
+        for q in range(n):
+            _bitwise(d[q], _scipy_copy(cx.D[q]) + 0.7 * _scipy_copy(cx.E[q]))
+        for q, fam in enumerate(fams):
+            for j, T in enumerate(_scipy_terms(cx, q)):
+                assert fam.term(j).toarray().tobytes() == T.toarray().tobytes()
+        for q in range(n + 1):
+            S_q, S_dual = _scipy_copy(cx.S[q]), _scipy_copy(cx.S[n - q])
+            _bitwise(cx.S[n - q] @ cx.S[q], S_dual @ S_q)
+            conj = cx.S[q] @ fams[q].at(1.3) @ cx.S[n - q]
+            want = S_q @ _scipy_copy(fams[q].at(1.3)) @ S_dual
+            _bitwise(conj, want)
+            _bitwise(conj - fams[n - q].at(1.3),
+                     want - _scipy_copy(fams[n - q].at(1.3)))
+        if n == 2:
+            _bitwise(d[1] @ d[0], _scipy_copy(d[1]) @ _scipy_copy(d[0]))
+    D = circle_cx8.D[0]
+    assert D.indptr[1] == 0
+    assert not np.any((D @ rng.standard_normal((D.shape[1], 3)))[0])
+
+
+def _groups(labels):
+    """Components as node sets, ordered by their first node."""
+    return sorted(tuple(np.flatnonzero(labels == b)) for b in np.unique(labels))
+
+
+def test_components_match_scipy(circle_cx8, torus_cx6, rng):
+    """Connected components of a pattern against scipy's csgraph: the
+    same node sets, numbered by their first node, on a graph with
+    isolated nodes, a path through 3000 nodes in random order, a random
+    bipartite graph laid out as rebasing lays out its branch-cluster
+    graph, and the pattern of every family of both complexes."""
+    from scipy.sparse.csgraph import connected_components
+
+    path = rng.permutation(3000)
+    adj = CSR.from_dense(rng.random((40, 25)) < 0.04)
+    graphs = [CSR.from_entries(np.array([1, 4]), np.array([4, 1]),
+                               np.ones(2), (6, 6)),
+              CSR.from_entries(path[:-1], path[1:], np.ones(2999),
+                               (3000, 3000)),
+              CSR.blocks([[None, adj], [adj.T, None]])]
+    graphs += [laplacian_family(cx, q).pattern
+               for cx in (circle_cx8, torus_cx6) for q in range(cx.n + 1)]
+    for G in graphs:
+        count, labels = G.components()
+        want_count, want = connected_components(_scipy_copy(G),
+                                                directed=False)
+        assert count == want_count
+        groups = _groups(labels)
+        assert groups == _groups(want)
+        assert np.array_equal(labels[[g[0] for g in groups]],
+                              np.arange(count))
 
 
 def test_sparse_eigensolve_matches_dense(torus_cx6):
@@ -133,11 +238,8 @@ def test_degenerate_cluster_completeness_sparse():
     # cycle-graph Laplacian: all interior eigenvalues doubly degenerate;
     # an iterative solver must return both copies of each pair
     n = 40
-    A = sp.diags([2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)],
-                 [0, 1, -1], format="csr").tolil()
-    A[0, n - 1] = -1.0
-    A[n - 1, 0] = -1.0
-    A = A.tocsr()
+    A = CSR.from_dense(2.0 * np.eye(n) - np.roll(np.eye(n), 1, axis=0)
+                       - np.roll(np.eye(n), -1, axis=0))
     k = 9
     w, _ = _eig_smallest_sparse(A, k)
     wd = np.linalg.eigvalsh(A.toarray())[:k]
@@ -181,8 +283,9 @@ def test_split_blocks_are_exactly_invariant(circle_cx8, torus_cx6, sparse):
             if not sparse:
                 dense = LaplacianFamily.from_terms(
                     *(fam.term(j).toarray() for j in range(3)))
-                assert np.array_equal(dense.indptr, fam.indptr)
-                assert np.array_equal(dense.indices, fam.indices)
+                assert np.array_equal(dense.pattern.indptr, fam.pattern.indptr)
+                assert np.array_equal(dense.pattern.indices,
+                                      fam.pattern.indices)
                 assert np.array_equal(dense.coef, fam.coef)
                 fam = dense
             blocks = fam.split()
@@ -233,7 +336,8 @@ def test_separable_degree1_cross_block_is_exactly_zero(N):
     fam = laplacian_family(cx, 1)
     m = cx.dims[0]
     for j in range(3):
-        assert abs(fam.term(j)[:m, m:]).max() == 0.0
+        A = fam.term(j)
+        assert not np.any(A.data[(A.rows < m) & (A.indices >= m)])
     assert [len(laplacian_family(cx, q).split()) for q in range(3)] \
         == [9, 18, 9]
 
