@@ -123,22 +123,156 @@ def _min_cost_assignment(cost) -> np.ndarray:
 
     When the cheapest columns of the rows are distinct they are the
     optimum, since no assignment beats every row's minimum.  Otherwise
-    the matching routine decides; it reads zero entries as missing
-    edges, so the costs are shifted to at least 1 first, and as every
-    row is matched once the shift changes every total alike.
+    `_jonker_volgenant` decides, on the costs shifted to at least 1 (as
+    every row is matched once, the shift changes every total alike).
     """
     C = np.asarray(cost, dtype=float)
     cols = np.argmin(C, axis=1)
     if np.unique(cols).size == cols.size:
         return cols
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+    return np.array(_jonker_volgenant((C - C.min() + 1.0).tolist()))
 
-    rows, cols = min_weight_full_bipartite_matching(
-        csr_matrix(C - C.min() + 1.0))
-    out = np.empty(C.shape[0], dtype=int)
-    out[rows] = cols
-    return out
+
+# augmenting row reductions one assignment may make before it is taken
+# to cycle: a reduction of a price by less than its last bit leaves the
+# prices as they were, and the same rows then displace each other forever
+JV_ROW_REDUCTIONS_MAX = 100_000
+
+
+def _jonker_volgenant(C: list) -> list:
+    """Column of each row in a minimum-cost assignment of the dense cost
+    rows C (rows <= columns): the shortest augmenting path algorithm of
+    Jonker and Volgenant (Computing 38, 1987), in the order of operations
+    of its sparse variant LAPJVsp as scipy's
+    `min_weight_full_bipartite_matching` runs it.
+
+    Assignments tie exactly (the degree-1 torus assignment of
+    `assign_to_critical_points` has eight optimal ones), so which optimum
+    is returned is part of the output; this order returns the optimum
+    scipy's routine returns, and keeps earlier artifacts unchanged.  A
+    square C gets column reduction, reduction transfer and two rounds of
+    augmenting row reduction first; a rectangular one starts from zero
+    prices with every row free.  Then every free row is matched along a
+    Dijkstra shortest path in the reduced costs.
+    """
+    nr, nc = len(C), len(C[0])
+    inf = float("inf")
+    x, y = [-1] * nr, [-1] * nc  # column of each row, row of each column
+    if nr < nc:
+        v, free = [0.0] * nc, list(range(nr))  # column prices, free rows
+    else:
+        v, free = [inf] * nc, []
+        # column reduction: each column to its cheapest row; scanned from
+        # the last column, a row cheapest for several keeps the last
+        for i, row in enumerate(C):
+            for j, c in enumerate(row):
+                if c < v[j]:
+                    v[j], y[j] = c, i
+        shared = [False] * nr
+        for j in reversed(range(nc)):
+            i = y[j]
+            if x[i] == -1:
+                x[i] = j
+            else:
+                y[j], shared[i] = -1, True
+        # reduction transfer: a row holding one column passes its slack
+        # to that column's price
+        for i, row in enumerate(C):
+            if x[i] == -1:
+                free.append(i)
+            elif not shared[i]:
+                j1 = x[i]
+                v[j1] -= min((c - v[j] for j, c in enumerate(row) if j != j1),
+                             default=inf)
+        # augmenting row reduction, twice
+        steps = 0
+        for _ in range(2):
+            todo, free, k = free, [], 0
+            while k < len(todo):
+                steps += 1
+                if steps > JV_ROW_REDUCTIONS_MAX:
+                    raise NumericalError(
+                        "assignment row reduction does not terminate "
+                        "(costs tie to the last bit)")
+                i = todo[k]
+                k += 1
+                u1 = u2 = inf  # lowest and second-lowest reduced cost
+                j1 = j2 = -1
+                for j, c in enumerate(C[i]):
+                    h = c - v[j]
+                    if h < u2:
+                        if h >= u1:
+                            u2, j2 = h, j
+                        else:
+                            u1, u2, j1, j2 = h, u1, j, j1
+                i0 = y[j1]
+                if u1 < u2:
+                    v[j1] = v[j1] - u2 + u1
+                elif i0 != -1:
+                    j1 = j2
+                    i0 = y[j2]
+                x[i], y[j1] = j1, i
+                if i0 != -1:
+                    if u1 < u2:  # the displaced row is reduced next
+                        k -= 1
+                        todo[k] = i0
+                    else:
+                        free.append(i0)
+    # augmentation: a shortest path from each free row to a free column
+    for i0 in free:
+        ready = [False] * nc
+        d = [c - vj for c, vj in zip(C[i0], v)]  # distances from row i0
+        lab = [i0] * nc  # predecessor row of each column on the path
+        todo = [0] * nc  # columns at distance low, from the front;
+        top, back = -1, nc - 1  # scanned columns, from the back
+        end = -1
+        while True:
+            if top == -1:  # the next distance: every column at it, in order
+                low = inf
+                for j in range(nc):
+                    if d[j] <= low and not ready[j]:
+                        if d[j] < low:
+                            low, top = d[j], -1
+                        top += 1
+                        todo[top] = j
+                for h in range(top + 1):
+                    j = todo[h]
+                    if y[j] == -1:
+                        end = j
+                        break
+                    ready[j] = True
+                if end != -1:
+                    break
+            j0 = todo[top]
+            top -= 1
+            todo[back] = j0
+            back -= 1
+            i = y[j0]
+            slack = C[i][j0] - v[j0] - low
+            for j, c in enumerate(C[i]):
+                if not ready[j]:
+                    dj = c - v[j] - slack
+                    if dj < d[j]:
+                        d[j], lab[j] = dj, i
+                        if dj == low:
+                            if y[j] == -1:
+                                end = j
+                                break
+                            top += 1
+                            todo[top] = j
+                            ready[j] = True
+            if end != -1:
+                break
+        for j in todo[back + 1:]:
+            v[j] += d[j] - low
+        j = end
+        while True:
+            i = lab[j]
+            y[j] = i
+            j, x[i] = x[i], j
+            if i == i0:
+                break
+    return x
 
 
 def match_step(prev_V: np.ndarray, w_next: np.ndarray, V_next: np.ndarray,

@@ -315,6 +315,44 @@ def test_match_step_handles_cluster_rotation(rng):
     assert np.max(np.abs(W - prev)) < 1e-12
 
 
+def test_tied_assignment_matches_scipy(rng):
+    """Assignments whose cheapest columns collide, against scipy's
+    min_weight_full_bipartite_matching as the oracle: square and
+    rectangular costs with many exactly tied optima, where the chosen
+    optimum is part of the output, and generic costs."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+    tied = 0
+    for trial in range(600):
+        nr = int(rng.integers(2, 10))
+        nc = nr + int(rng.integers(0, 4)) * (trial % 2)
+        if trial % 3 == 0:
+            C = -rng.random((nr, nc))
+        else:  # halves, as in the degree-1 torus masses
+            C = -0.5 * rng.integers(0, 3, (nr, nc))
+        cols = np.argmin(C, axis=1)
+        tied += np.unique(cols).size < nr
+        rows, want = min_weight_full_bipartite_matching(
+            csr_matrix(C - C.min() + 1.0))
+        got = branches._min_cost_assignment(C)
+        assert np.array_equal(got[rows], want), (C, got, want)
+    assert tied > 300
+
+
+def test_assignment_cycle_raises():
+    """Costs tied to the last bit can make the row reduction displace the
+    same rows forever (scipy's matching spins on this matrix); the
+    assignment raises instead."""
+    C = [[1.4999999999999998, 1.5, 1.0, 1.4999999999999998],
+         [1.5000000000000002, 1.5000000000000002, 0.9999999999999998,
+          1.5000000000000002],
+         [1.5000000000000002, 1.5000000000000002, 1.0, 1.5000000000000002],
+         [1.5, 1.0000000000000002, 1.0000000000000002, 1.0]]
+    with pytest.raises(NumericalError, match="does not terminate"):
+        branches._jonker_volgenant(C)
+
+
 def test_rebase_recovers_mixed_pair():
     """A tracked pair straddling two sub-clusters is purified once the
     splitting resolves; the group certificate validates the span."""

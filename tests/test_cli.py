@@ -7,6 +7,7 @@ import sys
 import jsonschema
 import pytest
 
+from wittenlab import branches
 from wittenlab.cli import main
 from wittenlab.config import ExperimentConfig, Tolerances, load_schema
 from wittenlab.errors import NumericalError
@@ -196,31 +197,42 @@ def test_torsion_exit_code_on_failed_anomaly_check(tmp_path, capsys,
     assert "anomaly identity fails at t=0.0" in capsys.readouterr().err
 
 
-# the torus-sin2-product preset turned a quarter period on both circles
-# (cos 2th1 + cos 2th2) at 24 modes: its tracking never meets a tie
-# between the cheapest columns of an assignment
-TORUS24_COS2 = {
+# the torus-sin2-product preset at 24 modes, whose degree-1 assignment
+# of branches to critical points ties between the cheapest columns, and
+# the same turned a quarter period on both circles (cos 2th1 + cos 2th2),
+# whose assignments never tie
+TORUS24 = {
     "manifold": "torus", "modes": 24, "t_max": 5.0, "t_step": 0.5,
-    "tolerances": {"vanish_max": 1e-4},
-    "potential": {"arity": 2, "terms": [
-        {"freq": [0, 2], "cos": 1.0, "sin": 0.0},
-        {"freq": [2, 0], "cos": 1.0, "sin": 0.0}]}}
+    "tolerances": {"vanish_max": 1e-4}}
+SIN2, COS2 = ({"arity": 2, "terms": [{"freq": [0, 2], "cos": c, "sin": s},
+                                     {"freq": [2, 0], "cos": c, "sin": s}]}
+              for c, s in ((0.0, 1.0), (1.0, 0.0)))
 
 
-def test_default_routes_load_no_scipy(tmp_path):
+def test_default_routes_load_no_scipy(tmp_path, monkeypatch):
     """The command line imports no scipy module, and neither does a
-    circle torsion run or a separable torus package run without a tied
-    assignment: scipy serves only the subset and Lanczos eigensolves of
-    blocks without circle factors and the tie matching."""
-    config = tmp_path / "torus24.json"
-    config.write_text(json.dumps({**TORUS24_COS2,
-                                  "out_dir": str(tmp_path / "torus")}))
+    circle torsion run or a separable torus package run, with or without
+    a tied assignment: scipy serves only the subset and Lanczos
+    eigensolves of blocks without circle factors."""
+    configs = []
+    for name, potential in (("sin2", SIN2), ("cos2", COS2)):
+        path = tmp_path / f"torus24-{name}.json"
+        path.write_text(json.dumps({**TORUS24, "potential": potential,
+                                    "out_dir": str(tmp_path / name)}))
+        configs.append(str(path))
+    ties = []
+    solve = branches._jonker_volgenant
+    monkeypatch.setattr(branches, "_jonker_volgenant",
+                        lambda C: ties.append(C) or solve(C))
+    assert main(["package", "--config", configs[0]]) == 0
+    assert ties  # the sin2 run below takes the tie route
     code = ("import sys, wittenlab.cli as cli\n"
             "rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
             "print(rc, [m for m in sys.modules if m.startswith('scipy')])")
     for args in ([], ["torsion", "--preset", "circle-sin2",
                       "--out", str(tmp_path / "circle")],
-                 ["package", "--config", str(config)]):
+                 ["package", "--config", configs[0]],
+                 ["package", "--config", configs[1]]):
         out = subprocess.run([sys.executable, "-c", code, *args],
                              capture_output=True, text=True, check=True)
         assert out.stdout.splitlines()[-1] == "0 []", (args, out.stdout)
