@@ -128,7 +128,7 @@ def _min_cost_assignment(cost) -> np.ndarray:
     """
     C = np.asarray(cost, dtype=float)
     cols = np.argmin(C, axis=1)
-    if np.unique(cols).size == cols.size:
+    if len(set(cols.tolist())) == cols.size:
         return cols
     return np.array(_jonker_volgenant((C - C.min() + 1.0).tolist()))
 

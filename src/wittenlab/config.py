@@ -1,8 +1,10 @@
 """Experiment configuration: tolerances, presets, deterministic digests.
 
 Configs round-trip through JSON and are validated against the schema
-shipped in wittenlab/schemas/.  Every output file embeds the config
-digest so runs are attributable and reproducible byte for byte.
+shipped in wittenlab/schemas/, read by the small draft-07 reader below
+(the schema file is the only place the rules live).  Every output file
+embeds the config digest so runs are attributable and reproducible byte
+for byte.
 """
 from __future__ import annotations
 
@@ -46,13 +48,8 @@ class Tolerances:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Tolerances":
-        known = {f.name for f in dataclasses.fields(cls)}
-        bad = set(d) - known
-        if bad:
-            raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
-        for k, v in d.items():
-            if not (isinstance(v, (int, float)) and v > 0):
-                raise ConfigError(f"tolerance {k} must be a positive number")
+        schema = load_schema("experiment-config")["properties"]["tolerances"]
+        check_document(d, schema, "tolerances")
         return cls(**d)
 
 
@@ -184,12 +181,142 @@ class ExperimentConfig:
 
 def validate_config_dict(d: dict):
     """Validate a raw config document against the shipped JSON schema."""
-    import jsonschema
+    check_document(d, load_schema("experiment-config"))
 
-    try:
-        jsonschema.validate(d, load_schema("experiment-config"))
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+
+# -- a draft-07 reader for the keywords the config schema uses ---------
+
+# the keywords the reader implements, after three annotations that
+# constrain nothing
+KEYWORDS = frozenset({
+    "$schema", "title", "description",
+    "type", "enum", "oneOf", "properties", "required",
+    "additionalProperties", "items", "minItems", "maxItems", "minimum",
+    "maximum", "exclusiveMinimum"})
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# draft-07 types of a JSON value: bool is never a number, and a float
+# with an integral value is an integer
+JSON_TYPES = {
+    "null": lambda x: x is None,
+    "boolean": lambda x: isinstance(x, bool),
+    "string": lambda x: isinstance(x, str),
+    "array": lambda x: isinstance(x, list),
+    "object": lambda x: isinstance(x, dict),
+    "number": _is_number,
+    "integer": lambda x: _is_number(x) and (isinstance(x, int)
+                                            or x.is_integer()),
+}
+
+
+def _types(schema: dict) -> list:
+    types = schema.get("type", [])
+    return [types] if isinstance(types, str) else types
+
+
+def _json_equal(a, b) -> bool:
+    """JSON equality as `enum` uses it: bool never equals 1 or 0, and
+    arrays and objects compare item by item under the same rule."""
+    if a is b:
+        return True
+    if isinstance(a, bool) or isinstance(b, bool):
+        return False
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_json_equal(v, b[k])
+                                            for k, v in a.items())
+    return a == b
+
+
+def _require_known_keywords(schema: dict):
+    """Raise on any keyword, or form of one, that the reader does not
+    implement, anywhere in the schema, so no rule goes unchecked."""
+    unknown = set(schema) - KEYWORDS
+    unknown |= {f"type {t!r}" for t in _types(schema) if t not in JSON_TYPES}
+    if schema.get("additionalProperties", False) is not False:
+        unknown.add("additionalProperties other than false")
+    if not isinstance(schema.get("items", {}), dict):
+        unknown.add("items other than one schema")
+    if unknown:
+        raise NotImplementedError("schema keywords the reader does not "
+                                  f"implement: {sorted(unknown)}")
+    subs = [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
+    for sub in subs + ([schema["items"]] if "items" in schema else []):
+        _require_known_keywords(sub)
+
+
+def _join(path: str, key) -> str:
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else str(key)
+
+
+def _violation(x, schema: dict, path: str):
+    """(JSON path, reason) of the first rule of schema that the value x
+    breaks, or None when x is valid."""
+    types = _types(schema)
+    if "type" in schema and not any(JSON_TYPES[t](x) for t in types):
+        return path, f"{x!r} is not of type {' or '.join(types)}"
+    if "enum" in schema and not any(_json_equal(e, x) for e in schema["enum"]):
+        return path, f"{x!r} is not one of {schema['enum']!r}"
+    if "oneOf" in schema:
+        found = [_violation(x, sub, path) for sub in schema["oneOf"]]
+        n = found.count(None)
+        if n == 0:  # name the value inside x that the closest form rejects
+            deepest = max(found, key=lambda f: len(f[0]))
+            if deepest[0] != path:
+                return deepest
+        if n != 1:
+            return path, (f"{x!r} matches {n} of the {len(schema['oneOf'])} "
+                          "allowed forms, not exactly one")
+    if isinstance(x, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in x:
+                return _join(path, key), "required key missing"
+        if schema.get("additionalProperties") is False:
+            for key in x:
+                if key not in props:
+                    return _join(path, key), "unknown key"
+        for key, sub in props.items():
+            if key in x:
+                found = _violation(x[key], sub, _join(path, key))
+                if found:
+                    return found
+    if isinstance(x, list):
+        if len(x) < schema.get("minItems", 0):
+            return path, f"has fewer than {schema['minItems']} items"
+        if len(x) > schema.get("maxItems", math.inf):
+            return path, f"has more than {schema['maxItems']} items"
+        for i, item in enumerate(x if "items" in schema else ()):
+            found = _violation(item, schema["items"], _join(path, i))
+            if found:
+                return found
+    if _is_number(x):
+        if "minimum" in schema and x < schema["minimum"]:
+            return path, f"{x!r} is less than {schema['minimum']!r}"
+        if "maximum" in schema and x > schema["maximum"]:
+            return path, f"{x!r} is greater than {schema['maximum']!r}"
+        if "exclusiveMinimum" in schema and x <= schema["exclusiveMinimum"]:
+            return path, (f"{x!r} is not greater than "
+                          f"{schema['exclusiveMinimum']!r}")
+    return None
+
+
+def check_document(doc, schema: dict, path: str = ""):
+    """Raise ConfigError, naming the JSON path of the offending value,
+    when doc breaks the draft-07 schema; path is the document's own."""
+    _require_known_keywords(schema)
+    found = _violation(doc, schema, path)
+    if found:
+        where, reason = found
+        raise ConfigError(
+            f"config schema violation at {where or 'the top level'}: {reason}")
 
 
 def load_schema(name: str) -> dict:

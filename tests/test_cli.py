@@ -209,11 +209,14 @@ SIN2, COS2 = ({"arity": 2, "terms": [{"freq": [0, 2], "cos": c, "sin": s},
               for c, s in ((0.0, 1.0), (1.0, 0.0)))
 
 
-def test_default_routes_load_no_scipy(tmp_path, monkeypatch):
+def test_default_routes_load_no_scipy_jsonschema_or_numpy_ma(tmp_path,
+                                                            monkeypatch):
     """The command line imports no scipy module, and neither does a
     circle torsion run or a separable torus package run, with or without
     a tied assignment: scipy serves only the subset and Lanczos
-    eigensolves of blocks without circle factors."""
+    eigensolves of blocks without circle factors.  None of them loads
+    jsonschema (the package reads the config schema itself) or numpy.ma
+    (which np.unique would load)."""
     configs = []
     for name, potential in (("sin2", SIN2), ("cos2", COS2)):
         path = tmp_path / f"torus24-{name}.json"
@@ -228,7 +231,9 @@ def test_default_routes_load_no_scipy(tmp_path, monkeypatch):
     assert ties  # the sin2 run below takes the tie route
     code = ("import sys, wittenlab.cli as cli\n"
             "rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-            "print(rc, [m for m in sys.modules if m.startswith('scipy')])")
+            "print(rc, [m for m in sys.modules\n"
+            "           if m.split('.')[0] in ('scipy', 'jsonschema')\n"
+            "           or (m + '.').startswith('numpy.ma.')])")
     for args in ([], ["torsion", "--preset", "circle-sin2",
                       "--out", str(tmp_path / "circle")],
                  ["package", "--config", configs[0]],

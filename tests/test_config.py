@@ -1,12 +1,15 @@
+import copy
 import json
 import re
 
+import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wittenlab.config import (ExperimentConfig, PRESETS, Tolerances, preset,
-                              load_schema)
+                              check_document, load_schema,
+                              validate_config_dict)
 from wittenlab.errors import ConfigError
 
 
@@ -127,3 +130,150 @@ def test_tolerances_replace_and_round_trip():
     assert Tolerances.from_dict(tol.as_dict()) == tol
     with pytest.raises(ConfigError):
         Tolerances.from_dict({"nope": 1.0})
+
+
+def test_tolerances_share_the_schema_bounds():
+    with pytest.raises(ConfigError, match=r"tolerances\.overlap_min"):
+        Tolerances.from_dict({"overlap_min": 2.0})
+    with pytest.raises(ConfigError, match=r"tolerances\.gap_min"):
+        Tolerances.from_dict({"gap_min": True})
+    assert Tolerances.from_dict({"overlap_min": 1}).overlap_min == 1
+
+
+# -- the schema reader against jsonschema as the oracle ----------------
+
+CONFIG_SCHEMA = load_schema("experiment-config")
+ORACLE = jsonschema.Draft7Validator(CONFIG_SCHEMA)
+
+# a benchmark-style document: the torus at 24 modes with a potential of
+# quarter-turned sin 2theta factors written out term by term
+BENCH_DOC = {
+    "manifold": "torus", "modes": 24, "t_max": 5.0, "t_step": 0.5,
+    "tolerances": {"vanish_max": 1e-4}, "out_dir": "out",
+    "potential": {"arity": 2, "terms": [
+        {"freq": [0, 2], "cos": -1.0, "sin": 0.0},
+        {"freq": [2, 0], "cos": 0.0, "sin": 1.0}]}}
+BASE_DOCS = (preset("circle-sin2").as_dict(),
+             preset("torus-sin2-product").as_dict(), BENCH_DOC)
+
+
+def reader_accepts(doc) -> bool:
+    try:
+        validate_config_dict(doc)
+    except ConfigError:
+        return False
+    return True
+
+
+KEYS = st.sampled_from(sorted(
+    {"manifold", "potential", "arity", "terms", "freq", "cos", "sin",
+     "modes", "t_max", "degrees", "seed", "format", "tolerances",
+     "vanish_max", "overlap_min", "bogus"})) | st.text(max_size=2)
+SCALARS = (st.sampled_from([None, True, False, 0, 1, 2, -1, 0.0, 1.0, 2.0,
+                            24.0, 0.5, 1e-4, 128, 129, "sin2", "sin2-product",
+                            "circle", "torus", "csv", "json", ""])
+           | st.integers() | st.floats() | st.text(max_size=3))
+VALUES = st.recursive(SCALARS, lambda kids: st.lists(kids, max_size=3)
+                      | st.dictionaries(KEYS, kids, max_size=3), max_leaves=5)
+
+
+def _parent(doc, path):
+    """The array or object that holds the value at path (path nonempty)."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _paths(doc, path=()):
+    yield path
+    kids = (doc.items() if isinstance(doc, dict)
+            else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in kids:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A base document with one to three values replaced, keys or items
+    deleted, or keys or items added, anywhere in it."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASE_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        op = draw(st.sampled_from(["set", "delete", "add"]))
+        if not path:
+            if op == "set":
+                doc = draw(VALUES)
+            continue
+        parent = _parent(doc, path)
+        target = parent[path[-1]]
+        if op == "set":
+            parent[path[-1]] = draw(VALUES)
+        elif op == "delete":
+            del parent[path[-1]]
+        elif isinstance(target, dict):
+            target[draw(KEYS)] = draw(VALUES)
+        elif isinstance(target, list):
+            target.append(draw(VALUES))
+    return doc
+
+
+@settings(max_examples=400)
+@given(mutated_documents())
+def test_reader_matches_jsonschema(doc):
+    assert reader_accepts(doc) == ORACLE.is_valid(doc)
+
+
+def _set(path, value):
+    def edit(doc):
+        _parent(doc, path)[path[-1]] = value
+    return edit
+
+
+PINNED = {
+    "modes true": (_set(["modes"], True), False),
+    "modes 24.0": (_set(["modes"], 24.0), True),
+    "arity 1.0": (_set(["potential", "arity"], 1.0), True),
+    "freq empty": (_set(["potential", "terms", 0, "freq"], []), False),
+    "freq [true]": (_set(["potential", "terms", 0, "freq"], [True]), False),
+    "potential of neither form": (_set(["potential"], {"arity": 2}), False),
+    "potential name unknown": (_set(["potential"], "sin3"), False),
+    "degrees null": (_set(["degrees"], None), True),
+    "extra key, top": (_set(["extra"], 1), False),
+    "extra key, tolerances": (_set(["tolerances", "bogus"], 0.5), False),
+    "extra key, potential": (_set(["potential", "bogus"], 0), False),
+    "extra key, term": (_set(["potential", "terms", 0, "bogus"], 0), False),
+    "t_max 0": (_set(["t_max"], 0), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_reader_pinned_cases(case):
+    edit, valid = PINNED[case]
+    doc = copy.deepcopy(BENCH_DOC)
+    edit(doc)
+    assert ORACLE.is_valid(doc) == valid
+    assert reader_accepts(doc) == valid
+
+
+def test_violation_names_its_json_path():
+    doc = copy.deepcopy(BENCH_DOC)
+    doc["tolerances"]["vanish_max"] = -1.0
+    with pytest.raises(ConfigError, match=r" at tolerances\.vanish_max: "):
+        ExperimentConfig.from_dict(doc)
+    doc = copy.deepcopy(BENCH_DOC)
+    doc["potential"]["terms"][1]["freq"] = [2, 0.5]
+    with pytest.raises(ConfigError,
+                       match=r" at potential\.terms\[1\]\.freq\[1\]: "):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_reader_refuses_keywords_it_does_not_implement():
+    check_document({}, CONFIG_SCHEMA)  # the shipped schema is readable
+    with pytest.raises(NotImplementedError, match="pattern"):
+        check_document("abc", {"type": "string", "pattern": "^a"})
+    # also where the document never reaches
+    nested = {"properties": {"x": {"items": {"uniqueItems": True}}}}
+    with pytest.raises(NotImplementedError, match="uniqueItems"):
+        check_document({}, nested)
+    with pytest.raises(NotImplementedError, match="additionalProperties"):
+        check_document({}, {"additionalProperties": {"type": "number"}})
