@@ -46,16 +46,62 @@ SMALL_BLOCK_DIM = 64
 def _dense_smallest(A, m: int):
     """The m smallest eigenpairs of the dense symmetric A, ascending.
 
-    Small matrices, and a request for the whole spectrum, take a full
-    np.linalg.eigh; otherwise LAPACK's syevr computes the subset alone.
+    A request for the whole spectrum takes a full np.linalg.eigh;
+    otherwise LAPACK's syevr computes the subset alone.
     """
-    n = A.shape[0]
-    if n <= SMALL_BLOCK_DIM or not 0 < m < n:
+    if not 0 < m < A.shape[0]:
         w, V = np.linalg.eigh(A)
         return w[:m], V[:, :m]
     from scipy.linalg import eigh
 
     return eigh(A, subset_by_index=[0, m - 1], driver="evr")
+
+
+def _full_spectra(fam: LaplacianFamily, ts: np.ndarray):
+    """fam at every t of ts as a dense block, and its whole spectrum:
+    read-only (A, w, V) stacks, one row per t, from one stacked
+    np.linalg.eigh.
+
+    Each block is fam.values(t) scattered as CSR.toarray does it, in
+    the same arithmetic, and LAPACK solves every matrix of a stack on
+    its own, so each (w, V) is bit-identical to a solve at that t alone.
+    """
+    P = fam.pattern
+    data = (fam.coef[0] + ts[:, None] * fam.coef[1]
+            + (ts * ts)[:, None] * fam.coef[2])
+    A = np.zeros((ts.size,) + P.shape)
+    A[:, P.rows, P.indices] = data
+    out = (A, *np.linalg.eigh(A))
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
+class _GridSpectra:
+    """The whole spectra one track_branches call reads: those of its
+    small dense blocks (_whole) and of its circle factors.
+
+    A family is solved for every t of the grid by one _full_spectra call
+    when a grid sample of it is first asked for; an off-grid sample (a
+    bisection point) is solved alone when it is asked for.  The stacks
+    live as long as this object, and a family is known by its identity,
+    so blocks that share a factor sub-family share its solve.
+    """
+
+    def __init__(self, grid=()):
+        self.grid = np.asarray(grid, dtype=float)
+        # id(family) -> (family, A, w, V); holding the family keeps its
+        # id from being reused while the stacks live
+        self._stacks = {}
+
+    def __call__(self, fam: LaplacianFamily, t: float):
+        """(A, w, V): fam at t as a dense block and its full eigh."""
+        hit = np.flatnonzero(self.grid == t)
+        if hit.size == 0:
+            return tuple(x[0] for x in _full_spectra(fam, np.array([t])))
+        if id(fam) not in self._stacks:
+            self._stacks[id(fam)] = (fam, *_full_spectra(fam, self.grid))
+        return tuple(x[hit[0]] for x in self._stacks[id(fam)][1:])
 
 
 def _eig_smallest_sparse(A: CSR, k: int, residual_tol: float = 1e-9):
@@ -489,7 +535,8 @@ def lowest_eigenvalues(blocks, t: float, k: int,
     return values, owner
 
 
-def _lowest_solves(blocks, t: float, k: int, tol: Tolerances):
+def _lowest_solves(blocks, t: float, k: int, tol: Tolerances,
+                   spectra: _GridSpectra | None = None):
     """Covered solves at t of every block that decide the k smallest.
 
     Each block starts from the smallest window.  A block whose last
@@ -500,7 +547,7 @@ def _lowest_solves(blocks, t: float, k: int, tol: Tolerances):
     each block's share is a prefix of its solve, whose residuals are
     validated.
     """
-    solvers = [_CoveredSolver(sub, 1, tol) for _, sub in blocks]
+    solvers = [_CoveredSolver(sub, 1, tol, spectra) for _, sub in blocks]
     solves = [s.solve(t) for s in solvers]
     while True:
         values, owner, reach = _merge_lowest([w for w, _ in solves], k,
@@ -551,6 +598,12 @@ def _windowed(fam: LaplacianFamily) -> bool:
     return fam.dim > DENSE_MAX_DIM and not _factored(fam)
 
 
+def _whole(fam: LaplacianFamily) -> bool:
+    """Whether fam is a small dense block, whose every solve is its whole
+    spectrum from _GridSpectra."""
+    return fam.dim <= SMALL_BLOCK_DIM and not _windowed(fam)
+
+
 def _solver_matrix(fam: LaplacianFamily, t: float):
     """fam at t in the form its eigensolver takes: CSR for the windowed
     solve, else the dense block."""
@@ -558,26 +611,32 @@ def _solver_matrix(fam: LaplacianFamily, t: float):
     return A if _windowed(fam) else A.toarray()
 
 
-def _smallest(fam: LaplacianFamily, t: float, m: int, tol: Tolerances):
+def _smallest(fam: LaplacianFamily, t: float, m: int, tol: Tolerances,
+              spectra: _GridSpectra):
     """The min(m, dim) smallest eigenpairs (w, V) of fam at t, ascending,
     and the matrix A they are to be validated against: (A, w, V).
 
-    A Kronecker-sum block (_factored) takes them from the full eigh of
-    its two circle factors, the sums lambda_a + mu_b in stable order with
-    the Kronecker products u_a (x) v_b of the kept ones; A is then the
-    assembled block, so the Kronecker identity is certified at every
-    solve.  A block above DENSE_MAX_DIM takes the shift-invert solve of
-    its CSR form, any other _dense_smallest of its dense form.
+    A Kronecker-sum block (_factored) takes them from the whole spectra
+    of its two circle factors, the sums lambda_a + mu_b in stable order
+    with the Kronecker products u_a (x) v_b of the kept ones; A is then
+    the assembled block, so the Kronecker identity is certified at every
+    solve.  A small dense block (_whole) takes a prefix of its whole
+    spectrum; both read the whole spectra from spectra.  A block above
+    DENSE_MAX_DIM takes the shift-invert solve of its CSR form, any
+    other _dense_smallest of its dense form.
     """
     if _factored(fam):
         _, F1, F2 = fam.factors[0]
-        w1, U1 = np.linalg.eigh(_solver_matrix(F1, t))
-        w2, U2 = np.linalg.eigh(_solver_matrix(F2, t))
+        _, w1, U1 = spectra(F1, t)
+        _, w2, U2 = spectra(F2, t)
         sums = (w1[:, None] + w2).ravel()
         keep = np.argsort(sums, kind="stable")[:m]
         a, b = np.divmod(keep, w2.size)
         V = (U1[:, None, a] * U2[None, :, b]).reshape(fam.dim, keep.size)
         return fam.at(t), sums[keep], V
+    if _whole(fam):
+        A, w, V = spectra(fam, t)
+        return A, w[:m], V[:, :m]
     A = _solver_matrix(fam, t)
     if _windowed(fam):
         return (A, *_eig_smallest_sparse(A, m, tol.eig_residual))
@@ -594,16 +653,20 @@ class _CoveredSolver:
     window holds the whole spectrum, its top cluster (eigenvalue_clusters)
     is dropped, and the window grows until the complete clusters hold k
     values and, when a value is needed, reach past it with a margin.
-    Every solve's pairs are validated before they are returned.
+    Every solve's pairs are validated before they are returned.  Whole
+    spectra come from spectra, by default a _GridSpectra without a grid,
+    which solves each t alone.
     """
 
-    def __init__(self, fam: LaplacianFamily, k: int, tol: Tolerances):
+    def __init__(self, fam: LaplacianFamily, k: int, tol: Tolerances,
+                 spectra: _GridSpectra | None = None):
         self.fam, self.k, self.tol = fam, k, tol
+        self.spectra = spectra or _GridSpectra()
         dim = fam.dim
         # Lanczos needs a window below dim - 1; a dense one can reach dim
         self.cap = min(dim - 2, max(256, 8 * k)) if _windowed(fam) else dim
         self.window = min(self.cap, max(2 * k + 4, k + 8))
-        if not _windowed(fam) and dim <= SMALL_BLOCK_DIM:
+        if _whole(fam):
             self.window = dim  # a full eigh fills the whole block anyway
 
     def widen(self) -> bool:
@@ -617,7 +680,8 @@ class _CoveredSolver:
         margin = None if needed is None else (
             needed + 1e-2 * (1.0 + abs(needed)))
         while True:
-            A, w, V = _smallest(self.fam, t, self.window, self.tol)
+            A, w, V = _smallest(self.fam, t, self.window, self.tol,
+                                self.spectra)
             n = w.size
             # the whole spectrum cuts no cluster; a window drops its top one
             covered = n == self.fam.dim
@@ -677,13 +741,16 @@ def track_branches(cx: DeRhamComplex, q: int, grid, k: int | None = None,
     if k > dim:
         raise TrackingError(f"k={k} exceeds dimension {dim}")
     blocks = fam.split()
-    starts, _, owner = _lowest_solves(blocks, float(grid[-1]), k, tol)
+    spectra = _GridSpectra(grid)
+    starts, _, owner = _lowest_solves(blocks, float(grid[-1]), k, tol,
+                                      spectra)
     merged = [None] * k
     for b, ((idx, sub), start) in enumerate(zip(blocks, starts)):
         slots = np.flatnonzero(owner == b)  # merged positions, ascending
         if slots.size == 0:
             continue
-        tracked = _track_family(sub, q, grid, slots.size, tol, start)
+        tracked = _track_family(sub, q, grid, slots.size, tol, start,
+                                spectra)
         for slot, br in zip(slots, tracked):
             vectors = np.zeros((len(br.ts), dim))
             vectors[:, idx] = br.vectors
@@ -695,13 +762,13 @@ def track_branches(cx: DeRhamComplex, q: int, grid, k: int | None = None,
 
 
 def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
-                  tol: Tolerances, start):
+                  tol: Tolerances, start, spectra: _GridSpectra):
     """track_branches on one family as a whole, branches ascending at t_max.
 
     start is a covered, validated solve at t_max holding at least k
-    values."""
+    values; spectra holds the whole spectra of the call."""
     min_step = float(np.min(np.diff(grid))) * 2.0**-6
-    solver = _CoveredSolver(fam, k, tol)
+    solver = _CoveredSolver(fam, k, tol, spectra)
     t_cur = float(grid[-1])
     cur_V = _sign_gauge(start[1][:, :k])
     cur_w = start[0][:k].copy()

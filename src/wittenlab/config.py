@@ -159,10 +159,15 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         validate_config_dict(d)
         d = dict(d)
+        # draft-07 counts an integral float such as 2.0 as an integer; the
+        # counts and indices are read as that int
+        for key in ("modes", "k_extra", "seed"):
+            if key in d:
+                d[key] = int(d[key])
         if "tolerances" in d:
             d["tolerances"] = Tolerances.from_dict(d["tolerances"])
         if "degrees" in d and d["degrees"] is not None:
-            d["degrees"] = tuple(d["degrees"])
+            d["degrees"] = tuple(int(q) for q in d["degrees"])
         cfg = cls(**d)
         cfg.potential_trigpoly()  # fail fast on malformed potentials
         return cfg

@@ -558,14 +558,18 @@ class LaplacianFamily:
         A block whose rows are exactly those of a pair of factor blocks,
         offset + (ix[:, None] * F2.dim + iy).ravel() for blocks ix of F1
         and iy of F2 in some part of factors, carries that pair as its
-        one factor part.
+        one factor part; blocks that pair the same factor block share its
+        sub-family object.
         """
         P = self.pattern
         n_blocks, labels = P.components()
+        # each factor family is split once, so the blocks that pair a
+        # factor block share that one sub-family
+        splits = {id(F): F.split() for part in self.factors for F in part[1:]}
         pairs = {}  # first row -> (rows, factor part) of each factor pair
         for offset, F1, F2 in self.factors:
-            for ix, B1 in F1.split():
-                for iy, B2 in F2.split():
+            for ix, B1 in splits[id(F1)]:
+                for iy, B2 in splits[id(F2)]:
                     rows = offset + (ix[:, None] * F2.dim + iy).ravel()
                     pairs[rows[0]] = (rows, ((0, B1, B2),))
         entry_label = labels[P.rows]

@@ -9,7 +9,10 @@ coefficients, and no 2-D quadrature.  Each arc is integrated once for a
 whole t-grid.  Quadrature is composite Gauss-Legendre with an embedded
 half-order error estimate and dyadic panel subdivision; the integrand
 steepens near cell endpoints as t grows, which is exactly where the
-subdivision concentrates.
+subdivision concentrates.  A moment integrand is a product of two
+factors, e^{t f(x)} and a basis function, so each rule contracts the
+weights with them as one matrix product over the whole grid and never
+forms the (nodes, n_t (2N + 1)) table of their products.
 """
 from __future__ import annotations
 
@@ -31,7 +34,18 @@ def _rule_1d(fn, lo: float, hi: float, rule):
     x, w = rule
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    return half * (w @ fn(mid + half * x))
+    vals = fn(mid + half * x)
+    if isinstance(vals, tuple):  # factors (E, B): the columns E[:, a] B[:, b]
+        E, B = vals
+        return half * ((w[:, None] * E).T @ B).ravel()
+    return half * (w @ vals)
+
+
+def _abs(vals):
+    """|vals|, factor by factor for a pair: |ab| = |a| |b| exactly."""
+    if isinstance(vals, tuple):
+        return tuple(np.abs(v) for v in vals)
+    return np.abs(vals)
 
 
 def _panel_1d(fn, lo: float, hi: float):
@@ -44,8 +58,10 @@ def integrate_1d(fn, lo: float, hi: float, rel_tol: float = 1e-10,
     """Adaptive integral of a vectorized callable on [lo, hi].
 
     fn maps a node vector to its values, optionally with a trailing
-    column axis; columns are integrated together on shared panels and
-    the result has one entry per column.  A panel is accepted when the
+    column axis, or to a pair (E, B) of (nodes, n_a) and (nodes, n_b)
+    factors whose columns are the products E[:, a] B[:, b], in (a, b)
+    order.  Columns are integrated together on shared panels and the
+    result has one entry per column.  A panel is accepted when the
     GL32/GL16 discrepancy of every column fits an error allocation
     proportional to panel width, relative to a coarse estimate of that
     column's int |fn|; exhausting the panel budget raises.
@@ -54,7 +70,7 @@ def integrate_1d(fn, lo: float, hi: float, rel_tol: float = 1e-10,
         raise ConfigError("empty integration interval")
     width = hi - lo
     edges = np.linspace(lo, hi, 9)
-    scale = sum(_rule_1d(lambda x: np.abs(fn(x)), a, b, _GL32)
+    scale = sum(_rule_1d(lambda x: _abs(fn(x)), a, b, _GL32)
                 for a, b in zip(edges[:-1], edges[1:]))
     stack = [(lo, hi)]
     total = 0.0
@@ -110,12 +126,12 @@ class CellMoments:
 
             def fn(x):
                 # columns (t, i): one |fn| scale and error allocation each
-                w = np.exp(np.multiply.outer(f(x), ts))
-                return (w[:, :, None] * basis_matrix_1d(N, x)[:, None, :]
-                        ).reshape(x.size, -1)
+                return (np.exp(np.multiply.outer(f(x), ts)),
+                        basis_matrix_1d(N, x))
 
             if ax[0] == "point":
-                vals = fn(np.array([ax[1]]))
+                E, B = fn(np.array([ax[1]]))
+                vals = E.T @ B
             else:
                 vals = integrate_1d(fn, ax[1], ax[2], self.tol.quad_rel)
             self._axes[key] = vals.reshape(ts.size, -1)

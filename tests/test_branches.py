@@ -9,7 +9,7 @@ from wittenlab.branches import (LABEL_LARGE, LABEL_VS, LABEL_ZERO,
                                 classify, eigenvalue_clusters,
                                 lowest_eigenvalues, match_step,
                                 track_branches)
-from wittenlab.config import Tolerances
+from wittenlab.config import Tolerances, preset
 from wittenlab.derham import (CSR, LaplacianFamily, build_circle_complex,
                               build_torus_complex, laplacian_family)
 from wittenlab.errors import (ConfigError, GapNotFoundError, NumericalError,
@@ -153,26 +153,103 @@ def test_covered_cut_keeps_a_match_rule_cluster_whole():
     assert np.max(np.abs(w - vals[:7])) < 1e-10
 
 
+def _wrong_at(t_bad):
+    """A _full_spectra whose lowest value at t_bad is off by 1e-3."""
+    solve = branches._full_spectra
+
+    def wrong(fam, ts):
+        A, w, V = solve(fam, ts)
+        w = w.copy()
+        w[ts == t_bad, 0] += 1e-3
+        return A, w, V
+
+    return wrong
+
+
 def test_every_tracking_solve_is_validated(monkeypatch):
     """A dense solve that is wrong only at the interior sample t = 0.5
-    (its lowest value off by 1e-3) fails the residual check there."""
+    (its lowest value off by 1e-3) fails the residual check there.  The
+    20-row block is solved whole, from the stacked grid solve."""
     A0 = _rotated_spectrum(np.arange(1.0, 21.0))
     A1 = _rotated_spectrum(np.linspace(-1.0, 1.0, 20), seed=11)
     fam = synthetic_family(A0, A1)
-    at_half = fam.at(0.5).toarray()
-    solve = branches._dense_smallest
-
-    def wrong_at_half(A, m):
-        w, V = solve(A, m)
-        if np.array_equal(A, at_half):
-            w = w.copy()
-            w[0] += 1e-3
-        return w, V
-
-    monkeypatch.setattr(branches, "_dense_smallest", wrong_at_half)
+    assert branches._whole(fam)
+    monkeypatch.setattr(branches, "_full_spectra", _wrong_at(0.5))
     with pytest.raises(NumericalError, match="residual"):
         track_branches(None, 0, [0.0, 0.5, 1.0], k=2, tol=Tolerances(),
                        family=fam)
+
+
+def test_every_factor_spectrum_is_validated(torus_cx6, monkeypatch):
+    """A circle-factor spectrum that is wrong only at the interior sample
+    t = 2.5 (its lowest value off by 1e-3) gives factored pairs that
+    fail the residual check against the assembled block there."""
+    assert all(branches._factored(sub)
+               for _, sub in laplacian_family(torus_cx6, 0).split())
+    monkeypatch.setattr(branches, "_full_spectra", _wrong_at(2.5))
+    with pytest.raises(NumericalError, match="residual"):
+        track_branches(torus_cx6, 0, [0.0, 2.5, 5.0], k=4)
+
+
+def _factor_blocks(fam):
+    """The distinct circle-factor sub-families of fam's blocks, in order."""
+    out = {}
+    for _, sub in fam.split():
+        for F in sub.factors[0][1:]:
+            out.setdefault(id(F), F)
+    return list(out.values())
+
+
+def test_stacked_spectra_match_solves_at_each_t():
+    """One stacked solve of a family over a grid gives, at each t, the
+    family at t and np.linalg.eigh of it alone, bit for bit, as
+    read-only arrays: on every block of circle-sin2 on its preset grid,
+    and on every circle-factor block of the 24-mode torus on the
+    torus-package-sparse grid."""
+    cfg = preset("circle-sin2")
+    circle = build_circle_complex(cfg.modes, circle_sin2())
+    torus = build_torus_complex(24, torus_sin2_product())
+    cases = [(sub, cfg.grid()) for q in range(2)
+             for _, sub in laplacian_family(circle, q).split()]
+    cases += [(F, np.arange(0.0, 5.0 + 1e-9, 0.5)) for q in range(3)
+              for F in _factor_blocks(laplacian_family(torus, q))]
+    assert len(cases) > 8
+    for fam, ts in cases:
+        A, w, V = branches._full_spectra(fam, ts)
+        assert not any(x.flags.writeable for x in (A, w, V))
+        for i, t in enumerate(ts.tolist()):
+            At = fam.at(t).toarray()
+            wt, Vt = np.linalg.eigh(At)
+            assert np.array_equal(A[i], At)
+            assert np.array_equal(w[i], wt) and np.array_equal(V[i], Vt)
+
+
+def test_each_factor_block_is_solved_once_per_tracking_call(monkeypatch):
+    """Tracking each degree of the 24-mode torus solves every distinct
+    circle-factor block once on the whole grid, shared by every block
+    that pairs it; only off-grid (bisection) samples are solved alone."""
+    cx = build_torus_complex(24, torus_sin2_product())
+    grid = np.arange(0.0, 5.0 + 1e-9, 0.5)
+    sizes = []
+    solve = branches._full_spectra
+
+    def counting(fam, ts):
+        sizes.append((fam, ts.size))
+        return solve(fam, ts)
+
+    def content(F):
+        return (F.coef.tobytes(), F.pattern.indices.tobytes(),
+                F.pattern.indptr.tobytes())
+
+    monkeypatch.setattr(branches, "_full_spectra", counting)
+    for q, k in ((0, 10), (1, 14), (2, 10)):
+        sizes.clear()
+        track_branches(cx, q, grid, k=k)
+        stacked = [content(F) for F, n in sizes if n == grid.size]
+        assert all(n in (1, grid.size) for _, n in sizes)
+        assert len(stacked) == len(set(stacked))
+        assert set(stacked) == {content(F) for F in
+                                _factor_blocks(laplacian_family(cx, q))}
 
 
 @pytest.mark.parametrize("factor, raises", [(1.05, True), (0.95, False)])

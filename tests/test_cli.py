@@ -159,6 +159,32 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert main(["spectrum", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("key, value", [("modes", 16.0), ("k_extra", 2.0),
+                                        ("seed", 1.0), ("degrees", [0.0, 1.0])])
+def test_integral_floats_run_as_their_ints(tmp_path, capsys, key, value):
+    """A count or index written as an integral float, which the schema
+    accepts as an integer, runs like its int form: the same files with
+    the same digest and bytes.  A fractional value still exits 2."""
+    cfg, path = write_config(tmp_path, k_extra=2)
+    doc = json.loads(open(path).read())
+    runs = []
+    for v in (value, [int(q) for q in value] if key == "degrees"
+              else int(value)):
+        doc[key] = v
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["package", "--config", path]) == 0
+        files = printed_files(capsys)
+        runs.append({f: open(f, "rb").read() for f in files})
+    assert runs[0] == runs[1]
+    assert all(cfg.replace(**{key: doc[key]}).digest() in f for f in runs[0])
+    doc[key] = [0.5] if key == "degrees" else 2.5
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["package", "--config", path]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_exit_code_gap_not_found(tmp_path, capsys):
     # 16 modes cannot resolve the decay by t = 8 under the default
     # vanish ceiling, so classification refuses the package

@@ -6,7 +6,8 @@ import pytest
 
 import wittenlab.integrals as integrals
 from wittenlab.config import preset
-from wittenlab.derham import build_circle_complex, build_torus_complex
+from wittenlab.derham import (basis_matrix_1d, build_circle_complex,
+                              build_torus_complex)
 from wittenlab.errors import ConfigError, NumericalError
 from wittenlab.experiments import grid_pairings
 from wittenlab.integrals import (CellMoments, DetValue, a_log_total, det_log,
@@ -66,6 +67,75 @@ def test_integrate_1d_columns_keep_their_own_scale():
     assert got[1] == pytest.approx(peak, rel=1e-10, abs=0.0)
     alone = integrate_1d(lambda x: fn(x)[:, 1], 0.0, TWO_PI, rel_tol=1e-10)
     assert got[1] == pytest.approx(alone, rel=1e-10, abs=0.0)
+
+
+def _moment_integrands(f, N, ts):
+    """The moment integrands e^{t f} phi_i of the grid ts, columns (t, i):
+    as the factors (E, B) CellMoments integrates, and as the
+    materialized (nodes, n_t (2N + 1)) table of their products."""
+    def factors(x):
+        return np.exp(np.multiply.outer(f(x), ts)), basis_matrix_1d(N, x)
+
+    def table(x):
+        E, B = factors(x)
+        return (E[:, :, None] * B[:, None, :]).reshape(x.size, -1)
+
+    return factors, table
+
+
+def test_factored_rule_matches_the_product_table():
+    """The GL32 and GL16 rules, and the |fn| scale rule, on the factors
+    (E, B) against the same rules on the materialized products: within
+    1e-14 of each column's scale, on the circle-sin2 preset grid."""
+    cfg = preset("circle-sin2")
+    factors, table = _moment_integrands(circle_sin2(), cfg.modes, cfg.grid())
+    rule = integrals._rule_1d
+    for lo, hi in ((0.3, 1.1), (-0.7, 2.4), (0.0, TWO_PI)):
+        scale = rule(lambda x: np.abs(table(x)), lo, hi, integrals._GL32)
+        assert scale.shape == (cfg.grid().size * (2 * cfg.modes + 1),)
+        for gl in (integrals._GL32, integrals._GL16):
+            got = rule(factors, lo, hi, gl)
+            assert np.all(np.abs(got - rule(table, lo, hi, gl))
+                          <= 1e-14 * scale)
+        got = rule(lambda x: integrals._abs(factors(x)), lo, hi,
+                   integrals._GL32)
+        assert np.all(np.abs(got - scale) <= 1e-14 * scale)
+
+
+def test_factored_moments_keep_the_panels_of_the_product_table(monkeypatch):
+    """Every circle-sin2 arc on the preset grid, integrated from the
+    factors and from the materialized products: the same panel count,
+    and every moment within 1e-14 of its column's integral of |.|.  The
+    factors are what CellMoments integrates, bit for bit."""
+    cfg = preset("circle-sin2")
+    cx = build_circle_complex(cfg.modes, circle_sin2())
+    ts, rel = cfg.grid(), cfg.tolerances.quad_rel
+    factors, table = _moment_integrands(cx.f, cx.N, ts)
+    moments = CellMoments(cx, ts, cfg.tolerances)
+    panels = []
+    panel = integrals._panel_1d
+
+    def counting(fn, lo, hi):
+        panels.append((lo, hi))
+        return panel(fn, lo, hi)
+
+    monkeypatch.setattr(integrals, "_panel_1d", counting)
+    arcs = arcs_of(flow_complex(cx.f, "circle"))
+    assert len(arcs) == 4
+    for a, ax in arcs:
+        _, lo, hi = ax
+        panels.clear()
+        got = integrate_1d(factors, lo, hi, rel)
+        n_got = len(panels)
+        want = integrate_1d(table, lo, hi, rel)
+        assert n_got == len(panels) - n_got > 1
+        # |.| has kinks, so a fixed composite rule, not the adaptive one
+        edges = np.linspace(lo, hi, 33)
+        mass = sum(integrals._rule_1d(lambda x: np.abs(table(x)), e0, e1,
+                                      integrals._GL32)
+                   for e0, e1 in zip(edges[:-1], edges[1:]))
+        assert np.all(np.abs(got - want) <= 1e-14 * mass)
+        assert np.array_equal(moments.axis(a, ax), got.reshape(ts.size, -1))
 
 
 def test_integrate_1d_budget_exhaustion_one_rough_column():
