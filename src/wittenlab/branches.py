@@ -83,25 +83,32 @@ class _GridSpectra:
 
     A family is solved for every t of the grid by one _full_spectra call
     when a grid sample of it is first asked for; an off-grid sample (a
-    bisection point) is solved alone when it is asked for.  The stacks
-    live as long as this object, and a family is known by its identity,
-    so blocks that share a factor sub-family share its solve.
+    bisection point) is solved alone when it is asked for.  Each pair's
+    residual is taken from the stacked matrices by one batched product,
+    and the matrices are then dropped.  The stacks live as long as this
+    object, and a family is known by its identity, so blocks that share
+    a factor sub-family share its solve.
     """
 
     def __init__(self, grid=()):
         self.grid = np.asarray(grid, dtype=float)
-        # id(family) -> (family, A, w, V); holding the family keeps its
+        # id(family) -> (family, w, V, r); holding the family keeps its
         # id from being reused while the stacks live
         self._stacks = {}
 
     def __call__(self, fam: LaplacianFamily, t: float):
-        """(A, w, V): fam at t as a dense block and its full eigh."""
+        """(w, V, r): the full eigh of fam at t and each pair's residual."""
         hit = np.flatnonzero(self.grid == t)
         if hit.size == 0:
-            return tuple(x[0] for x in _full_spectra(fam, np.array([t])))
+            return tuple(x[0] for x in self._solve(fam, np.array([t])))
         if id(fam) not in self._stacks:
-            self._stacks[id(fam)] = (fam, *_full_spectra(fam, self.grid))
+            self._stacks[id(fam)] = (fam, *self._solve(fam, self.grid))
         return tuple(x[hit[0]] for x in self._stacks[id(fam)][1:])
+
+    @staticmethod
+    def _solve(fam: LaplacianFamily, ts: np.ndarray):
+        A, w, V = _full_spectra(fam, ts)
+        return w, V, _residuals(A, w, V)
 
 
 def _eig_smallest_sparse(A: CSR, k: int, residual_tol: float = 1e-9):
@@ -109,10 +116,10 @@ def _eig_smallest_sparse(A: CSR, k: int, residual_tol: float = 1e-9):
 
     Shift-invert Lanczos at sigma = -1/2 (strictly below the spectrum of
     every deformed Laplacian, which is PSD up to rounding), so the k
-    eigenvalues closest to sigma are exactly the k smallest.  Residuals
-    are checked against the same relative tolerance as the dense path;
-    the start vector is fixed to keep runs reproducible.  The solve
-    runs on a scipy copy of A, built here.
+    eigenvalues closest to sigma are exactly the k smallest.  A is
+    refused when its asymmetry exceeds residual_tol (1 + max |A|); the
+    start vector is fixed to keep runs reproducible.  The solve runs on
+    a scipy copy of A, built here; its residuals are the caller's check.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -136,11 +143,7 @@ def _eig_smallest_sparse(A: CSR, k: int, residual_tol: float = 1e-9):
     w, V = spla.eigsh(S, k=k, sigma=-0.5, which="LM", tol=0, v0=v0,
                       ncv=ncv, maxiter=100 * k)
     order = np.argsort(w, kind="stable")
-    w, V = w[order], V[:, order]
-    res = float(np.max(np.abs(S @ V - V * w))) if w.size else 0.0
-    if res > residual_tol * max(1.0, scale):
-        raise NumericalError(f"eigenpair residual {res:.3e} exceeds tolerance")
-    return w, V
+    return w[order], V[:, order]
 
 
 def _runs(w, limit):
@@ -321,6 +324,14 @@ def _jonker_volgenant(C: list) -> list:
     return x
 
 
+def _procrustes(sub: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The orthonormal columns in the span of the orthonormal sub nearest
+    to P: the orthogonal Procrustes fit sub (U Vt) of the SVD
+    U S Vt = sub^T P."""
+    U, _, Vt = np.linalg.svd(sub.T @ P, full_matrices=False)
+    return sub @ (U @ Vt)
+
+
 def match_step(prev_V: np.ndarray, w_next: np.ndarray, V_next: np.ndarray,
                cluster_rel: float = 1e-6):
     """Match tracked vectors to the eigenbasis at the next parameter value.
@@ -347,10 +358,7 @@ def match_step(prev_V: np.ndarray, w_next: np.ndarray, V_next: np.ndarray,
         # k-cutoff can split an exactly degenerate pair), so fit them by
         # projecting the predecessors onto the whole cluster subspace and
         # taking the nearest orthonormal set
-        sub = V_next[:, lo:hi]
-        C = sub.T @ prev_V[:, sel]
-        U, _, Vt = np.linalg.svd(C, full_matrices=False)
-        W[:, sel] = sub @ (U @ Vt)
+        W[:, sel] = _procrustes(V_next[:, lo:hi], prev_V[:, sel])
 
     ov = np.sum(prev_V * W, axis=0)
     flip = ov < 0
@@ -430,11 +438,8 @@ def _rebase_split_groups(prev_V, w_next, V_next, cols, W, ov, tol):
             chosen.setdefault(slot_cl[c], []).append((bidx[r], slot_cols[c]))
         for ci, pairs in chosen.items():
             lo, hi = clusters[ci]
-            sub = V_next[:, lo:hi]
             members = np.array([b for b, _ in pairs])
-            C = sub.T @ prev_V[:, members]
-            Uu, _, Vt = np.linalg.svd(C, full_matrices=False)
-            New = sub @ (Uu @ Vt)
+            New = _procrustes(V_next[:, lo:hi], prev_V[:, members])
             sgn = np.sum(prev_V[:, members] * New, axis=0)
             New[:, sgn < 0] *= -1.0
             W[:, members] = New
@@ -479,10 +484,7 @@ def _polish_t0(w_full, V_full, cols, W, A1, cluster_rel):
             mem = sel[(chosen >= glo) & (chosen < ghi)]
             if mem.size == 0:
                 continue
-            G = cand[:, glo:ghi]
-            C = G.T @ W[:, mem]
-            Uu, _, Vt = np.linalg.svd(C, full_matrices=False)
-            New = G @ (Uu @ Vt)
+            New = _procrustes(cand[:, glo:ghi], W[:, mem])
             ovd = np.sum(W[:, mem] * New, axis=0)
             New[:, ovd < 0] *= -1.0
             W[:, mem] = New
@@ -604,43 +606,55 @@ def _whole(fam: LaplacianFamily) -> bool:
     return fam.dim <= SMALL_BLOCK_DIM and not _windowed(fam)
 
 
-def _solver_matrix(fam: LaplacianFamily, t: float):
-    """fam at t in the form its eigensolver takes: CSR for the windowed
-    solve, else the dense block."""
-    A = fam.at(t)
-    return A if _windowed(fam) else A.toarray()
-
-
 def _smallest(fam: LaplacianFamily, t: float, m: int, tol: Tolerances,
               spectra: _GridSpectra):
     """The min(m, dim) smallest eigenpairs (w, V) of fam at t, ascending,
-    and the matrix A they are to be validated against: (A, w, V).
+    and r, each pair's max-abs residual against fam at t or a bound on
+    it: (w, V, r).
 
     A Kronecker-sum block (_factored) takes them from the whole spectra
     of its two circle factors, the sums lambda_a + mu_b in stable order
-    with the Kronecker products u_a (x) v_b of the kept ones; A is then
-    the assembled block, so the Kronecker identity is certified at every
-    solve.  A small dense block (_whole) takes a prefix of its whole
-    spectrum; both read the whole spectra from spectra.  A block above
+    with the Kronecker products u_a (x) v_b of the kept ones.  For unit
+    vectors the residual of u_a (x) v_b is at most those of u_a and v_b
+    plus the block's kronecker_defect at t, and that sum is its r.  A small
+    dense block (_whole) takes a prefix of its whole spectrum; both read
+    the whole spectra and residuals from spectra.  A block above
     DENSE_MAX_DIM takes the shift-invert solve of its CSR form, any
-    other _dense_smallest of its dense form.
+    other _dense_smallest of its dense form, with residuals against it.
     """
     if _factored(fam):
         _, F1, F2 = fam.factors[0]
-        _, w1, U1 = spectra(F1, t)
-        _, w2, U2 = spectra(F2, t)
+        w1, U1, r1 = spectra(F1, t)
+        w2, U2, r2 = spectra(F2, t)
         sums = (w1[:, None] + w2).ravel()
         keep = np.argsort(sums, kind="stable")[:m]
         a, b = np.divmod(keep, w2.size)
         V = (U1[:, None, a] * U2[None, :, b]).reshape(fam.dim, keep.size)
-        return fam.at(t), sums[keep], V
+        d0, d1, d2 = fam.kronecker_defect
+        return sums[keep], V, r1[a] + r2[b] + (d0 + abs(t) * d1 + t * t * d2)
     if _whole(fam):
-        A, w, V = spectra(fam, t)
-        return A, w[:m], V[:, :m]
-    A = _solver_matrix(fam, t)
+        w, V, r = spectra(fam, t)
+        return w[:m], V[:, :m], r[:m]
+    A = fam.at(t)
     if _windowed(fam):
-        return (A, *_eig_smallest_sparse(A, m, tol.eig_residual))
-    return (A, *_dense_smallest(A, m))
+        w, V = _eig_smallest_sparse(A, m, tol.eig_residual)
+    else:
+        A = A.toarray()
+        w, V = _dense_smallest(A, m)
+    return w, V, _residuals(A, w, V)
+
+
+def _certify_kronecker(fam: LaplacianFamily, tol: Tolerances):
+    """Refuse a _factored block that is not the Kronecker sum of its
+    factors: each kronecker_defect delta_j must be within
+    operator_identity (1 + max |A_j|).  The family is quadratic in t, so
+    this one check covers every t."""
+    delta = fam.kronecker_defect
+    bound = tol.operator_identity * (
+        1.0 + np.abs(fam.coef).max(axis=1, initial=0.0))
+    if not np.all(delta <= bound):  # an infinite or NaN defect fails too
+        raise NumericalError(f"block is not the Kronecker sum of its factors: "
+                             f"defects {delta} exceed {bound}")
 
 
 class _CoveredSolver:
@@ -653,15 +667,18 @@ class _CoveredSolver:
     window holds the whole spectrum, its top cluster (eigenvalue_clusters)
     is dropped, and the window grows until the complete clusters hold k
     values and, when a value is needed, reach past it with a margin.
-    Every solve's pairs are validated before they are returned.  Whole
-    spectra come from spectra, by default a _GridSpectra without a grid,
-    which solves each t alone.
+    Every solve's pairs are validated before they are returned, and a
+    Kronecker-sum block is certified once, when its solver is made.
+    Whole spectra come from spectra, by default a _GridSpectra without a
+    grid, which solves each t alone.
     """
 
     def __init__(self, fam: LaplacianFamily, k: int, tol: Tolerances,
                  spectra: _GridSpectra | None = None):
         self.fam, self.k, self.tol = fam, k, tol
         self.spectra = spectra or _GridSpectra()
+        if _factored(fam):
+            _certify_kronecker(fam, tol)
         dim = fam.dim
         # Lanczos needs a window below dim - 1; a dense one can reach dim
         self.cap = min(dim - 2, max(256, 8 * k)) if _windowed(fam) else dim
@@ -680,7 +697,7 @@ class _CoveredSolver:
         margin = None if needed is None else (
             needed + 1e-2 * (1.0 + abs(needed)))
         while True:
-            A, w, V = _smallest(self.fam, t, self.window, self.tol,
+            w, V, r = _smallest(self.fam, t, self.window, self.tol,
                                 self.spectra)
             n = w.size
             # the whole spectrum cuts no cluster; a window drops its top one
@@ -691,7 +708,7 @@ class _CoveredSolver:
                                            or w[n - 1] >= margin)
             if covered:
                 w, V = w[:n], V[:, :n]
-                _validate_residuals(A, w, V, self.tol.eig_residual, w)
+                _validate_residuals(r[:n], self.tol.eig_residual, w)
                 return w, V
             if not self.widen():
                 raise TrackingError(
@@ -811,8 +828,8 @@ def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
                 seg.append(0.5 * (t_cur + t_next))
                 continue
             if t_next == grid[0]:
-                _validate_residuals(fam.at(t_next), w_full[cols], W,
-                                    tol.eig_residual, w_full)
+                r = _residuals(fam.at(t_next), w_full[cols], W)
+                _validate_residuals(r, tol.eig_residual, w_full)
             seg.pop()
             samples.append((t_next, w_full[cols].copy(), W.copy()))
             step_overlaps.append(ov)
@@ -842,11 +859,17 @@ def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
     return branches
 
 
-def _validate_residuals(A, w, V, residual_tol, window):
-    """Raise unless max |A V - V diag(w)| is within residual_tol times the
-    largest |value| of the solve's window (at least 1)."""
+def _residuals(A, w, V) -> np.ndarray:
+    """Each pair's max |A v - lambda v|: one per column of V, or per
+    column of each matrix of a stack."""
+    return np.abs(A @ V - V * w[..., None, :]).max(axis=-2, initial=0.0)
+
+
+def _validate_residuals(r, residual_tol, window):
+    """Raise unless every pair residual in r is within residual_tol times
+    the largest |value| of the solve's window (at least 1)."""
     scale = max(1.0, float(np.abs(window).max())) if len(window) else 1.0
-    res = float(np.abs(A @ V - V * w).max()) if len(w) else 0.0
+    res = float(np.max(r, initial=0.0))
     if not res <= residual_tol * scale:  # a NaN residual fails too
         raise NumericalError(f"eigenpair residual {res:.3e} exceeds tolerance")
 
@@ -870,9 +893,6 @@ class PackageDegree:
     @property
     def t_max(self) -> float:
         return float(self.branches[0].ts[-1])
-
-    def values_at_zero(self):
-        return sorted(b.value_at(0.0) for b in self.branches)
 
 
 @dataclass

@@ -173,12 +173,12 @@ def vs_complex(cx: DeRhamComplex, pkg: SpectralPackage, t: float) -> FiniteCompl
                                  f"{q}: residual {leak:.2e}")
         d_small.append(small)
     dims = tuple(Vq.shape[1] for Vq in V)
-    return FiniteComplex(dims=dims, d=d_small, gram=None)
+    return FiniteComplex(dims=dims, d=d_small)
 
 
 def morse_finite_complex(mc) -> FiniteComplex:
     return FiniteComplex(dims=tuple(len(mc.degrees[q]) for q in sorted(mc.degrees)),
-                         d=[m.astype(float) for m in mc.d], gram=None)
+                         d=[m.astype(float) for m in mc.d])
 
 
 def grid_pairings(cx: DeRhamComplex, pkg: SpectralPackage, flow: FlowComplex,
@@ -456,7 +456,7 @@ def random_based_complex(rng, max_dim: int = 8):
         for i in range(r[q]):
             m[i, dims[q] - r[q] + i] = 1.0
         d.append(m)
-    return FiniteComplex(dims=tuple(dims), d=d, gram=None)
+    return FiniteComplex(dims=tuple(dims), d=d)
 
 
 def random_chain_iso(rng, fc: FiniteComplex, cond_max: float = 30.0):
@@ -471,7 +471,7 @@ def random_chain_iso(rng, fc: FiniteComplex, cond_max: float = 30.0):
         phis.append(m)
     d2 = [phis[q + 1] @ fc.d[q] @ np.linalg.inv(phis[q])
           for q in range(len(fc.d))]
-    return phis, FiniteComplex(dims=fc.dims, d=d2, gram=None)
+    return phis, FiniteComplex(dims=fc.dims, d=d2)
 
 
 def run_verify_anomaly(seed: int = 0, cases: int = 200,

@@ -34,18 +34,8 @@ def _rule_1d(fn, lo: float, hi: float, rule):
     x, w = rule
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    vals = fn(mid + half * x)
-    if isinstance(vals, tuple):  # factors (E, B): the columns E[:, a] B[:, b]
-        E, B = vals
-        return half * ((w[:, None] * E).T @ B).ravel()
-    return half * (w @ vals)
-
-
-def _abs(vals):
-    """|vals|, factor by factor for a pair: |ab| = |a| |b| exactly."""
-    if isinstance(vals, tuple):
-        return tuple(np.abs(v) for v in vals)
-    return np.abs(vals)
+    E, B = fn(mid + half * x)  # the columns E[:, a] B[:, b]
+    return half * ((w[:, None] * E).T @ B).ravel()
 
 
 def _panel_1d(fn, lo: float, hi: float):
@@ -54,14 +44,13 @@ def _panel_1d(fn, lo: float, hi: float):
 
 
 def integrate_1d(fn, lo: float, hi: float, rel_tol: float = 1e-10,
-                 budget: int = 16384) -> float | np.ndarray:
+                 budget: int = 16384) -> np.ndarray:
     """Adaptive integral of a vectorized callable on [lo, hi].
 
-    fn maps a node vector to its values, optionally with a trailing
-    column axis, or to a pair (E, B) of (nodes, n_a) and (nodes, n_b)
-    factors whose columns are the products E[:, a] B[:, b], in (a, b)
-    order.  Columns are integrated together on shared panels and the
-    result has one entry per column.  A panel is accepted when the
+    fn maps a node vector to a pair (E, B) of (nodes, n_a) and (nodes,
+    n_b) factors whose columns are the products E[:, a] B[:, b], in
+    (a, b) order.  Columns are integrated together on shared panels and
+    the result has one entry per column.  A panel is accepted when the
     GL32/GL16 discrepancy of every column fits an error allocation
     proportional to panel width, relative to a coarse estimate of that
     column's int |fn|; exhausting the panel budget raises.
@@ -70,7 +59,8 @@ def integrate_1d(fn, lo: float, hi: float, rel_tol: float = 1e-10,
         raise ConfigError("empty integration interval")
     width = hi - lo
     edges = np.linspace(lo, hi, 9)
-    scale = sum(_rule_1d(lambda x: _abs(fn(x)), a, b, _GL32)
+    # |ab| = |a| |b| exactly, so the |fn| rule takes the factors' |.|
+    scale = sum(_rule_1d(lambda x: [np.abs(v) for v in fn(x)], a, b, _GL32)
                 for a, b in zip(edges[:-1], edges[1:]))
     stack = [(lo, hi)]
     total = 0.0
@@ -186,14 +176,6 @@ def integral_A(cx: DeRhamComplex, q: int, omega: np.ndarray,
 
 
 # -- the pairing with a critical-point basis -------------------------------
-
-
-def int_cochain(cx: DeRhamComplex, q: int, omega: np.ndarray,
-                flow: FlowComplex, t: float,
-                tol: Tolerances | None = None) -> np.ndarray:
-    """Pairing values of one q-form against every index-q point."""
-    omega = np.asarray(omega, dtype=float)
-    return pairing_matrix(cx, q, omega[:, None], flow, t, tol)[0]
 
 
 def pairing_matrix(cx: DeRhamComplex, q: int, forms: np.ndarray,

@@ -21,15 +21,11 @@ from .trigpoly import TWO_PI, TrigPoly
 
 @dataclass
 class FiniteComplex:
-    """Based finite cochain complex with optional Gram matrices.
-
-    d[q] maps degree q to q+1; gram is None for orthonormal bases,
-    otherwise one SPD matrix per degree.
-    """
+    """Finite cochain complex with orthonormal bases; d[q] maps degree q
+    to q+1."""
 
     dims: tuple
     d: list
-    gram: list | None = None
 
     def __post_init__(self):
         if len(self.d) != len(self.dims) - 1:
@@ -45,41 +41,15 @@ class FiniteComplex:
             r = np.max(np.abs(a @ b)) if a.size and b.size else 0.0
             if r > 1e-10 * max(1.0, scale) ** 2:
                 raise ConfigError(f"d following d is nonzero: residual {r:.2e}")
-        if self.gram is not None:
-            for q, G in enumerate(self.gram):
-                G = np.asarray(G, dtype=float)
-                if G.shape != (self.dims[q], self.dims[q]):
-                    raise ConfigError(f"Gram {q} has wrong shape")
-                if np.max(np.abs(G - G.T)) > 1e-12 * max(1.0, np.max(np.abs(G))):
-                    raise ConfigError(f"Gram {q} is not symmetric")
-                self.gram[q] = 0.5 * (G + G.T)
-
-    def orthonormalized(self) -> "FiniteComplex":
-        """Basis change to orthonormal bases via Cholesky factors."""
-        if self.gram is None:
-            return self
-        Ls = []
-        for q, G in enumerate(self.gram):
-            try:
-                Ls.append(np.linalg.cholesky(G))
-            except np.linalg.LinAlgError:
-                raise NumericalError(f"Gram matrix in degree {q} is not "
-                                     f"positive definite") from None
-        d_new = []
-        for q, m in enumerate(self.d):
-            rhs = np.linalg.solve(Ls[q], m.T).T  # m @ L_q^{-T}
-            d_new.append(Ls[q + 1].T @ rhs)
-        return FiniteComplex(dims=self.dims, d=d_new, gram=None)
 
     def laplacians(self):
-        fc = self.orthonormalized()
         out = []
         for q in range(len(self.dims)):
-            L = np.zeros((fc.dims[q], fc.dims[q]))
-            if q < len(fc.d):
-                L += fc.d[q].T @ fc.d[q]
+            L = np.zeros((self.dims[q], self.dims[q]))
+            if q < len(self.d):
+                L += self.d[q].T @ self.d[q]
             if q > 0:
-                L += fc.d[q - 1] @ fc.d[q - 1].T
+                L += self.d[q - 1] @ self.d[q - 1].T
             out.append(L)
         return out
 
@@ -168,29 +138,18 @@ class ComplexMorphism:
                                  f"exceeds {rel_tol:.0e}")
 
 
-def vol_of_iso(phi: np.ndarray, dom_gram: np.ndarray | None = None,
-               cod_gram: np.ndarray | None = None) -> float:
-    """Log volume of a linear isomorphism between inner-product spaces.
-
-    The square of the volume is det of the composition of phi with its
-    metric adjoint, det(phi^adj phi) = det(phi^T G_cod phi)/det(G_dom).
-    """
+def vol_of_iso(phi: np.ndarray) -> float:
+    """Log volume of a linear isomorphism between spaces with orthonormal
+    bases: half the log of det(phi^T phi)."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape[0] != phi.shape[1]:
         raise ConfigError("volume of a non-square map")
     if phi.size == 0:
         return 0.0
-    M = phi.T @ (cod_gram @ phi if cod_gram is not None else phi)
-    sign, ld = np.linalg.slogdet(M)
+    sign, ld = np.linalg.slogdet(phi.T @ phi)
     if sign <= 0:
         raise NumericalError("cohomology map is not an isomorphism")
-    out = 0.5 * ld
-    if dom_gram is not None:
-        sg, lg = np.linalg.slogdet(dom_gram)
-        if sg <= 0:
-            raise NumericalError("domain Gram is singular")
-        out -= 0.5 * lg
-    return float(out)
+    return float(0.5 * ld)
 
 
 def harmonic_basis(fc: FiniteComplex, q: int, nullity: int,
@@ -216,12 +175,9 @@ def cohomology_volumes(fc: FiniteComplex, classes: dict,
     classes maps q to a matrix whose columns are cocycles spanning
     H^q; each column is validated as a cocycle and the covolume is the
     Gram determinant of the harmonic projections.  Bases must live in
-    the same coordinates as fc (orthonormal Grams).
+    the same coordinates as fc.
     """
     tol = tol or Tolerances()
-    if fc.gram is not None:
-        raise ConfigError("cohomology_volumes expects an orthonormalized "
-                          "complex")
     if nullities is None:
         nullities = fc.betti()
     out = {}

@@ -5,7 +5,7 @@ from wittenlab import branches, derham
 from wittenlab.branches import (LABEL_LARGE, LABEL_VS, LABEL_ZERO,
                                 _box_axes, _box_gram, _CoveredSolver,
                                 _eig_smallest_sparse, _rebase_split_groups,
-                                _solver_matrix, _validate_residuals,
+                                _residuals, _validate_residuals,
                                 classify, eigenvalue_clusters,
                                 lowest_eigenvalues, match_step,
                                 track_branches)
@@ -37,7 +37,7 @@ def test_residual_check_rejects_nan():
     A[2, 2] = np.nan
     w, V = np.ones(5), np.eye(5)
     with pytest.raises(NumericalError, match="residual"):
-        _validate_residuals(A, w, V, 1e-9, w)
+        _validate_residuals(_residuals(A, w, V), 1e-9, w)
 
 
 def test_eigenvalue_clusters_grouping():
@@ -53,17 +53,6 @@ def test_eigenvalue_clusters_grouping():
         w = np.cumsum(steps * (1.0 + rng.random(30)))
         starts = [lo for lo, _ in eigenvalue_clusters(w, 1e-6)][1:]
         assert starts == sorted(_gaps(w, 1e-6))
-
-
-def test_solver_matrix_is_the_family_at_t(circle_cx8, torus_cx6):
-    """The dense block scattered from the shared pattern equals the CSR
-    family at t entry by entry, in every invariant block."""
-    for cx in (circle_cx8, torus_cx6):
-        for q in range(cx.n + 1):
-            for _, sub in laplacian_family(cx, q).split():
-                for t in (0.0, 1.7):
-                    assert np.array_equal(_solver_matrix(sub, t),
-                                          sub.at(t).toarray())
 
 
 def test_windowed_route_tracks_the_dense_values(torus_cx6, monkeypatch):
@@ -481,7 +470,8 @@ def test_classify_circle_labels(circle16_branches):
     assert all(b.label == LABEL_LARGE for b in deg.large)
     assert deg.beta == 1 and deg.c == 2
     assert deg.gap > Tolerances().gap_min
-    assert deg.values_at_zero() == pytest.approx([0.0, 1.0], abs=1e-10)
+    assert sorted(b.value_at(0.0) for b in deg.branches) == \
+        pytest.approx([0.0, 1.0], abs=1e-10)
 
 
 def test_classify_wrong_zero_count(circle16_branches):
@@ -715,3 +705,81 @@ def test_corrupted_factor_family_fails_the_certificate(torus_cx6,
             _CoveredSolver(sub, 1, Tolerances()).solve(2.5)
     with pytest.raises(NumericalError):
         track_branches(torus_cx6, 0, [0.0, 2.5, 5.0], k=4)
+
+
+def test_certificate_refuses_a_corruption_no_solve_residual_shows(
+        torus_cx6, monkeypatch):
+    """A factor family off by 1e-9 relative in A2 leaves the pairs of a
+    solve at t = 0 exact, and up to t = 5 their residuals stay within
+    eig_residual; the block is refused all the same, a lone solve as well
+    as a tracking run, because its A2 defect exceeds operator_identity
+    (1 + max |A2|)."""
+    build = derham._factor_families
+
+    def corrupted(cx, q):
+        parts = build(cx, q)
+        if not parts:  # the circle factors themselves
+            return parts
+        (offset, F1, F2), *rest = parts
+        bad = LaplacianFamily(F1.pattern,
+                              F1.coef * np.array([[1.0], [1.0], [1 + 1e-9]]))
+        return ((offset, bad, F2), *rest)
+
+    monkeypatch.setattr(derham, "_factor_families", corrupted)
+    tol = Tolerances()
+    for _, sub in laplacian_family(torus_cx6, 0).split():
+        delta = sub.kronecker_defect
+        assert delta[0] == delta[1] == 0.0
+        assert delta[2] > tol.operator_identity * (
+            1.0 + np.max(np.abs(sub.coef[2])))
+        with pytest.raises(NumericalError, match="Kronecker"):
+            _CoveredSolver(sub, 1, tol).solve(0.0)
+    with pytest.raises(NumericalError, match="Kronecker"):
+        track_branches(torus_cx6, 0, np.arange(0.0, 5.0 + 1e-9, 0.5), k=4)
+
+
+def test_tracking_builds_factored_blocks_only_at_t0(monkeypatch):
+    """Tracking every degree of the 24-mode torus on the
+    torus-package-sparse grid builds the assembled matrix of a factored
+    block only for the t = 0 check of its polished vectors."""
+    cx = build_torus_complex(24, torus_sin2_product())
+    grid = np.arange(0.0, 5.0 + 1e-9, 0.5)
+    built = []
+    at = LaplacianFamily.at
+
+    def recording(fam, t):
+        if branches._factored(fam):
+            built.append(t)
+        return at(fam, t)
+
+    monkeypatch.setattr(LaplacianFamily, "at", recording)
+    for q, k in ((0, 10), (1, 14), (2, 10)):
+        track_branches(cx, q, grid, k=k)
+    assert built and set(built) == {0.0}
+
+
+@pytest.mark.parametrize("turns", [None, ("sin", "cos"), ("cos", "-sin"),
+                                   ("-sin", "-cos"), ("-cos", "sin")])
+def test_factored_bound_covers_the_assembled_residual(turns):
+    """Every pair of every factored block, at t = 0, 2.5 and 5: the bound
+    r of the factored solve is at least the residual against the
+    assembled block, the oracle, on the 24-mode torus and the 12-mode
+    quarter-turn seeds.  The oracle's own rounding is allowed for: a
+    residual entry sums at most (row nnz + 1) products, so it is within
+    (row nnz + 1) eps (|A| |v| + |lambda| |v|) of the exact one."""
+    cx = (build_torus_complex(24, torus_sin2_product()) if turns is None
+          else _quarter_turn_torus(12, turns))
+    tol, eps = Tolerances(), np.finfo(float).eps
+    for q in range(3):
+        spectra = branches._GridSpectra()
+        for _, sub in laplacian_family(cx, q).split():
+            assert branches._factored(sub)
+            for t in (0.0, 2.5, 5.0):
+                w, V, r = branches._smallest(sub, t, sub.dim, tol, spectra)
+                assert w.size == sub.dim
+                A = sub.at(t)
+                true = np.max(np.abs(A @ V - V * w), axis=0)
+                size = (A.with_data(np.abs(A.data)) @ np.abs(V)
+                        + np.abs(V * w)).max(axis=0)
+                gamma = (np.diff(A.indptr).max() + 1) * eps
+                assert np.all(true <= r + gamma * size)

@@ -11,8 +11,7 @@ from wittenlab.derham import (basis_matrix_1d, build_circle_complex,
 from wittenlab.errors import ConfigError, NumericalError
 from wittenlab.experiments import grid_pairings
 from wittenlab.integrals import (CellMoments, DetValue, a_log_total, det_log,
-                                 int_cochain, integral_A, integrate_1d,
-                                 pairing_matrix)
+                                 integral_A, integrate_1d, pairing_matrix)
 from wittenlab.morse import flow_complex
 from wittenlab.trigpoly import (TWO_PI, TrigPoly, circle_sin2,
                                 torus_sin2_product)
@@ -20,12 +19,19 @@ from wittenlab.trigpoly import (TWO_PI, TrigPoly, circle_sin2,
 import oracles
 
 
+def table(fn):
+    """The integrand of the node values fn(x), one column or a trailing
+    column axis, as integrate_1d takes it: the factors (T, 1)."""
+    return lambda x: (np.reshape(fn(x), (x.size, -1)), np.ones((x.size, 1)))
+
+
 def test_integrate_1d_known_values():
     f = circle_sin2()
-    assert integrate_1d(lambda x: np.sin(x) ** 2, 0.0, TWO_PI) == \
+    assert integrate_1d(table(lambda x: np.sin(x) ** 2), 0.0, TWO_PI) == \
         pytest.approx(math.pi, abs=1e-12)
     for t in (0.0, 0.9, 4.0):
-        got = integrate_1d(lambda x, t=t: np.exp(t * f(x)), 0.0, TWO_PI)
+        got = integrate_1d(table(lambda x, t=t: np.exp(t * f(x))), 0.0,
+                           TWO_PI)
         assert got == pytest.approx(oracles.full_circle_exp_sin(t), rel=1e-11)
 
 
@@ -35,7 +41,7 @@ def test_integrate_1d_arc_against_quad(rng):
         lo = float(rng.uniform(0.0, TWO_PI))
         hi = lo + float(rng.uniform(0.3, 2.5))
         t = float(rng.uniform(0.0, 5.0))
-        got = integrate_1d(lambda x: np.exp(t * f(x)), lo, hi)
+        got = integrate_1d(table(lambda x: np.exp(t * f(x))), lo, hi)
         ref = oracles.quad_exp_potential_1d(t, lo, hi, f)
         assert got == pytest.approx(ref, rel=1e-9)
 
@@ -48,8 +54,8 @@ def test_integrate_1d_rejects_empty_interval():
 def test_integrate_1d_budget_exhaustion():
     # a kink defeats any fixed GL order, forcing subdivision forever
     with pytest.raises(NumericalError):
-        integrate_1d(lambda x: np.sqrt(np.abs(x - 1.3)) + 1.0, 0.0, TWO_PI,
-                     rel_tol=1e-12, budget=3)
+        integrate_1d(table(lambda x: np.sqrt(np.abs(x - 1.3)) + 1.0), 0.0,
+                     TWO_PI, rel_tol=1e-12, budget=3)
 
 
 def test_integrate_1d_columns_keep_their_own_scale():
@@ -60,13 +66,14 @@ def test_integrate_1d_columns_keep_their_own_scale():
         peak = 1e-8 / (1.0 + 400.0 * (x - 1.0) ** 2)
         return np.column_stack([np.ones_like(x), peak])
 
-    got = integrate_1d(fn, 0.0, TWO_PI, rel_tol=1e-10)
+    got = integrate_1d(table(fn), 0.0, TWO_PI, rel_tol=1e-10)
     peak = 1e-8 * (math.atan(20.0 * (TWO_PI - 1.0)) + math.atan(20.0)) / 20.0
     assert got.shape == (2,)
     assert got[0] == pytest.approx(TWO_PI, rel=1e-12)
     assert got[1] == pytest.approx(peak, rel=1e-10, abs=0.0)
-    alone = integrate_1d(lambda x: fn(x)[:, 1], 0.0, TWO_PI, rel_tol=1e-10)
-    assert got[1] == pytest.approx(alone, rel=1e-10, abs=0.0)
+    alone = integrate_1d(table(lambda x: fn(x)[:, 1]), 0.0, TWO_PI,
+                         rel_tol=1e-10)
+    assert got[1] == pytest.approx(alone[0], rel=1e-10, abs=0.0)
 
 
 def _moment_integrands(f, N, ts):
@@ -76,11 +83,16 @@ def _moment_integrands(f, N, ts):
     def factors(x):
         return np.exp(np.multiply.outer(f(x), ts)), basis_matrix_1d(N, x)
 
-    def table(x):
+    def products(x):
         E, B = factors(x)
-        return (E[:, :, None] * B[:, None, :]).reshape(x.size, -1)
+        return E[:, :, None] * B[:, None, :]
 
-    return factors, table
+    return factors, table(products)
+
+
+def _abs(fn):
+    """The integrand |fn| of factors fn, factor by factor."""
+    return lambda x: [np.abs(v) for v in fn(x)]
 
 
 def test_factored_rule_matches_the_product_table():
@@ -88,17 +100,17 @@ def test_factored_rule_matches_the_product_table():
     (E, B) against the same rules on the materialized products: within
     1e-14 of each column's scale, on the circle-sin2 preset grid."""
     cfg = preset("circle-sin2")
-    factors, table = _moment_integrands(circle_sin2(), cfg.modes, cfg.grid())
+    factors, products = _moment_integrands(circle_sin2(), cfg.modes,
+                                           cfg.grid())
     rule = integrals._rule_1d
     for lo, hi in ((0.3, 1.1), (-0.7, 2.4), (0.0, TWO_PI)):
-        scale = rule(lambda x: np.abs(table(x)), lo, hi, integrals._GL32)
+        scale = rule(_abs(products), lo, hi, integrals._GL32)
         assert scale.shape == (cfg.grid().size * (2 * cfg.modes + 1),)
         for gl in (integrals._GL32, integrals._GL16):
             got = rule(factors, lo, hi, gl)
-            assert np.all(np.abs(got - rule(table, lo, hi, gl))
+            assert np.all(np.abs(got - rule(products, lo, hi, gl))
                           <= 1e-14 * scale)
-        got = rule(lambda x: integrals._abs(factors(x)), lo, hi,
-                   integrals._GL32)
+        got = rule(_abs(factors), lo, hi, integrals._GL32)
         assert np.all(np.abs(got - scale) <= 1e-14 * scale)
 
 
@@ -110,7 +122,7 @@ def test_factored_moments_keep_the_panels_of_the_product_table(monkeypatch):
     cfg = preset("circle-sin2")
     cx = build_circle_complex(cfg.modes, circle_sin2())
     ts, rel = cfg.grid(), cfg.tolerances.quad_rel
-    factors, table = _moment_integrands(cx.f, cx.N, ts)
+    factors, products = _moment_integrands(cx.f, cx.N, ts)
     moments = CellMoments(cx, ts, cfg.tolerances)
     panels = []
     panel = integrals._panel_1d
@@ -127,11 +139,11 @@ def test_factored_moments_keep_the_panels_of_the_product_table(monkeypatch):
         panels.clear()
         got = integrate_1d(factors, lo, hi, rel)
         n_got = len(panels)
-        want = integrate_1d(table, lo, hi, rel)
+        want = integrate_1d(products, lo, hi, rel)
         assert n_got == len(panels) - n_got > 1
         # |.| has kinks, so a fixed composite rule, not the adaptive one
         edges = np.linspace(lo, hi, 33)
-        mass = sum(integrals._rule_1d(lambda x: np.abs(table(x)), e0, e1,
+        mass = sum(integrals._rule_1d(_abs(products), e0, e1,
                                       integrals._GL32)
                    for e0, e1 in zip(edges[:-1], edges[1:]))
         assert np.all(np.abs(got - want) <= 1e-14 * mass)
@@ -143,11 +155,11 @@ def test_integrate_1d_budget_exhaustion_one_rough_column():
         return np.column_stack([np.ones_like(x),
                                 np.sqrt(np.abs(x - 1.3)) + 1.0])
 
-    smooth = integrate_1d(lambda x: fn(x)[:, :1], 0.0, TWO_PI,
+    smooth = integrate_1d(table(lambda x: fn(x)[:, :1]), 0.0, TWO_PI,
                           rel_tol=1e-12, budget=3)
     assert smooth[0] == pytest.approx(TWO_PI, rel=1e-12)
     with pytest.raises(NumericalError):
-        integrate_1d(fn, 0.0, TWO_PI, rel_tol=1e-12, budget=3)
+        integrate_1d(table(fn), 0.0, TWO_PI, rel_tol=1e-12, budget=3)
 
 
 def band_limited_scalar(rng, N, kmax):
@@ -213,6 +225,11 @@ def test_integral_degree_mismatch(circle_cx8):
         integral_A(circle_cx8, 1, np.zeros(circle_cx8.dims[1]), piece, 0.0)
 
 
+def cochain(cx, q, omega, flow, t):
+    """Pairing values of one q-form against every index-q point."""
+    return pairing_matrix(cx, q, omega[:, None], flow, t)[0]
+
+
 def test_stokes_circle(rng, circle_cx8):
     """Coboundary of the pairing equals the pairing of the deformed
     derivative, as long as the form stays clear of the cutoff so the
@@ -221,9 +238,9 @@ def test_stokes_circle(rng, circle_cx8):
     flow = flow_complex(cx.f, "circle")
     for t in (0.0, 0.8, 3.0):
         w = band_limited_scalar(rng, cx.N, cx.N - 2)
-        lhs = flow.d[0] @ int_cochain(cx, 0, w, flow, t)
+        lhs = flow.d[0] @ cochain(cx, 0, w, flow, t)
         dW = (cx.D[0] + t * cx.E[0]) @ w
-        rhs = int_cochain(cx, 1, dW, flow, t)
+        rhs = cochain(cx, 1, dW, flow, t)
         scale = max(1.0, float(np.max(np.abs(lhs))))
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
 
@@ -245,17 +262,17 @@ def test_stokes_torus(rng, potential):
     flow = flow_complex(cx.f, "torus")
     t = 0.7
     w = band_limited_scalar_2d(rng, cx.N, cx.N - 2)
-    lhs = flow.d[0] @ int_cochain(cx, 0, w, flow, t)
+    lhs = flow.d[0] @ cochain(cx, 0, w, flow, t)
     dW = (cx.D[0] + t * cx.E[0]) @ w
-    rhs = int_cochain(cx, 1, dW, flow, t)
+    rhs = cochain(cx, 1, dW, flow, t)
     scale = max(1.0, float(np.max(np.abs(lhs))))
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
     # degree 1 -> 2 exercises the graded sign of the second factor
     eta = np.concatenate([band_limited_scalar_2d(rng, cx.N, cx.N - 2),
                           band_limited_scalar_2d(rng, cx.N, cx.N - 2)])
-    lhs1 = flow.d[1] @ int_cochain(cx, 1, eta, flow, t)
+    lhs1 = flow.d[1] @ cochain(cx, 1, eta, flow, t)
     dEta = (cx.D[1] + t * cx.E[1]) @ eta
-    rhs1 = int_cochain(cx, 2, dEta, flow, t)
+    rhs1 = cochain(cx, 2, dEta, flow, t)
     scale1 = max(1.0, float(np.max(np.abs(lhs1))))
     assert np.max(np.abs(lhs1 - rhs1)) < 1e-10 * scale1
 
