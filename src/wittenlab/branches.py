@@ -171,157 +171,53 @@ def _min_cost_assignment(cost) -> np.ndarray:
     """Column of each row in a minimum-cost assignment (rows <= columns).
 
     When the cheapest columns of the rows are distinct they are the
-    optimum, since no assignment beats every row's minimum.  Otherwise
-    `_jonker_volgenant` decides, on the costs shifted to at least 1 (as
-    every row is matched once, the shift changes every total alike).
+    optimum, since no assignment beats every row's minimum; otherwise
+    _shortest_augmenting_paths finds one.  Among tied optima, which one
+    is returned is unspecified.
     """
     C = np.asarray(cost, dtype=float)
     cols = np.argmin(C, axis=1)
     if len(set(cols.tolist())) == cols.size:
         return cols
-    return np.array(_jonker_volgenant((C - C.min() + 1.0).tolist()))
+    return _shortest_augmenting_paths(C)
 
 
-# augmenting row reductions one assignment may make before it is taken
-# to cycle: a reduction of a price by less than its last bit leaves the
-# prices as they were, and the same rows then displace each other forever
-JV_ROW_REDUCTIONS_MAX = 100_000
+def _shortest_augmenting_paths(C: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-cost assignment of the dense costs
+    C (rows <= columns): the Hungarian method with row and column
+    potentials, which inserts one row at a time along a Dijkstra shortest
+    path in the reduced costs (Jonker and Volgenant, Computing 38, 1987).
 
-
-def _jonker_volgenant(C: list) -> list:
-    """Column of each row in a minimum-cost assignment of the dense cost
-    rows C (rows <= columns): the shortest augmenting path algorithm of
-    Jonker and Volgenant (Computing 38, 1987), in the order of operations
-    of its sparse variant LAPJVsp as scipy's
-    `min_weight_full_bipartite_matching` runs it.
-
-    Assignments tie exactly (the degree-1 torus assignment of
-    `assign_to_critical_points` has eight optimal ones), so which optimum
-    is returned is part of the output; this order returns the optimum
-    scipy's routine returns, and keeps earlier artifacts unchanged.  A
-    square C gets column reduction, reduction transfer and two rounds of
-    augmenting row reduction first; a rectangular one starts from zero
-    prices with every row free.  Then every free row is matched along a
-    Dijkstra shortest path in the reduced costs.
+    Every pass of the inner loop reaches one more column, so it ends
+    after at most as many passes as there are columns.
     """
-    nr, nc = len(C), len(C[0])
-    inf = float("inf")
-    x, y = [-1] * nr, [-1] * nc  # column of each row, row of each column
-    if nr < nc:
-        v, free = [0.0] * nc, list(range(nr))  # column prices, free rows
-    else:
-        v, free = [inf] * nc, []
-        # column reduction: each column to its cheapest row; scanned from
-        # the last column, a row cheapest for several keeps the last
-        for i, row in enumerate(C):
-            for j, c in enumerate(row):
-                if c < v[j]:
-                    v[j], y[j] = c, i
-        shared = [False] * nr
-        for j in reversed(range(nc)):
-            i = y[j]
-            if x[i] == -1:
-                x[i] = j
-            else:
-                y[j], shared[i] = -1, True
-        # reduction transfer: a row holding one column passes its slack
-        # to that column's price
-        for i, row in enumerate(C):
-            if x[i] == -1:
-                free.append(i)
-            elif not shared[i]:
-                j1 = x[i]
-                v[j1] -= min((c - v[j] for j, c in enumerate(row) if j != j1),
-                             default=inf)
-        # augmenting row reduction, twice
-        steps = 0
-        for _ in range(2):
-            todo, free, k = free, [], 0
-            while k < len(todo):
-                steps += 1
-                if steps > JV_ROW_REDUCTIONS_MAX:
-                    raise NumericalError(
-                        "assignment row reduction does not terminate "
-                        "(costs tie to the last bit)")
-                i = todo[k]
-                k += 1
-                u1 = u2 = inf  # lowest and second-lowest reduced cost
-                j1 = j2 = -1
-                for j, c in enumerate(C[i]):
-                    h = c - v[j]
-                    if h < u2:
-                        if h >= u1:
-                            u2, j2 = h, j
-                        else:
-                            u1, u2, j1, j2 = h, u1, j, j1
-                i0 = y[j1]
-                if u1 < u2:
-                    v[j1] = v[j1] - u2 + u1
-                elif i0 != -1:
-                    j1 = j2
-                    i0 = y[j2]
-                x[i], y[j1] = j1, i
-                if i0 != -1:
-                    if u1 < u2:  # the displaced row is reduced next
-                        k -= 1
-                        todo[k] = i0
-                    else:
-                        free.append(i0)
-    # augmentation: a shortest path from each free row to a free column
-    for i0 in free:
-        ready = [False] * nc
-        d = [c - vj for c, vj in zip(C[i0], v)]  # distances from row i0
-        lab = [i0] * nc  # predecessor row of each column on the path
-        todo = [0] * nc  # columns at distance low, from the front;
-        top, back = -1, nc - 1  # scanned columns, from the back
-        end = -1
-        while True:
-            if top == -1:  # the next distance: every column at it, in order
-                low = inf
-                for j in range(nc):
-                    if d[j] <= low and not ready[j]:
-                        if d[j] < low:
-                            low, top = d[j], -1
-                        top += 1
-                        todo[top] = j
-                for h in range(top + 1):
-                    j = todo[h]
-                    if y[j] == -1:
-                        end = j
-                        break
-                    ready[j] = True
-                if end != -1:
-                    break
-            j0 = todo[top]
-            top -= 1
-            todo[back] = j0
-            back -= 1
-            i = y[j0]
-            slack = C[i][j0] - v[j0] - low
-            for j, c in enumerate(C[i]):
-                if not ready[j]:
-                    dj = c - v[j] - slack
-                    if dj < d[j]:
-                        d[j], lab[j] = dj, i
-                        if dj == low:
-                            if y[j] == -1:
-                                end = j
-                                break
-                            top += 1
-                            todo[top] = j
-                            ready[j] = True
-            if end != -1:
-                break
-        for j in todo[back + 1:]:
-            v[j] += d[j] - low
-        j = end
-        while True:
-            i = lab[j]
-            y[j] = i
-            j, x[i] = x[i], j
-            if i == i0:
-                break
-    return x
+    nr, nc = C.shape
+    C = np.hstack([C, np.full((nr, 1), np.inf)])  # column nc: path start
+    u, v = np.zeros(nr), np.zeros(nc + 1)  # row and column potentials
+    row_of = np.full(nc + 1, -1)  # row matched to each column
+    for i in range(nr):
+        j, row_of[nc] = nc, i
+        dist = np.full(nc + 1, np.inf)
+        prev = np.full(nc + 1, nc)  # column before each on its path
+        done = np.zeros(nc + 1, dtype=bool)
+        while row_of[j] != -1:
+            done[j] = True
+            r = row_of[j]
+            red = C[r] - u[r] - v
+            closer = ~done & (red < dist)
+            dist[closer], prev[closer] = red[closer], j
+            j = int(np.argmin(np.where(done, np.inf, dist)))
+            delta = dist[j]
+            u[row_of[done]] += delta
+            v[done] -= delta
+            dist[~done] -= delta
+        while j != nc:  # flip the matching along the path
+            row_of[j] = row_of[prev[j]]
+            j = prev[j]
+    matched = np.flatnonzero(row_of[:nc] >= 0)
+    cols = np.empty(nr, dtype=int)
+    cols[row_of[matched]] = matched
+    return cols
 
 
 def _procrustes(sub: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -506,6 +402,7 @@ class EigenBranch:
     label: str = ""
     critical_point: int | None = None
     mass: float | None = None
+    tie_group: list | None = None  # the points critical_point was chosen from
     t0_slope: float | None = None
     t0_cluster: int | None = None  # shared id marks a jointly-determined subspace
 
@@ -535,6 +432,18 @@ def lowest_eigenvalues(blocks, t: float, k: int,
     """
     _, values, owner = _lowest_solves(blocks, t, k, tol or Tolerances())
     return values, owner
+
+
+def lowest_eigenvalue_grid(blocks, ts, k: int,
+                           tol: Tolerances | None = None) -> np.ndarray:
+    """lowest_eigenvalues' values at every t of ts, one row per t.
+
+    Every whole spectrum (a small block or a circle factor) is solved
+    once for the whole grid, and blocks that share a factor share it.
+    """
+    tol, spectra = tol or Tolerances(), _GridSpectra(ts)
+    return np.array([_lowest_solves(blocks, t, k, tol, spectra)[1]
+                     for t in spectra.grid])
 
 
 def _lowest_solves(blocks, t: float, k: int, tol: Tolerances,
@@ -1044,9 +953,17 @@ def assign_to_critical_points(pkg: PackageDegree, points, cx: DeRhamComplex,
     (asymptotically) degenerate cluster only their span is canonical, so
     the localized representatives are recovered first: per cluster, a
     greedy deflation picks the unit combination with the largest box mass
-    at some remaining point, then the global branch-to-point bijection is
-    read off an optimal assignment.  Masses below mass_min are recorded
-    as warnings; the best-effort assignment is still returned.
+    at some remaining point, and each representative takes a point by an
+    optimal assignment on the masses.  A branch whose overlap |R| with a
+    representative is at least tol.overlap_min is determined and takes
+    that representative's point (R is orthogonal and overlap_min^2 > 1/2,
+    so no two branches claim one representative).  The other branches of
+    a cluster form one tie group: the sorted points of the remaining
+    representatives, taken by those branches in package order.  So no
+    point depends on the eigenbasis a solver returns inside a cluster;
+    each branch's tie_group lists the points its own was chosen from.
+    Masses below mass_min are recorded as (branch, point, mass)
+    warnings; the best-effort assignment is still returned.
     """
     tol = tol or Tolerances()
     pool = pkg.branches
@@ -1064,8 +981,7 @@ def assign_to_critical_points(pkg: PackageDegree, points, cx: DeRhamComplex,
 
     order = np.argsort(lamT, kind="stable")
     reps = np.zeros_like(W)
-    rep_of_branch = np.empty(len(pool), dtype=int)
-    rep_count = 0
+    clusters = []  # (branches, representatives, |R|) of each cluster
     avail = set(range(len(coords)))
     # the package branches all decay to zero, so at t_max they are
     # near-degenerate on the vanish_max scale (their mutual splittings are
@@ -1092,23 +1008,30 @@ def assign_to_critical_points(pkg: PackageDegree, points, cx: DeRhamComplex,
             for p in grams:
                 grams[p] = P @ grams[p] @ P
         R = np.column_stack(chosen_u)  # orthogonal: deflation keeps u's orthonormal
-        reps[:, rep_count:rep_count + kc] = Wc @ R
-        # branch <-> representative bijection inside the cluster
-        for a, b in enumerate(_min_cost_assignment(-np.abs(R))):
-            rep_of_branch[sel[a]] = rep_count + b
-        rep_count += kc
+        reps[:, lo:hi] = Wc @ R
+        clusters.append((sel, np.arange(lo, hi), np.abs(R)))
 
     M = localization_masses(cx, q, reps, coords, radius, nodes)
     point_of_rep = _min_cost_assignment(-M)
+
+    rep_of_branch = np.empty(len(pool), dtype=int)
+    tie_group = {}  # the group of each branch that no overlap determines
+    for sel, rep, absR in clusters:
+        hit = absR >= tol.overlap_min  # at most one per row and column
+        a, b = np.nonzero(hit)
+        rep_of_branch[sel[a]] = rep[b]
+        tied = np.sort(sel[~hit.any(axis=1)])
+        free = rep[~hit.any(axis=0)]
+        rep_of_branch[tied] = free[np.argsort(point_of_rep[free])]
+        points_left = sorted(point_of_rep[free].tolist())
+        tie_group.update((i, points_left) for i in tied.tolist())
 
     pkg.assignment_warnings = []
     for i, b in enumerate(pool):
         rep = rep_of_branch[i]
         pt = int(point_of_rep[rep])
-        b.critical_point = pt
-        b.mass = float(M[rep, pt])
+        b.critical_point, b.mass = pt, float(M[rep, pt])
+        b.tie_group = list(tie_group.get(i, [pt]))
         if b.mass < tol.mass_min:
-            pkg.assignment_warnings.append(
-                (i, pt, b.mass)
-            )
+            pkg.assignment_warnings.append((i, pt, b.mass))
     return pkg

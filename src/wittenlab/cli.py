@@ -95,6 +95,7 @@ def _package_payload(run) -> dict:
                 "critical_point": (None if b.critical_point is None
                                    else int(b.critical_point)),
                 "mass": b.mass,
+                "tie_group": b.tie_group,
                 "t0_slope": b.t0_slope,
                 "value_at_zero": b.value_at(0.0),
                 "value_at_tmax": b.value_at(deg.t_max),
@@ -103,7 +104,8 @@ def _package_payload(run) -> dict:
             "beta": deg.beta, "c": deg.c, "gap": deg.gap,
             "tol_zero": deg.tol_zero, "branches": rows,
             "n_large": len(deg.large),
-            "warnings": list(deg.assignment_warnings),
+            "warnings": [{"branch": i, "point": p, "mass": m}
+                         for i, p, m in deg.assignment_warnings],
         }
     return {"manifold": pkg.manifold, "grid": [float(t) for t in pkg.grid],
             "degrees": degrees, "critical_points": _point_rows(run.points)}

@@ -623,7 +623,7 @@ class LaplacianFamily:
                       indptr, (idx.size, idx.size))
             rows, part = pairs.get(idx[0], (None, ()))
             exact = rows is not None and np.array_equal(rows, idx)
-            out.append((idx, LaplacianFamily(sub, self.coef[:, sel],
+            out.append((idx, LaplacianFamily(sub, self.coef.take(sel, 1),
                                              part if exact else ())))
         return out
 

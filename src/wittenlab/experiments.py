@@ -19,7 +19,7 @@ from .branches import (
     SpectralPackage,
     assign_to_critical_points,
     classify,
-    lowest_eigenvalues,
+    lowest_eigenvalue_grid,
     track_branches,
 )
 from .config import ExperimentConfig, _potential_to_json
@@ -74,10 +74,8 @@ def run_spectrum(config: ExperimentConfig, k: int | None = None) -> SpectrumRun:
     values = {}
     for q in degrees:
         kq = k or min(cx.dims[q], 8)
-        blocks = laplacian_family(cx, q).split()
-        values[q] = np.array([
-            lowest_eigenvalues(blocks, t, kq, config.tolerances)[0]
-            for t in ts])
+        values[q] = lowest_eigenvalue_grid(laplacian_family(cx, q).split(),
+                                           ts, kq, config.tolerances)
     return SpectrumRun(config=config, ts=ts, values=values)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -384,8 +386,9 @@ def test_match_step_handles_cluster_rotation(rng):
 def test_tied_assignment_matches_scipy(rng):
     """Assignments whose cheapest columns collide, against scipy's
     min_weight_full_bipartite_matching as the oracle: square and
-    rectangular costs with many exactly tied optima, where the chosen
-    optimum is part of the output, and generic costs."""
+    rectangular costs with many exactly tied optima, and generic costs.
+    Each row gets its own column, at scipy's optimal total; which of
+    several tied optima comes back is unspecified."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
@@ -402,21 +405,27 @@ def test_tied_assignment_matches_scipy(rng):
         rows, want = min_weight_full_bipartite_matching(
             csr_matrix(C - C.min() + 1.0))
         got = branches._min_cost_assignment(C)
-        assert np.array_equal(got[rows], want), (C, got, want)
+        assert np.unique(got).size == nr
+        assert C[np.arange(nr), got].sum() == pytest.approx(
+            C[rows, want].sum(), rel=1e-14, abs=1e-14), (C, got, want)
     assert tied > 300
 
 
-def test_assignment_cycle_raises():
-    """Costs tied to the last bit can make the row reduction displace the
-    same rows forever (scipy's matching spins on this matrix); the
-    assignment raises instead."""
-    C = [[1.4999999999999998, 1.5, 1.0, 1.4999999999999998],
+def test_assignment_of_last_bit_ties_is_optimal():
+    """Costs tied to the last bit, on which a Jonker-Volgenant row
+    reduction displaces the same rows forever (scipy's matching spins on
+    this matrix), get an optimal assignment: the cheapest of all 24."""
+    C = np.array(
+        [[1.4999999999999998, 1.5, 1.0, 1.4999999999999998],
          [1.5000000000000002, 1.5000000000000002, 0.9999999999999998,
           1.5000000000000002],
          [1.5000000000000002, 1.5000000000000002, 1.0, 1.5000000000000002],
-         [1.5, 1.0000000000000002, 1.0000000000000002, 1.0]]
-    with pytest.raises(NumericalError, match="does not terminate"):
-        branches._jonker_volgenant(C)
+         [1.5, 1.0000000000000002, 1.0000000000000002, 1.0]])
+    got = branches._min_cost_assignment(C)
+    best = min(sum(C[i, p[i]] for i in range(4))
+               for p in itertools.permutations(range(4)))
+    assert sorted(got.tolist()) == [0, 1, 2, 3]
+    assert sum(C[i, got[i]] for i in range(4)) == best
 
 
 def test_rebase_recovers_mixed_pair():

@@ -7,7 +7,6 @@ import sys
 import jsonschema
 import pytest
 
-from wittenlab import branches
 from wittenlab.cli import main
 from wittenlab.config import ExperimentConfig, Tolerances, load_schema
 from wittenlab.errors import NumericalError
@@ -69,6 +68,26 @@ def test_package_json_validates_against_schema(tmp_path, capsys):
         assert labels == ["VS_POSITIVE", "ZERO"]
     header = open(cpath).read().splitlines()[0]
     assert header == "q,branch,t,lambda,label,critical_point"
+
+
+def test_low_mass_warnings_validate_against_schema(tmp_path, capsys):
+    """A run whose boxes are too small for mass_min still writes its
+    package, and each low-mass branch is a warning object that the
+    shipped schema accepts."""
+    _, path = write_config(tmp_path, tolerances=Tolerances(
+        vanish_max=1e-3, mass_min=1.0, mass_radius=0.05))
+    assert main(["package", "--config", path]) == 0
+    jpath = next(f for f in printed_files(capsys) if f.endswith(".json"))
+    payload = json.loads(open(jpath).read())
+    jsonschema.validate(payload, load_schema("spectral-package"))
+    for deg in payload["degrees"].values():
+        rows = {r["id"]: r for r in deg["branches"]}
+        assert len(deg["warnings"]) == len(rows)
+        for w in deg["warnings"]:
+            row = rows[w["branch"]]
+            assert (w["point"], w["mass"]) == (row["critical_point"],
+                                               row["mass"])
+            assert w["mass"] < 1.0
 
 
 def test_torsion_json_validates_against_schema(tmp_path, capsys):
@@ -223,10 +242,8 @@ def test_torsion_exit_code_on_failed_anomaly_check(tmp_path, capsys,
     assert "anomaly identity fails at t=0.0" in capsys.readouterr().err
 
 
-# the torus-sin2-product preset at 24 modes, whose degree-1 assignment
-# of branches to critical points ties between the cheapest columns, and
-# the same turned a quarter period on both circles (cos 2th1 + cos 2th2),
-# whose assignments never tie
+# the torus-sin2-product preset at 24 modes, and the same turned a
+# quarter period on both circles (cos 2th1 + cos 2th2)
 TORUS24 = {
     "manifold": "torus", "modes": 24, "t_max": 5.0, "t_step": 0.5,
     "tolerances": {"vanish_max": 1e-4}}
@@ -235,26 +252,18 @@ SIN2, COS2 = ({"arity": 2, "terms": [{"freq": [0, 2], "cos": c, "sin": s},
               for c, s in ((0.0, 1.0), (1.0, 0.0)))
 
 
-def test_default_routes_load_no_scipy_jsonschema_or_numpy_ma(tmp_path,
-                                                            monkeypatch):
+def test_default_routes_load_no_scipy_jsonschema_or_numpy_ma(tmp_path):
     """The command line imports no scipy module, and neither does a
-    circle torsion run or a separable torus package run, with or without
-    a tied assignment: scipy serves only the subset and Lanczos
-    eigensolves of blocks without circle factors.  None of them loads
-    jsonschema (the package reads the config schema itself) or numpy.ma
-    (which np.unique would load)."""
+    circle torsion run or a separable torus package run: scipy serves
+    only the subset and Lanczos eigensolves of blocks without circle
+    factors.  None of them loads jsonschema (the package reads the
+    config schema itself) or numpy.ma (which np.unique would load)."""
     configs = []
     for name, potential in (("sin2", SIN2), ("cos2", COS2)):
         path = tmp_path / f"torus24-{name}.json"
         path.write_text(json.dumps({**TORUS24, "potential": potential,
                                     "out_dir": str(tmp_path / name)}))
         configs.append(str(path))
-    ties = []
-    solve = branches._jonker_volgenant
-    monkeypatch.setattr(branches, "_jonker_volgenant",
-                        lambda C: ties.append(C) or solve(C))
-    assert main(["package", "--config", configs[0]]) == 0
-    assert ties  # the sin2 run below takes the tie route
     code = ("import sys, wittenlab.cli as cli\n"
             "rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
             "print(rc, [m for m in sys.modules\n"

@@ -1,12 +1,13 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wittenlab import experiments
+from wittenlab import branches, derham, experiments
 from wittenlab.branches import LABEL_VS, LABEL_ZERO
 from wittenlab.config import ExperimentConfig, Tolerances, preset
-from wittenlab.derham import witten_laplacian
+from wittenlab.derham import laplacian_family, witten_laplacian
 from wittenlab.errors import ConfigError, NumericalError
 from wittenlab.experiments import (_anomaly_sample_ts, grid_pairings,
                                    int_morphism, morse_finite_complex,
@@ -45,6 +46,27 @@ def test_run_spectrum_matches_dense_solves():
             assert np.max(np.abs(run.values[q][i] - ref)) < 1e-9
 
 
+def test_run_spectrum_solves_each_whole_spectrum_once(monkeypatch):
+    """On the 24-mode torus every whole spectrum that run_spectrum reads
+    (a circle factor shared by many blocks, or a small block) is solved
+    once for the whole grid, and the values are those of a
+    lowest_eigenvalues call at each t."""
+    cfg = replace(preset("torus-sin2-product"), modes=24, t_step=0.5)
+    solved = []  # holding each family keeps its id from being reused
+    full_spectra = branches._full_spectra
+    monkeypatch.setattr(branches, "_full_spectra", lambda fam, ts: (
+        solved.append(fam) or full_spectra(fam, ts)))
+    run = run_spectrum(cfg)
+    assert 0 < len(solved) == len({id(fam) for fam in solved})
+    cx = experiments.build_complex(cfg)
+    for q in (0, 1, 2):
+        blocks = laplacian_family(cx, q).split()
+        k = run.values[q].shape[1]
+        for i, t in enumerate(run.ts):
+            w, _ = branches.lowest_eigenvalues(blocks, t, k, cfg.tolerances)
+            assert np.array_equal(run.values[q][i], w)
+
+
 def test_run_spectrum_is_deterministic():
     cfg = ExperimentConfig(manifold="circle", modes=8, t_max=1.0, t_step=0.5)
     a = run_spectrum(cfg, k=4)
@@ -69,6 +91,53 @@ def test_run_package_structure(circle_run):
             assert b.mass is not None and b.mass > 0.5
     V = package_vectors(run.degree(0), 0.0)
     assert np.max(np.abs(V.T @ V - np.eye(2))) < 1e-10
+
+
+# sin 2th1 + sin 2th2 (the torus preset's potential) turned a quarter
+# period on both circles: cos 2th2 - sin 2th1
+QUARTER_TURNED = {"arity": 2, "terms": [
+    {"freq": [0, 2], "cos": 1.0, "sin": 0.0},
+    {"freq": [2, 0], "cos": 0.0, "sin": -1.0}]}
+
+
+@pytest.mark.parametrize("potential", ["sin2-product", QUARTER_TURNED],
+                         ids=["preset", "quarter-turned"])
+def test_tie_groups_do_not_depend_on_the_solve_route(potential, monkeypatch):
+    """The torus preset and a quarter-turned copy of it, solved from the
+    circle factors and from the assembled blocks, give the same tie
+    groups and the same points.  Their package branches are all exactly
+    degenerate, so each degree is one tie group of all its index-q
+    points."""
+    cfg = replace(preset("torus-sin2-product"), potential=potential)
+    factored = run_package(cfg)
+    monkeypatch.setattr(derham, "_factor_families", lambda *_: ())
+    assembled = run_package(cfg)
+    for q in (0, 1, 2):
+        n_points = sum(1 for p in factored.points if p.index == q)
+        for a, b in zip(factored.degree(q).branches,
+                        assembled.degree(q).branches):
+            assert a.tie_group == b.tie_group == list(range(n_points))
+            assert a.critical_point == b.critical_point
+
+
+def test_asymmetric_circle_pins_every_branch():
+    """On sin 2th + 0.4 cos th no two wells tie, so every package branch
+    is determined by its localization alone, and the ZERO branch of
+    degree 0 sits at the global minimum, found here on a fine grid."""
+    potential = {"arity": 1, "terms": [{"freq": [2], "cos": 0.0, "sin": 1.0},
+                                       {"freq": [1], "cos": 0.4, "sin": 0.0}]}
+    run = run_package(ExperimentConfig(manifold="circle", modes=32,
+                                       t_max=8.0, t_step=0.25,
+                                       potential=potential))
+    for q in (0, 1):
+        for b in run.degree(q).branches:
+            assert b.tie_group == [b.critical_point]
+    th = np.linspace(0.0, 2.0 * np.pi, 1 << 16, endpoint=False)
+    th_min = th[np.argmin(np.sin(2.0 * th) + 0.4 * np.cos(th))]
+    (zero,) = [b for b in run.degree(0).branches if b.label == LABEL_ZERO]
+    minima = [p for p in run.points if p.index == 0]
+    gap = abs(minima[zero.critical_point].coords[0] - th_min)
+    assert min(gap, 2.0 * np.pi - gap) < 1e-3
 
 
 def test_vs_complex_structure(circle_run):
