@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Tolerances
-from .derham import CSR, DeRhamComplex, LaplacianFamily, laplacian_family
+from .derham import (
+    CSR,
+    DeRhamComplex,
+    LaplacianFamily,
+    build_circle_complex,
+    graded_kronecker_defect,
+    laplacian_family,
+)
 from .errors import (
     ConfigError,
     GapNotFoundError,
@@ -78,17 +85,14 @@ def _full_spectra(fam: LaplacianFamily, ts: np.ndarray):
 
 
 class _GridSpectra:
-    """The whole spectra one track_branches call reads: those of its
-    small dense blocks (_whole) and of its circle factors.
+    """The whole spectra of small blocks (_whole) along a grid.
 
     A family is solved for every t of the grid by one _full_spectra call
-    when a grid sample of it is first asked for; an off-grid sample (a
-    bisection point) is solved alone when it is asked for.  Each pair's
-    residual is taken from the stacked matrices by one batched product,
-    and the matrices are then dropped.  The stacks live as long as this
-    object, and a family is known by its identity, so blocks that share
-    a factor sub-family share its solve.
-    """
+    when a grid sample of it is first asked for, and an off-grid sample
+    (a bisection point) alone.  Each pair's residual is taken from the
+    stacked matrices by one batched product, and the matrices are then
+    dropped.  The stacks live as long as this object; a family is known
+    by its identity."""
 
     def __init__(self, grid=()):
         self.grid = np.asarray(grid, dtype=float)
@@ -406,44 +410,48 @@ class EigenBranch:
     t0_slope: float | None = None
     t0_cluster: int | None = None  # shared id marks a jointly-determined subspace
 
-    def value_at(self, t: float) -> float:
+    def _sample(self, t: float) -> int:
         i = int(np.argmin(np.abs(self.ts - t)))
         if abs(self.ts[i] - t) > 1e-9 * (1 + abs(t)):
             raise KeyError(f"t={t} is not a sample of this branch")
-        return float(self.values[i])
+        return i
+
+    def value_at(self, t: float) -> float:
+        return float(self.values[self._sample(t)])
 
     def vector_at(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.ts - t)))
-        if abs(self.ts[i] - t) > 1e-9 * (1 + abs(t)):
-            raise KeyError(f"t={t} is not a sample of this branch")
-        return self.vectors[i]
+        return self.vectors[self._sample(t)]
 
 
 def lowest_eigenvalues(blocks, t: float, k: int,
                        tol: Tolerances | None = None):
     """The k smallest eigenvalues at t of a family split into blocks.
 
-    blocks is LaplacianFamily.split() output.  Every block gets covered
-    solves and the values are merged; returns (values, owner) ascending,
-    owner[i] being the block of values[i].  Values within tol.cluster_rel
-    of each other count as tied, and ties go by block order, so which
-    block owns a value that k cuts out of a cluster does not depend on
-    rounding.
+    blocks is LaplacianFamily.split() output.  Returns (values, owner)
+    ascending, owner[i] the block of values[i].  Values within
+    tol.cluster_rel of each other count as tied, and ties go by block
+    order, so the owner of a value that k cuts out of a cluster does not
+    depend on rounding.
     """
     _, values, owner = _lowest_solves(blocks, t, k, tol or Tolerances())
     return values, owner
 
 
-def lowest_eigenvalue_grid(blocks, ts, k: int,
-                           tol: Tolerances | None = None) -> np.ndarray:
-    """lowest_eigenvalues' values at every t of ts, one row per t.
-
-    Every whole spectrum (a small block or a circle factor) is solved
-    once for the whole grid, and blocks that share a factor share it.
-    """
+def eigenvalue_grid(cx: DeRhamComplex, ks: dict, ts,
+                    tol: Tolerances | None = None) -> dict:
+    """The ks[q] smallest values of each degree q at every t of ts, one
+    row per t, by lowest_eigenvalues' tie rule; a separable torus takes
+    them from _CircleFactors.sums.  Every whole spectrum, of a small or
+    a circle-factor block, is solved once for the whole grid."""
     tol, spectra = tol or Tolerances(), _GridSpectra(ts)
-    return np.array([_lowest_solves(blocks, t, k, tol, spectra)[1]
-                     for t in spectra.grid])
+    if cx.manifold == "torus" and cx.f.is_separable():
+        factors = _CircleFactors(cx, tol)
+        return {q: np.array([_merge_lowest(factors.sums(q, spectra, t)[0], k,
+                                           tol.cluster_rel)[0]
+                             for t in spectra.grid]) for q, k in ks.items()}
+    blocks = {q: laplacian_family(cx, q).split() for q in ks}
+    return {q: np.array([_lowest_solves(blocks[q], t, k, tol, spectra)[1]
+                         for t in spectra.grid]) for q, k in ks.items()}
 
 
 def _lowest_solves(blocks, t: float, k: int, tol: Tolerances,
@@ -498,49 +506,23 @@ def _merge_lowest(values, k: int, cluster_rel: float):
     return w[pick], owner[pick], reach
 
 
-def _factored(fam: LaplacianFamily) -> bool:
-    """Whether fam is one Kronecker sum F1 (x) I + I (x) F2 as a whole,
-    solved from the full spectra of its two circle-factor families."""
-    return len(fam.factors) == 1
-
-
 def _windowed(fam: LaplacianFamily) -> bool:
     """Whether fam is solved by windowed shift-invert instead of dense eigh."""
-    return fam.dim > DENSE_MAX_DIM and not _factored(fam)
+    return fam.dim > DENSE_MAX_DIM
 
 
 def _whole(fam: LaplacianFamily) -> bool:
-    """Whether fam is a small dense block, whose every solve is its whole
-    spectrum from _GridSpectra."""
+    """Whether fam is a small block, solved whole by _GridSpectra."""
     return fam.dim <= SMALL_BLOCK_DIM and not _windowed(fam)
 
 
 def _smallest(fam: LaplacianFamily, t: float, m: int, tol: Tolerances,
               spectra: _GridSpectra):
-    """The min(m, dim) smallest eigenpairs (w, V) of fam at t, ascending,
-    and r, each pair's max-abs residual against fam at t or a bound on
-    it: (w, V, r).
-
-    A Kronecker-sum block (_factored) takes them from the whole spectra
-    of its two circle factors, the sums lambda_a + mu_b in stable order
-    with the Kronecker products u_a (x) v_b of the kept ones.  For unit
-    vectors the residual of u_a (x) v_b is at most those of u_a and v_b
-    plus the block's kronecker_defect at t, and that sum is its r.  A small
-    dense block (_whole) takes a prefix of its whole spectrum; both read
-    the whole spectra and residuals from spectra.  A block above
-    DENSE_MAX_DIM takes the shift-invert solve of its CSR form, any
-    other _dense_smallest of its dense form, with residuals against it.
-    """
-    if _factored(fam):
-        _, F1, F2 = fam.factors[0]
-        w1, U1, r1 = spectra(F1, t)
-        w2, U2, r2 = spectra(F2, t)
-        sums = (w1[:, None] + w2).ravel()
-        keep = np.argsort(sums, kind="stable")[:m]
-        a, b = np.divmod(keep, w2.size)
-        V = (U1[:, None, a] * U2[None, :, b]).reshape(fam.dim, keep.size)
-        d0, d1, d2 = fam.kronecker_defect
-        return sums[keep], V, r1[a] + r2[b] + (d0 + abs(t) * d1 + t * t * d2)
+    """(w, V, r): the min(m, dim) smallest eigenpairs of fam at t,
+    ascending, and each pair's max-abs residual against fam at t.  A
+    small dense block (_whole) takes a prefix of its whole spectrum from
+    spectra, a block above DENSE_MAX_DIM the shift-invert solve of its
+    CSR form, any other _dense_smallest of its dense form."""
     if _whole(fam):
         w, V, r = spectra(fam, t)
         return w[:m], V[:, :m], r[:m]
@@ -553,19 +535,6 @@ def _smallest(fam: LaplacianFamily, t: float, m: int, tol: Tolerances,
     return w, V, _residuals(A, w, V)
 
 
-def _certify_kronecker(fam: LaplacianFamily, tol: Tolerances):
-    """Refuse a _factored block that is not the Kronecker sum of its
-    factors: each kronecker_defect delta_j must be within
-    operator_identity (1 + max |A_j|).  The family is quadratic in t, so
-    this one check covers every t."""
-    delta = fam.kronecker_defect
-    bound = tol.operator_identity * (
-        1.0 + np.abs(fam.coef).max(axis=1, initial=0.0))
-    if not np.all(delta <= bound):  # an infinite or NaN defect fails too
-        raise NumericalError(f"block is not the Kronecker sum of its factors: "
-                             f"defects {delta} exceed {bound}")
-
-
 class _CoveredSolver:
     """Eigensolves of one family whose complete clusters cover k values.
 
@@ -576,9 +545,8 @@ class _CoveredSolver:
     window holds the whole spectrum, its top cluster (eigenvalue_clusters)
     is dropped, and the window grows until the complete clusters hold k
     values and, when a value is needed, reach past it with a margin.
-    Every solve's pairs are validated before they are returned, and a
-    Kronecker-sum block is certified once, when its solver is made.
-    Whole spectra come from spectra, by default a _GridSpectra without a
+    Every solve's pairs are validated before they are returned.  Whole
+    spectra come from spectra, by default a _GridSpectra without a
     grid, which solves each t alone.
     """
 
@@ -586,8 +554,6 @@ class _CoveredSolver:
                  spectra: _GridSpectra | None = None):
         self.fam, self.k, self.tol = fam, k, tol
         self.spectra = spectra or _GridSpectra()
-        if _factored(fam):
-            _certify_kronecker(fam, tol)
         dim = fam.dim
         # Lanczos needs a window below dim - 1; a dense one can reach dim
         self.cap = min(dim - 2, max(256, 8 * k)) if _windowed(fam) else dim
@@ -781,6 +747,122 @@ def _validate_residuals(r, residual_tol, window):
     res = float(np.max(r, initial=0.0))
     if not res <= residual_tol * scale:  # a NaN residual fails too
         raise NumericalError(f"eigenpair residual {res:.3e} exceeds tolerance")
+
+
+# -- separable torus: products of circle-factor tracks ------------------
+
+
+class _CircleFactors:
+    """The blocks of the circle Laplacians L_p of h1 and h2, keyed (id of
+    circle complex, p, block), of a torus complex with potential
+    h1(th1) + h2(th2) + const, made only when the torus complex is the
+    graded tensor product of their circle complexes: each
+    graded_kronecker_defect within operator_identity (1 + max |E|), else
+    NumericalError.  On the part of a q-form that is a p-form times a
+    (q - p)-form (dth1 part first) the torus Laplacian is then the
+    Kronecker sum of L_p(h1) and L_(q-p)(h2)."""
+
+    def __init__(self, cx: DeRhamComplex, tol: Tolerances):
+        h1, h2, _ = cx.f.factor_parts()
+        c1 = build_circle_complex(cx.N, h1)
+        c2 = c1 if h2.terms == h1.terms else build_circle_complex(cx.N, h2)
+        defects = graded_kronecker_defect(cx, c1, c2)
+        bound = tol.operator_identity * (1.0 + max(E.maxabs() for E in cx.E))
+        if not all(d <= bound for d in defects):  # a NaN defect fails too
+            raise NumericalError(
+                f"torus operators are not the graded Kronecker product of "
+                f"their circle factors: defects {defects} exceed {bound:.3e}")
+        self.tol, self.family, split, n = tol, {}, {}, c1.dims[0]
+        for c in {id(c1): c1, id(c2): c2}.values():
+            for p in (0, 1):
+                split[id(c), p] = []
+                for i, (idx, fam) in enumerate(laplacian_family(c, p).split()):
+                    self.family[id(c), p, i] = fam
+                    split[id(c), p].append(((id(c), p, i), idx))
+        # (rows, key1, key2) of each torus block, in the row order of split
+        self.blocks = {q: [] for q in range(3)}
+        for q in range(3):
+            for part, p in enumerate(p for p in (1, 0) if 0 <= q - p <= 1):
+                for key1, ix in split[id(c1), p]:
+                    for key2, iy in split[id(c2), q - p]:
+                        rows = part * n * n + (ix[:, None] * n + iy).ravel()
+                        self.blocks[q].append((rows, key1, key2))
+
+    def sums(self, q: int, spectra: _GridSpectra, t: float):
+        """Each degree-q torus block's sums w1[a] + w2[b] of its factor
+        blocks' whole spectra at t, their residuals validated, in stable
+        ascending order, and that order of the raveled a * w2.size + b."""
+        def whole(key):
+            w, _, r = spectra(self.family[key], t)
+            _validate_residuals(r, self.tol.eig_residual, w)
+            return w
+
+        sums = [(whole(key1)[:, None] + whole(key2)).ravel()
+                for _, key1, key2 in self.blocks[q]]
+        orders = [np.argsort(w, kind="stable") for w in sums]
+        return [w[o] for w, o in zip(sums, orders)], orders
+
+
+def package_branches(cx: DeRhamComplex, ks: dict, grid,
+                     tol: Tolerances | None = None) -> dict:
+    """track_branches of each degree q in ks, the ks[q] smallest at t_max.
+
+    A separable torus assembles no torus family: the ks[q] smallest of
+    _CircleFactors.sums at t_max are chosen by _merge_lowest's tie rule,
+    and the factor blocks they need are tracked (_factor_tracks).  Branch
+    (a, b) has the values and t = 0 slopes of u_a plus v_b, the product
+    of their overlaps, the vectors u_a (x) v_b, and the t0_cluster of the
+    first branch of its block whose factors share their t0_clusters (tied
+    sums of other pairs are joined by experiments._t0_groups).
+    """
+    tol, grid = tol or Tolerances(), np.asarray(grid, dtype=float)
+    if cx.manifold != "torus" or not cx.f.is_separable():
+        return {q: track_branches(cx, q, grid, k, tol) for q, k in ks.items()}
+    factors, spectra = _CircleFactors(cx, tol), _GridSpectra()
+    chosen, need = {}, {}  # need[key]: the branches needed of factor block
+    for q, k in ks.items():
+        values, orders = factors.sums(q, spectra, grid[-1])
+        seen = np.zeros(len(values), dtype=int)
+        chosen[q] = []
+        for b in _merge_lowest(values, k, tol.cluster_rel)[1]:
+            rows, key1, key2 = factors.blocks[q][b]
+            a1, a2 = divmod(int(orders[b][seen[b]]), factors.family[key2].dim)
+            seen[b] += 1
+            chosen[q].append((b, rows, key1, a1, key2, a2))
+            need[key1] = max(need.get(key1, 0), a1 + 1)
+            need[key2] = max(need.get(key2, 0), a2 + 1)
+    tracks = _factor_tracks(factors.family, need, grid, tol)
+    out = {}
+    for q, picks in chosen.items():
+        out[q], first = [], {}
+        for j, (b, rows, key1, a1, key2, a2) in enumerate(picks):
+            u, v = tracks[key1][a1], tracks[key2][a2]
+            vectors = np.zeros((u.ts.size, cx.dims[q]))
+            vectors[:, rows] = (u.vectors[:, :, None]
+                                * v.vectors[:, None, :]).reshape(u.ts.size, -1)
+            out[q].append(EigenBranch(
+                degree=q, ts=u.ts.copy(), values=u.values + v.values,
+                vectors=vectors, overlaps=u.overlaps * v.overlaps,
+                t0_slope=u.t0_slope + v.t0_slope, t0_cluster=first.setdefault(
+                    (b, u.t0_cluster, v.t0_cluster), j)))
+    return out
+
+
+def _factor_tracks(family: dict, need: dict, grid: np.ndarray,
+                   tol: Tolerances) -> dict:
+    """The need[key] smallest branches at t_max of each circle block
+    family[key], each block tracked by track_branches, on one sample set:
+    a block with fewer samples is tracked again on the union of all."""
+    tracked, ts = {}, grid
+    while True:
+        for key, k in need.items():
+            if key not in tracked or tracked[key][0].ts.size < ts.size:
+                tracked[key] = track_branches(None, key[1], ts, k, tol,
+                                              family[key])
+        union = set().union(*(brs[0].ts.tolist() for brs in tracked.values()))
+        if len(union) == ts.size:
+            return tracked
+        ts = np.array(sorted(union))
 
 
 # -- classification ------------------------------------------------------

@@ -24,7 +24,7 @@ from .trigpoly import TrigPoly, circle_sin2, torus_sin2_product
 class Tolerances:
     """Numerical thresholds; defaults chosen for dense double precision."""
 
-    # Kronecker defect of a factored block, relative to 1 + max |A_j|
+    # graded Kronecker defect of a separable torus, relative to 1 + max |E|
     operator_identity: float = 1e-10
     eig_residual: float = 1e-9
     zero_rel: float = 1e-9  # kernel detection, relative to spectral scale

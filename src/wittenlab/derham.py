@@ -18,7 +18,6 @@ sweeps only pay one assembly.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -456,16 +455,9 @@ def build_torus_complex(N: int, f: TrigPoly | None = None) -> DeRhamComplex:
     m = n1 * n1
     d1 = diff_matrix_1d(N)
     I1 = CSR.identity(n1)
-    Dth1 = d1.kron(I1)
-    Dth2 = I1.kron(d1)
-    M1 = mult_matrix_2d(N, f.partial(0))
-    M2 = mult_matrix_2d(N, f.partial(1))
-    D0 = CSR.blocks([[Dth1], [Dth2]])
-    E0 = CSR.blocks([[M1], [M2]])
-    # d(alpha dth1 + beta dth2) = (d1 beta - d2 alpha) dth1^dth2
-    D1 = CSR.blocks([[-Dth2, Dth1]])
-    E1 = CSR.blocks([[-M2, M1]])
-
+    D = _torus_operators(d1.kron(I1), I1.kron(d1))
+    E = _torus_operators(mult_matrix_2d(N, f.partial(0)),
+                         mult_matrix_2d(N, f.partial(1)))
     # star: 1 -> dth1^dth2, dth1 -> dth2, dth2 -> -dth1, dth1^dth2 -> 1
     I = CSR.identity(m)
     S1 = CSR.blocks([[None, -I], [I, None]])
@@ -476,13 +468,20 @@ def build_torus_complex(N: int, f: TrigPoly | None = None) -> DeRhamComplex:
         N=N,
         f=f,
         dims=(m, 2 * m, m),
-        D=[D0, D1],
-        E=[E0, E1],
+        D=D,
+        E=E,
         S=[I, S1, I],
         betti=(1, 2, 1),
         volume=TWO_PI**2,
         _m_scalar=m,
     )
+
+
+def _torus_operators(X1, X2) -> list:
+    """The degree-0 and degree-1 torus operators of the partial ones X1
+    (along th1) and X2: u -> X1 u dth1 + X2 u dth2, and
+    alpha dth1 + beta dth2 -> (X1 beta - X2 alpha) dth1^dth2."""
+    return [CSR.blocks([[X1], [X2]]), CSR.blocks([[-X2, X1]])]
 
 
 # -- operators -----------------------------------------------------------
@@ -497,21 +496,13 @@ class LaplacianFamily:
     pattern holding every entry that is nonzero in any of them.  The
     family at t is one combination of those rows on the pattern, and
     every at(t) and term(j) shares the pattern's cached arrays.
-
-    factors lists Kronecker-sum parts (offset, F1, F2) of two circle-
-    factor families, when the family is known to have them: on the rows
-    offset + i * F2.dim + j (i < F1.dim, j < F2.dim) the family is
-    F1 (x) I + I (x) F2 at every t, and the parts cover every row.  A
-    family with one part is that Kronecker sum as a whole, with the
-    spectrum {lambda_a + mu_b} of its factors.
     """
 
     pattern: CSR  # the shared pattern; its data, a read-only 1.0, is unused
     coef: np.ndarray  # (3, nnz): the data of A0, A1, A2
-    factors: tuple = field(default=(), repr=False)
 
     @classmethod
-    def from_terms(cls, A0, A1, A2, factors=()) -> "LaplacianFamily":
+    def from_terms(cls, A0, A1, A2) -> "LaplacianFamily":
         """The family of three square matrices, dense or CSR."""
         terms = [A if isinstance(A, CSR) else CSR.from_dense(A)
                  for A in (A0, A1, A2)]
@@ -525,8 +516,7 @@ class LaplacianFamily:
         coef = np.zeros((3, union.nnz))
         for row, S in zip(coef, sym):
             row[np.searchsorted(key, S.rows * n + S.indices)] = S.data
-        return cls(union.with_data(np.broadcast_to(1.0, union.nnz)), coef,
-                   tuple(factors))
+        return cls(union.with_data(np.broadcast_to(1.0, union.nnz)), coef)
 
     @property
     def dim(self) -> int:
@@ -544,42 +534,6 @@ class LaplacianFamily:
         """The coefficient A_j."""
         return self.pattern.with_data(self.coef[j])
 
-    @functools.cached_property
-    def kronecker_defect(self) -> np.ndarray:
-        """(delta_0, delta_1, delta_2) of a family that is one Kronecker
-        sum F1 (x) I + I (x) F2 as a whole (one factor part, at offset 0):
-        delta_j is the largest row sum of |A_j - (F1_j (x) I + I (x) F2_j)|,
-        so at t the family and the Kronecker sum of its factors differ by
-        at most delta_0 + |t| delta_1 + t^2 delta_2 in the infinity norm.
-        Measured once per family.
-
-        The sum is formed entry by entry on the family's pattern from the
-        dense factor coefficients.  Its entries off the pattern are not
-        formed but counted, and a nonzero one makes that delta infinite.
-        """
-        (_, F1, F2), = self.factors
-        n2 = F2.dim
-        D1, D2 = (np.zeros((3, F.dim, F.dim)) for F in (F1, F2))
-        D1[:, F1.pattern.rows, F1.pattern.indices] = F1.coef
-        D2[:, F2.pattern.rows, F2.pattern.indices] = F2.coef
-        P = self.pattern
-        i1, i2 = np.divmod(P.rows, n2)
-        j1, j2 = np.divmod(P.indices, n2)
-        K = (np.where(i2 == j2, D1[:, i1, j1], 0.0)
-             + np.where(i1 == j1, D2[:, i2, j2], 0.0))
-        delta = np.array([np.bincount(P.rows, np.abs(d), self.dim).max()
-                          for d in self.coef - K])
-        # nonzeros of the whole sum: off-diagonal ones of F1 (x) I and of
-        # I (x) F2, which never share a position, and the diagonal sums
-        diag1, diag2 = (np.diagonal(D, axis1=1, axis2=2) for D in (D1, D2))
-        whole = (n2 * (np.count_nonzero(D1, axis=(1, 2))
-                       - np.count_nonzero(diag1, axis=1))
-                 + F1.dim * (np.count_nonzero(D2, axis=(1, 2))
-                             - np.count_nonzero(diag2, axis=1))
-                 + np.count_nonzero(diag1[:, :, None] + diag2[:, None, :],
-                                    axis=(1, 2)))
-        return np.where(np.count_nonzero(K, axis=1) == whole, delta, np.inf)
-
     def split(self) -> list:
         """Exact invariant blocks of the family, as (indices, sub-family).
 
@@ -590,24 +544,9 @@ class LaplacianFamily:
         potential without frequency structure gives one block.  Blocks
         are ordered by their first index; each sub-family slices the
         shared arrays of its rows.
-
-        A block whose rows are exactly those of a pair of factor blocks,
-        offset + (ix[:, None] * F2.dim + iy).ravel() for blocks ix of F1
-        and iy of F2 in some part of factors, carries that pair as its
-        one factor part; blocks that pair the same factor block share its
-        sub-family object.
         """
         P = self.pattern
         n_blocks, labels = P.components()
-        # each factor family is split once, so the blocks that pair a
-        # factor block share that one sub-family
-        splits = {id(F): F.split() for part in self.factors for F in part[1:]}
-        pairs = {}  # first row -> (rows, factor part) of each factor pair
-        for offset, F1, F2 in self.factors:
-            for ix, B1 in splits[id(F1)]:
-                for iy, B2 in splits[id(F2)]:
-                    rows = offset + (ix[:, None] * F2.dim + iy).ravel()
-                    pairs[rows[0]] = (rows, ((0, B1, B2),))
         entry_label = labels[P.rows]
         row_nnz = np.diff(P.indptr)
         local = np.empty(self.dim, dtype=P.indices.dtype)
@@ -621,10 +560,7 @@ class LaplacianFamily:
             np.cumsum(row_nnz[idx], out=indptr[1:])
             sub = CSR(np.broadcast_to(1.0, sel.size), local[P.indices[sel]],
                       indptr, (idx.size, idx.size))
-            rows, part = pairs.get(idx[0], (None, ()))
-            exact = rows is not None and np.array_equal(rows, idx)
-            out.append((idx, LaplacianFamily(sub, self.coef.take(sel, 1),
-                                             part if exact else ())))
+            out.append((idx, LaplacianFamily(sub, self.coef.take(sel, 1))))
         return out
 
 
@@ -642,39 +578,20 @@ def laplacian_family(cx: DeRhamComplex, q: int) -> LaplacianFamily:
         parts[0].append(C0 @ C0t)
         parts[1].append(C0 @ C1t + C1 @ C0t)
         parts[2].append(C1 @ C1t)
-    return LaplacianFamily.from_terms(*(sum(ps[1:], ps[0]) for ps in parts),
-                                      factors=_factor_families(cx, q))
+    return LaplacianFamily.from_terms(*(sum(ps[1:], ps[0]) for ps in parts))
 
 
-def _factor_families(cx: DeRhamComplex, q: int) -> tuple:
-    """Kronecker-sum parts of the degree-q family on a torus whose
-    potential is h1(th1) + h2(th2) + const, built from the circle
-    complexes of h1 and h2; () on the circle and for other potentials.
-
-    A q-form on the product is a p1-form on the first circle times a
-    p2-form on the second, p1 + p2 = q: degree 0 is L0(h1) (+) L0(h2),
-    degree 1 the dth1 part L1(h1) (+) L0(h2) and, offset by the scalar
-    dimension, the dth2 part L0(h1) (+) L1(h2), degree 2 L1(h1) (+) L1(h2),
-    (+) the Kronecker sum.  The assembled family is not built from
-    these, so each block solved from its factors is certified once
-    against its coefficients (LaplacianFamily.kronecker_defect).
-    """
-    if cx.manifold != "torus" or not cx.f.is_separable():
-        return ()
-    L1, L2 = (_circle_families(cx.N, tuple(sorted(h.terms.items())))
-              for h in cx.f.factor_parts()[:2])
-    degrees = {0: ((0, 0, 0),), 1: ((0, 1, 0), (cx._m_scalar, 0, 1)),
-               2: ((0, 1, 1),)}[q]
-    return tuple((offset, L1[p1], L2[p2]) for offset, p1, p2 in degrees)
-
-
-@functools.lru_cache(maxsize=8)
-def _circle_families(N: int, terms: tuple) -> tuple:
-    """(L0, L1) of the circle complex of the potential with these terms,
-    built once per potential and cutoff; the families are shared and
-    never modified."""
-    cx = build_circle_complex(N, TrigPoly(1, dict(terms)))
-    return laplacian_family(cx, 0), laplacian_family(cx, 1)
+def graded_kronecker_defect(cx: DeRhamComplex, c1: DeRhamComplex,
+                            c2: DeRhamComplex):
+    """(defect of D, defect of E): the largest |entry| of D_q - K(D) and
+    of E_q - K(E) in the torus complex cx, with K the graded Kronecker
+    assembly of the circle complexes c1, c2 (_torus_operators of X (x) I
+    and I (x) X).  Laplacians are built from D and E alone, so zero
+    defects make each Delta_q(t) a Kronecker sum at every t."""
+    I1, I2 = (CSR.identity(c.dims[0]) for c in (c1, c2))
+    return tuple(max((A - K).maxabs() for A, K in zip(ops, _torus_operators(
+        x1.kron(I2), I1.kron(x2)))) for ops, x1, x2 in (
+            (cx.D, c1.D[0], c2.D[0]), (cx.E, c1.E[0], c2.E[0])))
 
 
 def witten_laplacian(cx: DeRhamComplex, q: int, t: float):

@@ -19,8 +19,8 @@ from .branches import (
     SpectralPackage,
     assign_to_critical_points,
     classify,
-    lowest_eigenvalue_grid,
-    track_branches,
+    eigenvalue_grid,
+    package_branches,
 )
 from .config import ExperimentConfig, _potential_to_json
 from .derham import (
@@ -28,7 +28,6 @@ from .derham import (
     build_circle_complex,
     build_torus_complex,
     check_duality_identities,
-    laplacian_family,
 )
 from .errors import ConfigError, NumericalError
 from .integrals import CellMoments, a_log_total, det_log
@@ -71,12 +70,9 @@ def run_spectrum(config: ExperimentConfig, k: int | None = None) -> SpectrumRun:
     cx = build_complex(config)
     degrees = config.degrees or list(range(cx.n + 1))
     ts = config.grid()
-    values = {}
-    for q in degrees:
-        kq = k or min(cx.dims[q], 8)
-        values[q] = lowest_eigenvalue_grid(laplacian_family(cx, q).split(),
-                                           ts, kq, config.tolerances)
-    return SpectrumRun(config=config, ts=ts, values=values)
+    ks = {q: k or min(cx.dims[q], 8) for q in degrees}
+    return SpectrumRun(config=config, ts=ts, values=eigenvalue_grid(
+        cx, ks, ts, config.tolerances))
 
 
 # -- package ----------------------------------------------------------------
@@ -113,10 +109,11 @@ def run_package(config: ExperimentConfig, assign: bool = True) -> PackageRun:
     degrees = config.degrees or list(range(cx.n + 1))
     ts = config.grid()
     pkg = SpectralPackage(manifold=cx.manifold, grid=ts, degrees={})
+    ks = {q: min(counts[q] + config.k_extra, cx.dims[q]) for q in degrees}
+    tracked = package_branches(cx, ks, ts, tol)
     for q in degrees:
-        k = min(counts[q] + config.k_extra, cx.dims[q])
-        branches = track_branches(cx, q, ts, k=k, tol=tol)
-        deg = classify(branches, cx.betti[q], counts[q], float(ts[-1]), tol=tol)
+        deg = classify(tracked[q], cx.betti[q], counts[q], float(ts[-1]),
+                       tol=tol)
         if assign:
             pts_q = [p for p in points if p.index == q]
             assign_to_critical_points(deg, pts_q, cx, tol=tol)

@@ -7,7 +7,7 @@ import pytest
 
 from wittenlab.branches import (_CoveredSolver, _lowest_solves,
                                 lowest_eigenvalues, match_step,
-                                track_branches)
+                                package_branches)
 from wittenlab.config import preset
 from wittenlab.derham import build_torus_complex, laplacian_family
 from wittenlab.experiments import (build_complex, grid_pairings, int_morphism,
@@ -94,16 +94,17 @@ def test_bench_tracking_step_torus24(benchmark):
 
 
 def test_bench_track_branches_torus24(benchmark):
-    """One tracking call: every degree-1 block of torus-sin2-product at
-    24 modes tracked over the torus-package-sparse grid (t_step 0.5 to
-    t = 5), with its stacked factor solves, the once-per-block Kronecker
-    certificate, matching, bisections and the t = 0 polish."""
+    """One tracking call: the degree-1 branches of torus-sin2-product at
+    24 modes over the torus-package-sparse grid (t_step 0.5 to t = 5),
+    as run_package builds them: the graded Kronecker check, the stacked
+    circle-factor solves, the factor tracks (matching, bisections and
+    the t = 0 polish) and the Kronecker products of their vectors."""
     cfg = preset("torus-sin2-product")
     cx = build_torus_complex(24, cfg.potential_trigpoly())
     grid = np.arange(0.0, cfg.t_max + 1e-9, 0.5)
     k = 8 + cfg.k_extra
-    branches = benchmark(track_branches, cx, 1, grid, k, cfg.tolerances)
-    assert len(branches) == k
+    out = benchmark(package_branches, cx, {1: k}, grid, cfg.tolerances)
+    assert len(out[1]) == k
 
 
 def test_bench_torus_assembly12(benchmark):

@@ -3,14 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from wittenlab import branches, derham
+from wittenlab import branches, derham, experiments
 from wittenlab.branches import (LABEL_LARGE, LABEL_VS, LABEL_ZERO,
                                 _box_axes, _box_gram, _CoveredSolver,
                                 _eig_smallest_sparse, _rebase_split_groups,
                                 _residuals, _validate_residuals,
                                 classify, eigenvalue_clusters,
                                 lowest_eigenvalues, match_step,
-                                track_branches)
+                                package_branches, track_branches)
+from wittenlab.cli import main
 from wittenlab.config import Tolerances, preset
 from wittenlab.derham import (CSR, LaplacianFamily, build_circle_complex,
                               build_torus_complex, laplacian_family)
@@ -59,9 +60,7 @@ def test_eigenvalue_clusters_grouping():
 
 def test_windowed_route_tracks_the_dense_values(torus_cx6, monkeypatch):
     """With every block above the dense limit, the CSR family and the
-    windowed shift-invert solve track the values of the dense route.
-    Both routes solve the assembled blocks, not the circle factors."""
-    monkeypatch.setattr(derham, "_factor_families", lambda *_: ())
+    windowed shift-invert solve track the values of the dense route."""
     grid = np.arange(0.0, 3.0 + 1e-9, 0.5)
     dense = track_branches(torus_cx6, 1, grid, k=6, tol=Tolerances())
     monkeypatch.setattr(branches, "DENSE_MAX_DIM", 10)
@@ -77,12 +76,10 @@ def test_windowed_dense_route_matches_full_eigh(monkeypatch):
     which take the syevr window.  Tracked with a full eigh on every
     block instead, every degree gives the same samples and values, the
     same vectors and signs wherever the t_max eigenspace of a block is
-    simple, and the same span inside each cluster of tied values.  Both
-    routes solve the assembled blocks, not the circle factors."""
+    simple, and the same span inside each cluster of tied values."""
     cx = build_torus_complex(12, torus_sin2_product())
     grid = np.arange(0.0, 5.0 + 1e-9, 0.25)
     for q, k in ((0, 10), (1, 14), (2, 10)):
-        monkeypatch.setattr(derham, "_factor_families", lambda *_: ())
         dims = [sub.dim for _, sub in laplacian_family(cx, q).split()]
         assert max(dims) > branches.SMALL_BLOCK_DIM
         windowed = track_branches(cx, q, grid, k=k)
@@ -173,37 +170,32 @@ def test_every_tracking_solve_is_validated(monkeypatch):
 
 def test_every_factor_spectrum_is_validated(torus_cx6, monkeypatch):
     """A circle-factor spectrum that is wrong only at the interior sample
-    t = 2.5 (its lowest value off by 1e-3) gives factored pairs that
-    fail the residual check against the assembled block there."""
-    assert all(branches._factored(sub)
-               for _, sub in laplacian_family(torus_cx6, 0).split())
+    t = 2.5 (its lowest value off by 1e-3) fails the residual check of
+    the factor track that the torus branches are built from, and of the
+    factor spectra that the torus eigenvalue grid sums."""
     monkeypatch.setattr(branches, "_full_spectra", _wrong_at(2.5))
     with pytest.raises(NumericalError, match="residual"):
-        track_branches(torus_cx6, 0, [0.0, 2.5, 5.0], k=4)
+        package_branches(torus_cx6, {0: 4}, [0.0, 2.5, 5.0])
+    with pytest.raises(NumericalError, match="residual"):
+        branches.eigenvalue_grid(torus_cx6, {0: 4}, [0.0, 2.5, 5.0])
 
 
-def _factor_blocks(fam):
-    """The distinct circle-factor sub-families of fam's blocks, in order."""
-    out = {}
-    for _, sub in fam.split():
-        for F in sub.factors[0][1:]:
-            out.setdefault(id(F), F)
-    return list(out.values())
+def _factor_blocks(N, f=None):
+    """The blocks of both circle Laplacian families of the potential f
+    (sin 2th by default) at cutoff N."""
+    cx = build_circle_complex(N, f or circle_sin2())
+    return [sub for p in range(2) for _, sub in laplacian_family(cx, p).split()]
 
 
 def test_stacked_spectra_match_solves_at_each_t():
     """One stacked solve of a family over a grid gives, at each t, the
     family at t and np.linalg.eigh of it alone, bit for bit, as
     read-only arrays: on every block of circle-sin2 on its preset grid,
-    and on every circle-factor block of the 24-mode torus on the
+    and on every circle-factor block of the 24-mode torus preset on the
     torus-package-sparse grid."""
     cfg = preset("circle-sin2")
-    circle = build_circle_complex(cfg.modes, circle_sin2())
-    torus = build_torus_complex(24, torus_sin2_product())
-    cases = [(sub, cfg.grid()) for q in range(2)
-             for _, sub in laplacian_family(circle, q).split()]
-    cases += [(F, np.arange(0.0, 5.0 + 1e-9, 0.5)) for q in range(3)
-              for F in _factor_blocks(laplacian_family(torus, q))]
+    cases = [(sub, cfg.grid()) for sub in _factor_blocks(cfg.modes)]
+    cases += [(F, np.arange(0.0, 5.0 + 1e-9, 0.5)) for F in _factor_blocks(24)]
     assert len(cases) > 8
     for fam, ts in cases:
         A, w, V = branches._full_spectra(fam, ts)
@@ -216,9 +208,10 @@ def test_stacked_spectra_match_solves_at_each_t():
 
 
 def test_each_factor_block_is_solved_once_per_tracking_call(monkeypatch):
-    """Tracking each degree of the 24-mode torus solves every distinct
-    circle-factor block once on the whole grid, shared by every block
-    that pairs it; only off-grid (bisection) samples are solved alone."""
+    """Building every degree of the 24-mode torus preset from its circle
+    factors solves each circle-factor block it tracks once on the whole
+    grid: the two equal factors are tracked once.  Only the t_max sums
+    and off-grid (bisection) samples are solved alone."""
     cx = build_torus_complex(24, torus_sin2_product())
     grid = np.arange(0.0, 5.0 + 1e-9, 0.5)
     sizes = []
@@ -233,14 +226,12 @@ def test_each_factor_block_is_solved_once_per_tracking_call(monkeypatch):
                 F.pattern.indptr.tobytes())
 
     monkeypatch.setattr(branches, "_full_spectra", counting)
-    for q, k in ((0, 10), (1, 14), (2, 10)):
-        sizes.clear()
-        track_branches(cx, q, grid, k=k)
-        stacked = [content(F) for F, n in sizes if n == grid.size]
-        assert all(n in (1, grid.size) for _, n in sizes)
-        assert len(stacked) == len(set(stacked))
-        assert set(stacked) == {content(F) for F in
-                                _factor_blocks(laplacian_family(cx, q))}
+    package_branches(cx, {0: 10, 1: 14, 2: 10}, grid)
+    stacked = [content(F) for F, n in sizes if n == grid.size]
+    assert all(n in (1, grid.size) for _, n in sizes)
+    assert len(stacked) == len(set(stacked))
+    assert 0 < len(stacked) and set(stacked) <= {
+        content(F) for F in _factor_blocks(24)}
 
 
 @pytest.mark.parametrize("factor, raises", [(1.05, True), (0.95, False)])
@@ -618,70 +609,163 @@ def _gaps(lam, rel):
             if lam[i] - lam[i - 1] > rel * (1.0 + abs(lam[i]))}
 
 
-@pytest.mark.parametrize("turns", [None, ("sin", "cos"), ("cos", "-sin"),
-                                   ("-sin", "-cos"), ("-cos", "sin")])
+TURNS = [None, ("sin", "cos"), ("cos", "-sin"), ("-sin", "-cos"),
+         ("-cos", "sin")]
+
+
+@pytest.mark.parametrize("turns", TURNS)
 def test_factored_solve_matches_direct_eigh(torus_cx6, turns):
-    """Every block of a separable torus family is solved from its circle
-    factors.  Against a dense eigh of the assembled block: the values
-    agree within 1e-12 max(1, |lambda|), the cut drops the top cluster
-    of the final window, every cluster spans the same subspace, and a
-    needed value is passed with the solver's margin; for the first
-    window and for the whole block."""
+    """Every degree of a separable torus built from its circle factors,
+    against a dense eigh of every block of the assembled family: at each
+    grid point every branch value is within 1e-12 max(1, |lambda|) of
+    the assembled spectrum, and at t_max the values are its k smallest
+    up to values tied within cluster_rel, which k cuts by block order."""
     cx = torus_cx6 if turns is None else _quarter_turn_torus(12, turns)
+    grid = np.arange(0.0, 5.0 + 1e-9, 0.5)
+    ks = {0: 8, 1: 12, 2: 8}
+    tracked = package_branches(cx, ks, grid)
+    for q, k in ks.items():
+        blocks = laplacian_family(cx, q).split()
+        for t in grid:
+            lam = np.sort(np.concatenate([np.linalg.eigvalsh(
+                sub.at(t).toarray()) for _, sub in blocks]))
+            w = np.sort([b.value_at(t) for b in tracked[q]])
+            scale = np.maximum(1.0, np.abs(w))
+            assert np.all(np.min(np.abs(lam[:, None] - w), axis=0)
+                          <= 1e-12 * scale)
+        rel = Tolerances().cluster_rel
+        assert np.all(np.abs(w - lam[:k]) <= rel * (1.0 + lam[:k]))
+
+
+@pytest.mark.parametrize("turns", TURNS)
+def test_factored_bound_covers_the_assembled_residual(turns):
+    """The checks the product branches pass (the residuals of their
+    circle-factor solves and the graded Kronecker certificate) cover
+    their residuals against the assembled family: at every sample of
+    every branch, on the 24-mode torus and the 12-mode quarter-turn
+    seeds, max |A v - lambda v| is within eig_residual times the largest
+    tracked |lambda| at that t (at least 1), the bound each assembled
+    solve is validated against."""
+    cx = (build_torus_complex(24, torus_sin2_product()) if turns is None
+          else _quarter_turn_torus(12, turns))
     tol = Tolerances()
-    for q in range(3):
-        for _, sub in laplacian_family(cx, q).split():
-            assert branches._factored(sub)
-            for t in (0.0, 2.5, 5.0):
-                lam, U = np.linalg.eigh(sub.at(t).toarray())
-                starts = _gaps(lam, tol.cluster_rel)
-                needed = float(lam[min(3, lam.size - 1)])
-                solver = _CoveredSolver(sub, 1, tol)
-                for window, need in ((solver.window, None),
-                                     (solver.window, needed),
-                                     (sub.dim, None)):
-                    solver.window = window
-                    w, V = solver.solve(t, needed=need)
-                    n = w.size
-                    assert n == lam.size or n == max(
-                        [0] + [i for i in starts if i < solver.window])
-                    assert np.all(np.abs(w - lam[:n])
-                                  <= 1e-12 * np.maximum(1.0, np.abs(lam[:n])))
-                    assert n == lam.size or n in starts
-                    if need is not None and n < lam.size:
-                        assert w[-1] >= need + 1e-2 * (1.0 + abs(need))
-                    bounds = [0] + sorted(i for i in starts if i < n) + [n]
-                    for lo, hi in zip(bounds[:-1], bounds[1:]):
-                        cos = np.linalg.svd(U[:, lo:hi].T @ V[:, lo:hi],
-                                            compute_uv=False)
-                        assert cos.min() > 1.0 - 1e-9
+    tracked = package_branches(cx, {0: 10, 1: 14, 2: 10},
+                               np.arange(0.0, 5.0 + 1e-9, 0.5), tol)
+    for q, brs in tracked.items():
+        fam = laplacian_family(cx, q)
+        for i, t in enumerate(brs[0].ts):
+            w = np.array([b.values[i] for b in brs])
+            V = np.column_stack([b.vectors[i] for b in brs])
+            r = np.abs(fam.at(t) @ V - V * w).max(axis=0)
+            assert np.all(r <= tol.eig_residual * max(1.0, np.abs(w).max()))
+
+
+def test_factor_blocks_are_tracked_on_one_sample_set(monkeypatch):
+    """On sin 2th1 + 0.4 cos th1 + sin 2th2 at 8 modes, on a grid of
+    step 1, the blocks of the first factor bisect once and those of the
+    second do not, so these are tracked again on the union: every torus
+    branch has the same samples, one more than the grid, and at each
+    sample it is an eigenpair of the assembled family."""
+    tracked_samples = []
+    track = branches._track_family
+    monkeypatch.setattr(branches, "_track_family", lambda *a: (
+        tracked_samples.append(len(a[2])) or track(*a)))
+    f = (TrigPoly.sine((2, 0)) + TrigPoly.cosine((1, 0), 0.4)
+         + TrigPoly.sine((0, 2)))
+    cx = build_torus_complex(8, f)
+    grid = np.arange(0.0, 8.0 + 1e-9, 1.0)
+    tracked = package_branches(cx, {0: 4, 1: 8, 2: 4}, grid)
+    assert sorted(set(tracked_samples)) == [grid.size, grid.size + 1]
+    ts = tracked[0][0].ts
+    assert ts.size == grid.size + 1 and np.all(np.isin(grid, ts))
+    eig_residual = Tolerances().eig_residual
+    for q, brs in tracked.items():
+        fam = laplacian_family(cx, q)
+        for i, t in enumerate(ts):
+            assert all(np.array_equal(b.ts, ts) for b in brs)
+            w = np.array([b.values[i] for b in brs])
+            V = np.column_stack([b.vectors[i] for b in brs])
+            r = np.abs(fam.at(t) @ V - V * w).max(axis=0)
+            assert np.all(r <= eig_residual * max(1.0, np.abs(w).max()))
+
+
+def _circle_factors(cx):
+    """The circle complexes of h1 and h2 of a separable torus complex."""
+    h1, h2, _ = cx.f.factor_parts()
+    return [build_circle_complex(cx.N, h) for h in (h1, h2)]
+
+
+def test_product_vectors_are_kronecker_products_of_circle_tracks():
+    """On cos 2th1 - sin 2th2 at 12 modes, every torus branch vector at
+    t_max is, bit for bit and sign included, u (x) v for one circle
+    branch u of the first factor and one v of the second, tracked on
+    their own, in the part (dth1 first) of its degree; its values are
+    their sums."""
+    cx = _quarter_turn_torus(12, ("cos", "-sin"))
+    grid = np.arange(0.0, 5.0 + 1e-9, 0.5)
+    tracked = package_branches(cx, {0: 10, 1: 14, 2: 10}, grid)
+    circle = [{p: track_branches(c, p, grid, k=16) for p in (0, 1)}
+              for c in _circle_factors(cx)]
+    m = cx.dims[0]
+    parts = {0: ((0, 0),), 1: ((1, 0), (0, 1)), 2: ((1, 1),)}
+    for q, brs in tracked.items():
+        for b in brs:
+            v = b.vectors[-1]
+            (part,) = [j for j in range(len(parts[q]))
+                       if np.any(v[j * m:(j + 1) * m])]
+            M = v[part * m:(part + 1) * m].reshape(cx.N * 2 + 1, -1)
+            p1, p2 = parts[q][part]
+            x, y = max(((x, y) for x in circle[0][p1] for y in circle[1][p2]),
+                       key=lambda xy: abs(xy[0].vectors[-1] @ M
+                                          @ xy[1].vectors[-1]))
+            assert np.array_equal(M, np.outer(x.vectors[-1], y.vectors[-1]))
+            assert np.array_equal(b.ts, x.ts)
+            assert np.array_equal(b.values, x.values + y.values)
+
+
+def _record_families(monkeypatch):
+    """Record the manifold of every laplacian_family call, in every
+    wittenlab namespace that binds the function."""
+    original = derham.laplacian_family
+    calls = []
+
+    def recording(cx, q):
+        calls.append(cx.manifold)
+        return original(cx, q)
+
+    for mod in (derham, branches, experiments):
+        if getattr(mod, "laplacian_family", None) is original:
+            monkeypatch.setattr(mod, "laplacian_family", recording)
+    return calls
 
 
 def test_separable_torus_solves_no_assembled_block(monkeypatch):
-    """Tracking the 12-mode torus preset never solves an assembled block:
-    every solve comes from the circle factors."""
+    """The package of the 12-mode torus preset assembles no torus
+    Laplacian family and solves no assembled block: every solve is a
+    circle factor's, and its two equal factors take one family each of
+    degree 0 and 1."""
     def refuse(*args):
         raise AssertionError("assembled block solved")
 
     monkeypatch.setattr(branches, "_dense_smallest", refuse)
     monkeypatch.setattr(branches, "_eig_smallest_sparse", refuse)
-    cx = build_torus_complex(12, torus_sin2_product())
-    grid = np.arange(0.0, 5.0 + 1e-9, 0.25)
-    for q, k in ((0, 10), (1, 14), (2, 10)):
-        assert len(track_branches(cx, q, grid, k=k)) == k
+    calls = _record_families(monkeypatch)
+    run = experiments.run_package(preset("torus-sin2-product"))
+    assert calls == ["circle", "circle"]
+    assert [len(d.branches) + len(d.large)
+            for d in run.package.degrees.values()] == [10, 14, 10]
 
 
 def test_nonseparable_torus_tracks_the_direct_values():
     """sin 2th1 + sin 2th2 + 0.3 cos(th1 + th2) is not a sum of circle
-    potentials: its blocks carry no factors, and the tracked values are
-    eigenvalues of the assembled family, the k smallest at t_max."""
+    potentials: its tracked values are eigenvalues of the assembled
+    family, the k smallest at t_max."""
     f = (TrigPoly.sine((2, 0)) + TrigPoly.sine((0, 2))
          + TrigPoly.cosine((1, 1), 0.3))
     cx = build_torus_complex(6, f)
     grid = np.arange(0.0, 3.0 + 1e-9, 0.5)
     for q, k in ((0, 4), (1, 8), (2, 4)):
         fam = laplacian_family(cx, q)
-        assert not any(branches._factored(sub) for _, sub in fam.split())
         brs = track_branches(cx, q, grid, k=k)
         for t in grid:
             lam = np.linalg.eigvalsh(fam.at(t).toarray())
@@ -692,103 +776,45 @@ def test_nonseparable_torus_tracks_the_direct_values():
         assert np.max(np.abs(np.array(at_max) - lam[:k])) < 1e-10
 
 
-def test_corrupted_factor_family_fails_the_certificate(torus_cx6,
+def _corrupted_factors(monkeypatch, rel):
+    """Make every circle factor complex of a product package carry one
+    entry of E off by rel, relative."""
+    build = branches.build_circle_complex
+
+    def corrupted(N, f):
+        c = build(N, f)
+        data = c.E[0].data.copy()
+        data[0] *= 1.0 + rel
+        c.E[0] = c.E[0].with_data(data)
+        return c
+
+    monkeypatch.setattr(branches, "build_circle_complex", corrupted)
+
+
+def test_corrupted_factor_family_fails_the_certificate(tmp_path, capsys,
                                                        monkeypatch):
-    """A factor family off by 0.1 % in A2 gives factored pairs that are
-    not eigenpairs of the assembled block: every solve raises, a lone
-    tracking-step solve as well as the tracking run."""
-    build = derham._factor_families
-
-    def corrupted(cx, q):
-        parts = build(cx, q)
-        if not parts:  # the circle factors themselves
-            return parts
-        (offset, F1, F2), *rest = parts
-        bad = LaplacianFamily(F1.pattern,
-                              F1.coef * np.array([[1.0], [1.0], [1.001]]))
-        return ((offset, bad, F2), *rest)
-
-    monkeypatch.setattr(derham, "_factor_families", corrupted)
-    for _, sub in laplacian_family(torus_cx6, 0).split():
-        with pytest.raises(NumericalError):
-            _CoveredSolver(sub, 1, Tolerances()).solve(2.5)
-    with pytest.raises(NumericalError):
-        track_branches(torus_cx6, 0, [0.0, 2.5, 5.0], k=4)
+    """A circle factor whose E is off by 0.1 % in one entry is not a
+    factor of the torus complex: run_package raises NumericalError and
+    the package command exits 3."""
+    _corrupted_factors(monkeypatch, 1e-3)
+    with pytest.raises(NumericalError, match="graded Kronecker"):
+        experiments.run_package(preset("torus-sin2-product"))
+    assert main(["package", "--preset", "torus-sin2-product",
+                 "--out", str(tmp_path)]) == 3
+    assert "graded Kronecker" in capsys.readouterr().err
 
 
 def test_certificate_refuses_a_corruption_no_solve_residual_shows(
         torus_cx6, monkeypatch):
-    """A factor family off by 1e-9 relative in A2 leaves the pairs of a
-    solve at t = 0 exact, and up to t = 5 their residuals stay within
-    eig_residual; the block is refused all the same, a lone solve as well
-    as a tracking run, because its A2 defect exceeds operator_identity
-    (1 + max |A2|)."""
-    build = derham._factor_families
-
-    def corrupted(cx, q):
-        parts = build(cx, q)
-        if not parts:  # the circle factors themselves
-            return parts
-        (offset, F1, F2), *rest = parts
-        bad = LaplacianFamily(F1.pattern,
-                              F1.coef * np.array([[1.0], [1.0], [1 + 1e-9]]))
-        return ((offset, bad, F2), *rest)
-
-    monkeypatch.setattr(derham, "_factor_families", corrupted)
-    tol = Tolerances()
-    for _, sub in laplacian_family(torus_cx6, 0).split():
-        delta = sub.kronecker_defect
-        assert delta[0] == delta[1] == 0.0
-        assert delta[2] > tol.operator_identity * (
-            1.0 + np.max(np.abs(sub.coef[2])))
-        with pytest.raises(NumericalError, match="Kronecker"):
-            _CoveredSolver(sub, 1, tol).solve(0.0)
-    with pytest.raises(NumericalError, match="Kronecker"):
-        track_branches(torus_cx6, 0, np.arange(0.0, 5.0 + 1e-9, 0.5), k=4)
-
-
-def test_tracking_builds_factored_blocks_only_at_t0(monkeypatch):
-    """Tracking every degree of the 24-mode torus on the
-    torus-package-sparse grid builds the assembled matrix of a factored
-    block only for the t = 0 check of its polished vectors."""
-    cx = build_torus_complex(24, torus_sin2_product())
+    """A circle factor whose E is off by 1e-9 relative in one entry
+    leaves every solve of its own families exact, so the product
+    branches build without a residual failure once the certificate is
+    switched off; with it, they are refused, since the defect exceeds
+    operator_identity (1 + max |E|)."""
+    _corrupted_factors(monkeypatch, 1e-9)
     grid = np.arange(0.0, 5.0 + 1e-9, 0.5)
-    built = []
-    at = LaplacianFamily.at
-
-    def recording(fam, t):
-        if branches._factored(fam):
-            built.append(t)
-        return at(fam, t)
-
-    monkeypatch.setattr(LaplacianFamily, "at", recording)
-    for q, k in ((0, 10), (1, 14), (2, 10)):
-        track_branches(cx, q, grid, k=k)
-    assert built and set(built) == {0.0}
-
-
-@pytest.mark.parametrize("turns", [None, ("sin", "cos"), ("cos", "-sin"),
-                                   ("-sin", "-cos"), ("-cos", "sin")])
-def test_factored_bound_covers_the_assembled_residual(turns):
-    """Every pair of every factored block, at t = 0, 2.5 and 5: the bound
-    r of the factored solve is at least the residual against the
-    assembled block, the oracle, on the 24-mode torus and the 12-mode
-    quarter-turn seeds.  The oracle's own rounding is allowed for: a
-    residual entry sums at most (row nnz + 1) products, so it is within
-    (row nnz + 1) eps (|A| |v| + |lambda| |v|) of the exact one."""
-    cx = (build_torus_complex(24, torus_sin2_product()) if turns is None
-          else _quarter_turn_torus(12, turns))
-    tol, eps = Tolerances(), np.finfo(float).eps
-    for q in range(3):
-        spectra = branches._GridSpectra()
-        for _, sub in laplacian_family(cx, q).split():
-            assert branches._factored(sub)
-            for t in (0.0, 2.5, 5.0):
-                w, V, r = branches._smallest(sub, t, sub.dim, tol, spectra)
-                assert w.size == sub.dim
-                A = sub.at(t)
-                true = np.max(np.abs(A @ V - V * w), axis=0)
-                size = (A.with_data(np.abs(A.data)) @ np.abs(V)
-                        + np.abs(V * w)).max(axis=0)
-                gamma = (np.diff(A.indptr).max() + 1) * eps
-                assert np.all(true <= r + gamma * size)
+    with pytest.raises(NumericalError, match="graded Kronecker"):
+        package_branches(torus_cx6, {0: 4}, grid)
+    monkeypatch.setattr(branches, "graded_kronecker_defect",
+                        lambda *_: (0.0, 0.0))
+    assert len(package_branches(torus_cx6, {0: 4}, grid)[0]) == 4

@@ -254,10 +254,11 @@ SIN2, COS2 = ({"arity": 2, "terms": [{"freq": [0, 2], "cos": c, "sin": s},
 
 def test_default_routes_load_no_scipy_jsonschema_or_numpy_ma(tmp_path):
     """The command line imports no scipy module, and neither does a
-    circle torsion run or a separable torus package run: scipy serves
-    only the subset and Lanczos eigensolves of blocks without circle
-    factors.  None of them loads jsonschema (the package reads the
-    config schema itself) or numpy.ma (which np.unique would load)."""
+    circle torsion run or a separable torus package run, which is built
+    from circle factors: scipy serves only the subset and Lanczos
+    eigensolves of assembled blocks above SMALL_BLOCK_DIM rows.  None of
+    them loads jsonschema (the package reads the config schema itself)
+    or numpy.ma (which np.unique would load)."""
     configs = []
     for name, potential in (("sin2", SIN2), ("cos2", COS2)):
         path = tmp_path / f"torus24-{name}.json"

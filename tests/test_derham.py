@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,7 @@ import scipy.sparse as sp
 from wittenlab.derham import (CSR, build_circle_complex,
                               build_torus_complex, check_duality_identities,
                               LaplacianFamily, d_squared_residual,
-                              laplacian_family,
+                              graded_kronecker_defect, laplacian_family,
                               mult_matrix_2d, witten_laplacian)
 from wittenlab.errors import ConfigError
 from wittenlab.branches import _eig_smallest_sparse, lowest_eigenvalues
@@ -342,26 +344,35 @@ def test_separable_degree1_cross_block_is_exactly_zero(N):
         == [9, 18, 9]
 
 
-def test_separable_blocks_carry_their_circle_factors(torus_cx6):
-    """Every block of a separable torus family carries one pair of
-    circle-factor blocks, and the Kronecker sum of the pair is the
-    block in each coefficient, up to rounding."""
-    for q in range(3):
-        for idx, sub in laplacian_family(torus_cx6, q).split():
-            ((offset, F1, F2),) = sub.factors
-            assert offset == 0 and F1.dim * F2.dim == idx.size
-            for j in range(3):
-                K = (np.kron(F1.term(j).toarray(), np.eye(F2.dim))
-                     + np.kron(np.eye(F1.dim), F2.term(j).toarray()))
-                A = sub.term(j).toarray()
-                assert np.max(np.abs(K - A)) <= 1e-14 * max(1.0, np.abs(A).max())
+def test_separable_operators_are_graded_kronecker_products():
+    """On the separable sin 2th1 + 0.4 cos th1 + sin 2th2 + 0.25 sin th2
+    the torus D_q and E_q are the graded Kronecker assembly of the circle
+    complexes of the two summands: graded_kronecker_defect gives 0 for D
+    and rounding for E, and each equals the largest entry of the
+    difference to a dense np.kron assembly.  The factors swapped, or D_1
+    with the opposite sign rule, give defects of order one."""
+    h1 = TrigPoly.sine((2,)) + TrigPoly.cosine((1,), 0.4)
+    h2 = TrigPoly.sine((2,)) + TrigPoly.sine((1,), 0.25)
+    f = TrigPoly.zero(2)
+    for (k,), (c, s_) in h1.terms.items():
+        f = f + TrigPoly.cosine((k, 0), c) + TrigPoly.sine((k, 0), s_)
+    for (k,), (c, s_) in h2.terms.items():
+        f = f + TrigPoly.cosine((0, k), c) + TrigPoly.sine((0, k), s_)
+    cx = build_torus_complex(8, f)
+    c1, c2 = build_circle_complex(8, h1), build_circle_complex(8, h2)
+    I = np.eye(c1.dims[0])
 
+    def dense(X1, X2):
+        return [np.vstack([np.kron(X1, I), np.kron(I, X2)]),
+                np.hstack([-np.kron(I, X2), np.kron(X1, I)])]
 
-def test_nonseparable_family_has_no_factors():
-    f = (TrigPoly.sine((2, 0)) + TrigPoly.sine((0, 2))
-         + TrigPoly.cosine((1, 1), 0.3))
-    cx = build_torus_complex(6, f)
-    for q in range(3):
-        fam = laplacian_family(cx, q)
-        assert fam.factors == ()
-        assert all(sub.factors == () for _, sub in fam.split())
+    want = [max(np.abs(A.toarray() - K).max() for A, K in zip(
+        ops, dense(x1.toarray(), x2.toarray())))
+        for ops, x1, x2 in ((cx.D, c1.D[0], c2.D[0]),
+                            (cx.E, c1.E[0], c2.E[0]))]
+    got = graded_kronecker_defect(cx, c1, c2)
+    assert got[0] == want[0] == 0.0
+    assert got[1] == want[1] <= 1e-14
+    assert graded_kronecker_defect(cx, c2, c1)[1] > 0.1
+    flipped = dataclasses.replace(cx, D=[cx.D[0], -cx.D[1]])
+    assert graded_kronecker_defect(flipped, c1, c2)[0] >= 1.0

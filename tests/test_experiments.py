@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wittenlab import branches, derham, experiments
+from wittenlab import branches, experiments
 from wittenlab.branches import LABEL_VS, LABEL_ZERO
 from wittenlab.config import ExperimentConfig, Tolerances, preset
 from wittenlab.derham import laplacian_family, witten_laplacian
@@ -47,24 +47,33 @@ def test_run_spectrum_matches_dense_solves():
 
 
 def test_run_spectrum_solves_each_whole_spectrum_once(monkeypatch):
-    """On the 24-mode torus every whole spectrum that run_spectrum reads
-    (a circle factor shared by many blocks, or a small block) is solved
-    once for the whole grid, and the values are those of a
-    lowest_eigenvalues call at each t."""
+    """On the 24-mode torus every whole spectrum that run_spectrum reads,
+    that of a circle-factor block, is solved once for the whole grid: the
+    two equal factors share theirs, and no torus Laplacian family is
+    assembled.  At t = 0, 2.5 and 5 the values are those of a
+    lowest_eigenvalues call on the blocks of the assembled family, within
+    1e-12 max(1, |lambda|)."""
     cfg = replace(preset("torus-sin2-product"), modes=24, t_step=0.5)
     solved = []  # holding each family keeps its id from being reused
     full_spectra = branches._full_spectra
     monkeypatch.setattr(branches, "_full_spectra", lambda fam, ts: (
-        solved.append(fam) or full_spectra(fam, ts)))
+        solved.append((fam, ts.size)) or full_spectra(fam, ts)))
+    built = []
+    monkeypatch.setattr(branches, "laplacian_family", lambda cx, q: (
+        built.append(cx.manifold) or laplacian_family(cx, q)))
     run = run_spectrum(cfg)
-    assert 0 < len(solved) == len({id(fam) for fam in solved})
+    assert built == ["circle", "circle"]
+    assert 0 < len(solved) == len({id(fam) for fam, _ in solved})
+    assert all(n == run.ts.size for _, n in solved)
     cx = experiments.build_complex(cfg)
     for q in (0, 1, 2):
         blocks = laplacian_family(cx, q).split()
         k = run.values[q].shape[1]
-        for i, t in enumerate(run.ts):
-            w, _ = branches.lowest_eigenvalues(blocks, t, k, cfg.tolerances)
-            assert np.array_equal(run.values[q][i], w)
+        for i in (0, 5, 10):
+            w, _ = branches.lowest_eigenvalues(blocks, run.ts[i], k,
+                                               cfg.tolerances)
+            assert np.all(np.abs(run.values[q][i] - w)
+                          <= 1e-12 * np.maximum(1.0, np.abs(w)))
 
 
 def test_run_spectrum_is_deterministic():
@@ -100,24 +109,69 @@ QUARTER_TURNED = {"arity": 2, "terms": [
     {"freq": [2, 0], "cos": 0.0, "sin": -1.0}]}
 
 
+def assembled_package(run: experiments.PackageRun) -> dict:
+    """The package degrees of run's config from torus-space tracking of
+    the assembled Laplacian family of each degree (track_branches on
+    run.cx), classified and assigned to run.points as run_package does."""
+    cfg, cx = run.config, run.cx
+    tol, ts = cfg.tolerances, cfg.grid()
+    out = {}
+    for q in range(cx.n + 1):
+        points = [p for p in run.points if p.index == q]
+        k = min(len(points) + cfg.k_extra, cx.dims[q])
+        deg = branches.classify(branches.track_branches(cx, q, ts, k, tol),
+                                cx.betti[q], len(points), float(ts[-1]), tol)
+        out[q] = branches.assign_to_critical_points(deg, points, cx, tol)
+    return out
+
+
 @pytest.mark.parametrize("potential", ["sin2-product", QUARTER_TURNED],
                          ids=["preset", "quarter-turned"])
-def test_tie_groups_do_not_depend_on_the_solve_route(potential, monkeypatch):
-    """The torus preset and a quarter-turned copy of it, solved from the
-    circle factors and from the assembled blocks, give the same tie
-    groups and the same points.  Their package branches are all exactly
-    degenerate, so each degree is one tie group of all its index-q
-    points."""
+def test_tie_groups_do_not_depend_on_the_solve_route(potential):
+    """The torus preset and a quarter-turned copy of it, built from the
+    circle-factor tracks and tracked in torus space on the assembled
+    family, give the same tie groups and the same points.  Their package
+    branches are all exactly degenerate, so each degree is one tie group
+    of all its index-q points."""
     cfg = replace(preset("torus-sin2-product"), potential=potential)
-    factored = run_package(cfg)
-    monkeypatch.setattr(derham, "_factor_families", lambda *_: ())
-    assembled = run_package(cfg)
+    product = run_package(cfg)
+    assembled = assembled_package(product)
     for q in (0, 1, 2):
-        n_points = sum(1 for p in factored.points if p.index == q)
-        for a, b in zip(factored.degree(q).branches,
-                        assembled.degree(q).branches):
+        n_points = sum(1 for p in product.points if p.index == q)
+        for a, b in zip(product.degree(q).branches,
+                        assembled[q].branches):
             assert a.tie_group == b.tie_group == list(range(n_points))
             assert a.critical_point == b.critical_point
+
+
+# h1(th1) + h2(th2) with wells of four depths: no two package branches tie
+ASYMMETRIC_TORUS = {"arity": 2, "terms": [
+    {"freq": [2, 0], "sin": 1.0}, {"freq": [1, 0], "cos": 0.4},
+    {"freq": [0, 2], "sin": 1.0}, {"freq": [0, 1], "sin": 0.25}]}
+
+
+def test_asymmetric_torus_pins_every_branch_on_both_routes():
+    """On h1 = sin 2th1 + 0.4 cos th1 and h2 = sin 2th2 + 0.25 sin th2
+    at 24 modes to t = 8 every package branch is determined: its
+    tie_group is its own point.  Torus-space tracking of the assembled
+    family pins the same branches to the same points, with values within
+    1e-10 at every grid point and masses within 1e-12.  The package is
+    tracked alone (k_extra 0), on a grid of step 1, because the assembled
+    blocks of 2401 rows take the shift-invert route."""
+    cfg = ExperimentConfig(manifold="torus", potential=ASYMMETRIC_TORUS,
+                           modes=24, t_max=8.0, t_step=1.0, k_extra=0)
+    product = run_package(cfg)
+    assembled = assembled_package(product)
+    for q in (0, 1, 2):
+        by_point = {b.critical_point: b for b in assembled[q].branches}
+        assert len(by_point) == len(product.degree(q).branches)
+        for b in product.degree(q).branches:
+            a = by_point[b.critical_point]
+            assert b.tie_group == a.tie_group == [b.critical_point]
+            assert b.label == a.label
+            assert abs(b.mass - a.mass) <= 1e-12
+            for t in cfg.grid():
+                assert abs(b.value_at(t) - a.value_at(t)) <= 1e-10
 
 
 def test_asymmetric_circle_pins_every_branch():
@@ -244,7 +298,7 @@ def test_nonseparable_torus_package_takes_the_2d_search(monkeypatch):
     def stop(*args, **kwargs):
         raise TrackingStarted
 
-    monkeypatch.setattr(experiments, "track_branches", stop)
+    monkeypatch.setattr(experiments, "package_branches", stop)
     with pytest.raises(TrackingStarted):
         run_package(cfg)
     assert calls == ["torus"]
