@@ -2,9 +2,8 @@
 """Torus experiment: product structure, torsion closure, and duality.
 
 Runs the torus preset end to end and prints three things: the tracked
-package per degree with its sum structure over the factor-circle
-branches, the torsion comparison assemblies, and the star-duality
-residuals.  A JSON summary goes next to the other artifacts.
+package per degree, the torsion comparison assemblies, and the
+star-duality residuals.  A JSON summary goes next to the other artifacts.
 
 The duality pass re-tracks the package with the flipped potential, so
 it roughly doubles the runtime; skip it with --no-duality.
@@ -15,32 +14,8 @@ import json
 import math
 import os
 
-import numpy as np
-
-from wittenlab.config import ExperimentConfig, preset
-from wittenlab.experiments import run_duality, run_package, run_torsion
-
-
-def circle_sums(ts, modes, t_max, t_step, tolerances):
-    """Pairwise sums of factor-circle branch values sampled at ts.
-
-    Tolerances come from the torus run: the factor circle shares its
-    cutoff, so it needs the same relaxed vanishing ceiling.
-    """
-    cfg = ExperimentConfig(manifold="circle", potential="sin2", modes=modes,
-                           t_max=t_max, t_step=t_step, k_extra=10,
-                           tolerances=tolerances)
-    run = run_package(cfg)
-    pools = {}
-    for q, deg in run.package.degrees.items():
-        pools[q] = np.array([[b.value_at(t) for t in ts]
-                             for b in list(deg.branches) + list(deg.large)])
-    nt = len(ts)
-    return {
-        0: (pools[0][:, None, :] + pools[0][None, :, :]).reshape(-1, nt),
-        1: (pools[0][:, None, :] + pools[1][None, :, :]).reshape(-1, nt),
-        2: (pools[1][:, None, :] + pools[1][None, :, :]).reshape(-1, nt),
-    }
+from wittenlab.config import preset
+from wittenlab.experiments import run_duality, run_torsion
 
 
 def main():
@@ -54,6 +29,8 @@ def main():
                     help="skip the flipped-potential duality pass")
     args = ap.parse_args()
 
+    # the preset's cutoff needs a relaxed vanishing ceiling, which its
+    # tolerances carry
     cfg = preset("torus-sin2-product")
     over = {"out_dir": args.out}
     if args.modes is not None:
@@ -68,21 +45,12 @@ def main():
     pkg = run.package_run.package
     rep = run.report
 
-    ts = [float(t) for t in pkg.grid]
-    sums = circle_sums(ts, cfg.modes, cfg.t_max, cfg.t_step, cfg.tolerances)
-    worst_sum = 0.0
     for q, deg in sorted(pkg.degrees.items()):
         print(f"\ndegree {q}: beta={deg.beta} c={deg.c} gap={deg.gap:.3e}")
         for b in deg.branches:
-            bv = np.array([b.value_at(t) for t in ts])
-            gap = float(np.min(np.abs(sums[q] - bv[None, :]),
-                               axis=0).max())
-            worst_sum = max(worst_sum, gap)
             print(f"  {b.label:12s} cp={b.critical_point} "
-                  f"mass={b.mass:.4f} lambda(0)={b.value_at(0.0):.6f} "
-                  f"sum-structure gap {gap:.2e}")
-    print(f"\nworst distance to a pairwise factor-circle sum: "
-          f"{worst_sum:.2e}")
+                  f"mass={b.mass:.4f} lambda(0)={b.value_at(0.0):.6f}")
+    print()
 
     print(f"branch term            {rep.branch_term:+.12f}")
     print(f"log a(0)               {rep.log_a0:+.12f}")
@@ -101,7 +69,6 @@ def main():
         "config": cfg.as_dict(),
         "degrees": {str(q): {"beta": d.beta, "c": d.c, "gap": d.gap}
                     for q, d in pkg.degrees.items()},
-        "worst_sum_structure_gap": worst_sum,
         "working": rep.working,
         "target": rep.target,
         "residual_working": rep.residual_working,

@@ -96,18 +96,16 @@ class _GridSpectra:
 
     def __init__(self, grid=()):
         self.grid = np.asarray(grid, dtype=float)
-        # id(family) -> (family, w, V, r); holding the family keeps its
-        # id from being reused while the stacks live
-        self._stacks = {}
+        self._stacks = {}  # family -> (w, V, r) stacks along the grid
 
     def __call__(self, fam: LaplacianFamily, t: float):
         """(w, V, r): the full eigh of fam at t and each pair's residual."""
         hit = np.flatnonzero(self.grid == t)
         if hit.size == 0:
             return tuple(x[0] for x in self._solve(fam, np.array([t])))
-        if id(fam) not in self._stacks:
-            self._stacks[id(fam)] = (fam, *self._solve(fam, self.grid))
-        return tuple(x[hit[0]] for x in self._stacks[id(fam)][1:])
+        if fam not in self._stacks:
+            self._stacks[fam] = self._solve(fam, self.grid)
+        return tuple(x[hit[0]] for x in self._stacks[fam])
 
     @staticmethod
     def _solve(fam: LaplacianFamily, ts: np.ndarray):
@@ -264,92 +262,6 @@ def match_step(prev_V: np.ndarray, w_next: np.ndarray, V_next: np.ndarray,
     flip = ov < 0
     W[:, flip] *= -1.0
     return cols, W, np.abs(ov)
-
-
-def _rebase_split_groups(prev_V, w_next, V_next, cols, W, ov, tol):
-    """Resolve tracked groups caught mixed across a newly-resolved split.
-
-    Branches whose eigenvalues stay within the clustering tolerance over
-    a parameter interval are only jointly determined there: every solver
-    returns an arbitrary basis of the joint eigenspace, so the tracked
-    vectors can straddle the analytic sub-families (splittings shrink
-    below any resolution, e.g. exponentially in t).  When the splitting
-    re-emerges past the clustering tolerance, per-branch continuation is
-    impossible: the mixed vectors overlap every sub-cluster partially
-    and no bisection fixes that.  The group as a whole is still intact,
-    which is checkable: its span must match the union of the candidate
-    sub-clusters.  After that certificate, branches are slotted to
-    sub-clusters by projection energy and replaced by the nearest
-    orthonormal vectors inside their new cluster, which redefines the
-    individual labels in the only way the mathematics determines them.
-
-    Returns (cols, W, ov) with the certificate recorded as the overlap
-    of re-based branches, or None when no safe re-base exists (callers
-    then fall back to window growth or a hard error).
-    """
-    k = prev_V.shape[1]
-    bad = np.nonzero(ov < tol.overlap_min)[0]
-    if bad.size == 0:
-        return None
-    clusters = eigenvalue_clusters(w_next, tol.cluster_rel)
-    ncl = len(clusters)
-    E = np.zeros((k, ncl))
-    for ci, (lo, hi) in enumerate(clusters):
-        P = V_next[:, lo:hi].T @ prev_V
-        E[:, ci] = np.sum(P * P, axis=0)
-    # connected components of the branch-cluster graph over significant
-    # projection energies; a component is one jointly-determined group
-    adj = CSR.from_dense(E >= 0.1)
-    _, labels = CSR.blocks([[None, adj], [adj.T, None]]).components()
-    comp, ccomp = labels[:k], labels[k:]
-    cols = cols.copy()
-    W = W.copy()
-    ov = ov.copy()
-    scale = max(1.0, float(np.max(np.abs(w_next))))
-    for g in sorted(set(comp[bad].tolist())):
-        bidx = np.nonzero(comp == g)[0]
-        cidx = np.nonzero(ccomp == g)[0]
-        if cidx.size == 0:
-            return None
-        col_pool = np.concatenate([np.arange(*clusters[ci]) for ci in cidx])
-        if col_pool.size < bidx.size:
-            return None
-        # mixing can only accumulate while the solver saw one cluster, so
-        # the values involved must sit in a narrow band; a wide band means
-        # a different failure and re-basing would glue distinct branches
-        vals = w_next[col_pool]
-        if np.max(vals) - np.min(vals) > 100.0 * tol.cluster_rel * scale:
-            return None
-        U = V_next[:, col_pool]
-        S = U.T @ prev_V[:, bidx]
-        sv = np.linalg.svd(S, compute_uv=False)
-        if sv[bidx.size - 1] < tol.overlap_min:
-            return None
-        cert = float(sv[bidx.size - 1])
-        slot_cols = []
-        slot_cl = []
-        for ci in cidx:
-            lo, hi = clusters[ci]
-            slot_cols.extend(range(lo, hi))
-            slot_cl.extend([ci] * (hi - lo))
-        cost = -E[np.ix_(bidx, np.array(slot_cl))]
-        chosen = {}
-        for r, c in enumerate(_min_cost_assignment(cost)):
-            chosen.setdefault(slot_cl[c], []).append((bidx[r], slot_cols[c]))
-        for ci, pairs in chosen.items():
-            lo, hi = clusters[ci]
-            members = np.array([b for b, _ in pairs])
-            New = _procrustes(V_next[:, lo:hi], prev_V[:, members])
-            sgn = np.sum(prev_V[:, members] * New, axis=0)
-            New[:, sgn < 0] *= -1.0
-            W[:, members] = New
-            for b, col in pairs:
-                cols[b] = col
-            align = np.abs(np.sum(prev_V[:, members] * New, axis=0))
-            ov[members] = np.maximum(align, cert)
-    if float(np.min(ov)) < tol.overlap_min:
-        return None
-    return cols, W, ov
 
 
 def _polish_t0(w_full, V_full, cols, W, A1, cluster_rel):
@@ -601,10 +513,10 @@ def _sign_gauge(V: np.ndarray) -> np.ndarray:
     return V * np.sign(V[lead, np.arange(V.shape[1])])
 
 
-def track_branches(cx: DeRhamComplex, q: int, grid, k: int | None = None,
-                   tol: Tolerances | None = None,
-                   family: LaplacianFamily | None = None):
-    """Track the k branches that are smallest at the last grid point.
+def track_branches(fam: LaplacianFamily, q: int, grid, k: int | None = None,
+                   tol: Tolerances | None = None):
+    """Track the k branches of the degree-q family fam that are smallest
+    at the last grid point.
 
     The grid must be strictly increasing and start at 0.  The family is
     split into its exact invariant blocks (LaplacianFamily.split); each
@@ -615,10 +527,9 @@ def track_branches(cx: DeRhamComplex, q: int, grid, k: int | None = None,
     dimension, ordered by their value at the last grid point, with
     t0_cluster ids unique across blocks.
 
-    Adaptive bisection inserts samples wherever the consecutive overlap
-    falls below tol.overlap_min, down to 2^-6 of the smallest grid step;
-    if matching still fails there, a TrackingError reports the interval
-    rather than silently permuting branches.
+    A step is accepted as _track_family states; where it is not, a
+    TrackingError reports the interval rather than silently permuting
+    branches.
     """
     tol = tol or Tolerances()
     grid = np.asarray(grid, dtype=float)
@@ -626,7 +537,6 @@ def track_branches(cx: DeRhamComplex, q: int, grid, k: int | None = None,
         raise TrackingError("grid must be strictly increasing with >= 2 points")
     if abs(grid[0]) > 1e-12:
         raise TrackingError("grid must start at t = 0")
-    fam = family if family is not None else laplacian_family(cx, q)
     dim = fam.dim
     if k is None:
         k = min(dim, 10)
@@ -657,8 +567,14 @@ def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
                   tol: Tolerances, start, spectra: _GridSpectra):
     """track_branches on one family as a whole, branches ascending at t_max.
 
-    start is a covered, validated solve at t_max holding at least k
-    values; spectra holds the whole spectra of the call."""
+    A step is accepted only when every branch's overlap |<v, v_next>|
+    with its matched successor (match_step; at t = 0 with the polished
+    limit) is at least tol.overlap_min, and that overlap is recorded.
+    Otherwise the step is bisected, down to 2^-6 of the smallest grid
+    step; there the solver window widens, and a TrackingError is raised
+    once it cannot.  start is a covered, validated solve at t_max
+    holding at least k values; spectra holds the whole spectra of the
+    call."""
     min_step = float(np.min(np.diff(grid))) * 2.0**-6
     solver = _CoveredSolver(fam, k, tol, spectra)
     t_cur = float(grid[-1])
@@ -675,12 +591,6 @@ def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
             t_next = seg[-1]
             w_full, V_full = solver.solve(t_next, needed=float(np.max(cur_w)))
             cols, W, ov = match_step(cur_V, w_full, V_full, tol.cluster_rel)
-            if (float(np.min(ov)) < tol.overlap_min
-                    and (t_cur - t_next) <= min_step * (1 + 1e-9)):
-                re = _rebase_split_groups(cur_V, w_full, V_full, cols, W,
-                                          ov, tol)
-                if re is not None:
-                    cols, W, ov = re
             if t_next == grid[0] and float(np.min(ov)) >= tol.overlap_min:
                 # replace the endpoint vectors by their analytic limits;
                 # the overlap then certifies continuation into the limit,
@@ -817,7 +727,8 @@ def package_branches(cx: DeRhamComplex, ks: dict, grid,
     """
     tol, grid = tol or Tolerances(), np.asarray(grid, dtype=float)
     if cx.manifold != "torus" or not cx.f.is_separable():
-        return {q: track_branches(cx, q, grid, k, tol) for q, k in ks.items()}
+        return {q: track_branches(laplacian_family(cx, q), q, grid, k, tol)
+                for q, k in ks.items()}
     factors, spectra = _CircleFactors(cx, tol), _GridSpectra()
     chosen, need = {}, {}  # need[key]: the branches needed of factor block
     for q, k in ks.items():
@@ -857,8 +768,7 @@ def _factor_tracks(family: dict, need: dict, grid: np.ndarray,
     while True:
         for key, k in need.items():
             if key not in tracked or tracked[key][0].ts.size < ts.size:
-                tracked[key] = track_branches(None, key[1], ts, k, tol,
-                                              family[key])
+                tracked[key] = track_branches(family[key], key[1], ts, k, tol)
         union = set().union(*(brs[0].ts.tolist() for brs in tracked.values()))
         if len(union) == ts.size:
             return tracked

@@ -487,7 +487,7 @@ def _torus_operators(X1, X2) -> list:
 # -- operators -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class LaplacianFamily:
     """Deformed Laplacian of one degree as A0 + t*A1 + t^2*A2 (exact).
 

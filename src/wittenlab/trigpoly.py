@@ -153,15 +153,6 @@ class TrigPoly:
             out._add(key, s * ki, -c * ki)
         return out
 
-    def grad(self):
-        return tuple(self.partial(i) for i in range(self.arity))
-
-    def grad_squared(self) -> "TrigPoly":
-        out = TrigPoly.zero(self.arity)
-        for g in self.grad():
-            out = out + g * g
-        return out
-
     # -- queries ------------------------------------------------------
 
     def __call__(self, *coords):
@@ -209,26 +200,6 @@ class TrigPoly:
             else:
                 h2._add((k2,), c, s)
         return h1, h2, const
-
-    def l2_inner(self, other: "TrigPoly") -> float:
-        """Exact L2 inner product over [0, 2*pi)^arity."""
-        other = self._coerce(other)
-        vol = TWO_PI**self.arity
-        acc = 0.0
-        for key, (c1, s1) in self.terms.items():
-            if key in other.terms:
-                c2, s2 = other.terms[key]
-                if all(k == 0 for k in key):
-                    acc += vol * c1 * c2
-                else:
-                    acc += 0.5 * vol * (c1 * c2 + s1 * s2)
-        return acc
-
-    def l2_norm(self) -> float:
-        return math.sqrt(max(self.l2_inner(self), 0.0))
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol and abs(s) <= tol for c, s in self.terms.values())
 
     def __repr__(self):
         if not self.terms:

@@ -6,11 +6,11 @@ import pytest
 from wittenlab import branches, derham, experiments
 from wittenlab.branches import (LABEL_LARGE, LABEL_VS, LABEL_ZERO,
                                 _box_axes, _box_gram, _CoveredSolver,
-                                _eig_smallest_sparse, _rebase_split_groups,
-                                _residuals, _validate_residuals,
-                                classify, eigenvalue_clusters,
-                                lowest_eigenvalues, match_step,
-                                package_branches, track_branches)
+                                _eig_smallest_sparse, _residuals,
+                                _validate_residuals, classify,
+                                eigenvalue_clusters, lowest_eigenvalues,
+                                match_step, package_branches,
+                                track_branches)
 from wittenlab.cli import main
 from wittenlab.config import Tolerances, preset
 from wittenlab.derham import (CSR, LaplacianFamily, build_circle_complex,
@@ -62,9 +62,10 @@ def test_windowed_route_tracks_the_dense_values(torus_cx6, monkeypatch):
     """With every block above the dense limit, the CSR family and the
     windowed shift-invert solve track the values of the dense route."""
     grid = np.arange(0.0, 3.0 + 1e-9, 0.5)
-    dense = track_branches(torus_cx6, 1, grid, k=6, tol=Tolerances())
+    fam = laplacian_family(torus_cx6, 1)
+    dense = track_branches(fam, 1, grid, k=6, tol=Tolerances())
     monkeypatch.setattr(branches, "DENSE_MAX_DIM", 10)
-    windowed = track_branches(torus_cx6, 1, grid, k=6, tol=Tolerances())
+    windowed = track_branches(fam, 1, grid, k=6, tol=Tolerances())
     for t in grid:
         a = sorted(b.value_at(t) for b in dense)
         w = sorted(b.value_at(t) for b in windowed)
@@ -80,11 +81,12 @@ def test_windowed_dense_route_matches_full_eigh(monkeypatch):
     cx = build_torus_complex(12, torus_sin2_product())
     grid = np.arange(0.0, 5.0 + 1e-9, 0.25)
     for q, k in ((0, 10), (1, 14), (2, 10)):
-        dims = [sub.dim for _, sub in laplacian_family(cx, q).split()]
+        fam = laplacian_family(cx, q)
+        dims = [sub.dim for _, sub in fam.split()]
         assert max(dims) > branches.SMALL_BLOCK_DIM
-        windowed = track_branches(cx, q, grid, k=k)
+        windowed = track_branches(fam, q, grid, k=k)
         monkeypatch.setattr(branches, "SMALL_BLOCK_DIM", 10**9)
-        full = track_branches(cx, q, grid, k=k)
+        full = track_branches(fam, q, grid, k=k)
         monkeypatch.undo()
         for a, b in zip(full, windowed):
             assert np.array_equal(a.ts, b.ts)
@@ -164,8 +166,7 @@ def test_every_tracking_solve_is_validated(monkeypatch):
     assert branches._whole(fam)
     monkeypatch.setattr(branches, "_full_spectra", _wrong_at(0.5))
     with pytest.raises(NumericalError, match="residual"):
-        track_branches(None, 0, [0.0, 0.5, 1.0], k=2, tol=Tolerances(),
-                       family=fam)
+        track_branches(fam, 0, [0.0, 0.5, 1.0], k=2, tol=Tolerances())
 
 
 def test_every_factor_spectrum_is_validated(torus_cx6, monkeypatch):
@@ -254,9 +255,9 @@ def test_residual_validated_against_the_window_scale(monkeypatch, factor,
     monkeypatch.setattr(branches, "_dense_smallest", nudged)
     if raises:
         with pytest.raises(NumericalError):
-            track_branches(None, 0, [0.0, 1.0], k=1, tol=tol, family=fam)
+            track_branches(fam, 0, [0.0, 1.0], k=1, tol=tol)
     else:
-        track_branches(None, 0, [0.0, 1.0], k=1, tol=tol, family=fam)
+        track_branches(fam, 0, [0.0, 1.0], k=1, tol=tol)
 
 
 def test_lowest_eigenvalues_cut_does_not_depend_on_rounding():
@@ -294,7 +295,7 @@ def test_tracking_follows_exact_crossing():
     D1 = np.diag([1.0, -1.0])
     fam = synthetic_family(R @ D0 @ R.T, R @ D1 @ R.T)
     grid = np.linspace(0.0, 1.0, 9)
-    brs = track_branches(None, 0, grid, k=2, tol=Tolerances(), family=fam)
+    brs = track_branches(fam, 0, grid, k=2, tol=Tolerances())
     vals = sorted(b.value_at(1.0) for b in brs)
     assert vals == pytest.approx([0.0, 1.0], abs=1e-10)
     # each branch is affine in t: lambda_1 = t, lambda_2 = 1 - t
@@ -313,7 +314,7 @@ def test_tracking_resolves_avoided_crossing():
     A1 = np.array([[1.0, 0.0], [0.0, -1.0]])
     fam = synthetic_family(A0, A1)
     grid = np.linspace(0.0, 2.0, 11)
-    brs = track_branches(None, 0, grid, k=2, tol=Tolerances(), family=fam)
+    brs = track_branches(fam, 0, grid, k=2, tol=Tolerances())
     for b in brs:
         for t in grid:
             lam = np.linalg.eigvalsh(fam.at(t).toarray())
@@ -327,7 +328,7 @@ def test_tracking_resolves_avoided_crossing():
 def test_circle_branch_values_stay_in_spectrum(circle_cx8):
     grid = np.arange(0.0, 4.0 + 1e-9, 0.5)
     fam = laplacian_family(circle_cx8, 0)
-    brs = track_branches(circle_cx8, 0, grid, k=5, tol=Tolerances())
+    brs = track_branches(fam, 0, grid, k=5, tol=Tolerances())
     for t in grid:
         lam = np.linalg.eigvalsh(fam.at(t).toarray())
         for b in brs:
@@ -341,7 +342,7 @@ def test_circle_branch_values_stay_in_spectrum(circle_cx8):
 def test_t0_slopes_match_finite_differences(circle_cx8):
     grid = np.arange(0.0, 2.0 + 1e-9, 0.25)
     fam = laplacian_family(circle_cx8, 0)
-    brs = track_branches(circle_cx8, 0, grid, k=5, tol=Tolerances())
+    brs = track_branches(fam, 0, grid, k=5, tol=Tolerances())
     vals0 = sorted(b.value_at(0.0) for b in brs)
     assert vals0 == pytest.approx([0, 1, 1, 4, 4], abs=1e-10)
     slopes = sorted(b.t0_slope for b in brs)
@@ -353,11 +354,11 @@ def test_t0_slopes_match_finite_differences(circle_cx8):
 def test_grid_validation():
     fam = synthetic_family(np.eye(2), np.zeros((2, 2)))
     with pytest.raises(TrackingError):
-        track_branches(None, 0, [0.0], k=1, family=fam)
+        track_branches(fam, 0, [0.0], k=1)
     with pytest.raises(TrackingError):
-        track_branches(None, 0, [1.0, 2.0], k=1, family=fam)
+        track_branches(fam, 0, [1.0, 2.0], k=1)
     with pytest.raises(TrackingError):
-        track_branches(None, 0, [0.0, 0.5, 0.4], k=1, family=fam)
+        track_branches(fam, 0, [0.0, 0.5, 0.4], k=1)
 
 
 def test_match_step_handles_cluster_rotation(rng):
@@ -419,46 +420,12 @@ def test_assignment_of_last_bit_ties_is_optimal():
     assert sum(C[i, got[i]] for i in range(4)) == best
 
 
-def test_rebase_recovers_mixed_pair():
-    """A tracked pair straddling two sub-clusters is purified once the
-    splitting resolves; the group certificate validates the span."""
-    w = np.array([1.0, 1.0 + 1e-7, 1.0 + 4e-5, 1.0 + 4e-5 + 1e-7, 9.0])
-    V = np.eye(5)
-    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
-    prev = np.zeros((5, 2))
-    prev[:, 0] = [c, 0, s, 0, 0]
-    prev[:, 1] = [0, c, 0, s, 0]
-    tol = Tolerances()
-    cols, W, ov = match_step(prev, w, V, tol.cluster_rel)
-    assert float(np.min(ov)) < tol.overlap_min  # mixed: cannot continue
-    out = _rebase_split_groups(prev, w, V, cols, W, ov, tol)
-    assert out is not None
-    cols2, W2, ov2 = out
-    assert float(np.min(ov2)) >= tol.overlap_min
-    for j in range(2):
-        v = W2[:, j]
-        lo = np.linalg.norm(v[:2])
-        hi = np.linalg.norm(v[2:4])
-        # purified: the vector lives in exactly one sub-cluster
-        assert min(lo, hi) < 1e-10 and max(lo, hi) > 1 - 1e-10
-
-
-def test_rebase_refuses_wide_value_bands():
-    w = np.array([1.0, 2.0, 9.0])
-    V = np.eye(3)
-    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
-    prev = np.array([[c], [s], [0.0]])
-    tol = Tolerances()
-    cols, W, ov = match_step(prev, w, V, tol.cluster_rel)
-    assert float(np.min(ov)) < tol.overlap_min
-    assert _rebase_split_groups(prev, w, V, cols, W, ov, tol) is None
-
-
 @pytest.fixture(scope="module")
 def circle16_branches():
     cx = build_circle_complex(16, circle_sin2())
     grid = np.arange(0.0, 6.0 + 1e-9, 0.5)
-    return track_branches(cx, 0, grid, k=6, tol=Tolerances())
+    return track_branches(laplacian_family(cx, 0), 0, grid, k=6,
+                          tol=Tolerances())
 
 
 def test_classify_circle_labels(circle16_branches):
@@ -485,25 +452,72 @@ def test_classify_gap_not_found_when_horizon_too_short():
     # vanish ceiling by t=8: the truncation floor sits near 2e-6
     cx = build_circle_complex(16, circle_sin2())
     grid = np.arange(0.0, 8.0 + 1e-9, 0.5)
-    brs = track_branches(cx, 0, grid, k=6, tol=Tolerances())
+    brs = track_branches(laplacian_family(cx, 0), 0, grid, k=6,
+                         tol=Tolerances())
     with pytest.raises(GapNotFoundError):
         classify(brs, 1, 2, 8.0, tol=Tolerances())
 
 
 def test_branch_value_at_requires_sample(circle_cx8):
     grid = np.arange(0.0, 2.0 + 1e-9, 0.5)
-    brs = track_branches(circle_cx8, 0, grid, k=2, tol=Tolerances())
+    brs = track_branches(laplacian_family(circle_cx8, 0), 0, grid, k=2,
+                         tol=Tolerances())
     with pytest.raises(KeyError):
         brs[0].value_at(0.123)
 
 
 def test_tracking_is_deterministic(circle_cx8):
     grid = np.arange(0.0, 3.0 + 1e-9, 0.5)
-    a = track_branches(circle_cx8, 0, grid, k=4, tol=Tolerances())
-    b = track_branches(circle_cx8, 0, grid, k=4, tol=Tolerances())
+    fam = laplacian_family(circle_cx8, 0)
+    a = track_branches(fam, 0, grid, k=4, tol=Tolerances())
+    b = track_branches(fam, 0, grid, k=4, tol=Tolerances())
     for x, y in zip(a, b):
         assert np.array_equal(x.values, y.values)
         assert np.array_equal(x.vectors, y.vectors)
+
+
+def test_a_step_below_overlap_min_is_refused(circle_cx8, monkeypatch):
+    """With every matched overlap capped at 0.5, no step of the 8-mode
+    circle is accepted: bisection reaches its floor, the whole-spectrum
+    window cannot grow, and tracking raises TrackingError."""
+    match = branches.match_step
+
+    def capped(*args):
+        cols, W, ov = match(*args)
+        return cols, W, np.minimum(ov, 0.5)
+
+    monkeypatch.setattr(branches, "match_step", capped)
+    with pytest.raises(TrackingError, match="matching failed"):
+        track_branches(laplacian_family(circle_cx8, 0), 0,
+                       np.arange(0.0, 2.0 + 1e-9, 0.5), k=3)
+
+
+def _assert_recorded_overlaps(brs, tol):
+    """Each recorded overlap is |<v_i, v_(i+1)>| of the branch's own
+    consecutive vectors, and at least overlap_min."""
+    for b in brs:
+        V = b.vectors
+        assert b.overlaps.shape == (len(b.ts) - 1,)
+        got = np.abs(np.sum(V[:-1] * V[1:], axis=1))
+        assert np.max(np.abs(b.overlaps - got)) <= 1e-12
+        assert np.min(b.overlaps) >= tol.overlap_min
+
+
+@pytest.mark.parametrize("run", ["circle_torsion", "torus_torsion"])
+def test_package_overlaps_are_the_branch_overlaps(run, request):
+    """The package branches of both presets record their own overlaps;
+    the torus ones are products of circle-factor branches, whose
+    overlaps multiply."""
+    pkg_run = request.getfixturevalue(run).package_run
+    brs = [b for d in pkg_run.package.degrees.values()
+           for b in d.branches + d.large]
+    _assert_recorded_overlaps(brs, pkg_run.config.tolerances)
+
+
+def test_assembled_torus_overlaps_are_the_branch_overlaps(torus_cx6):
+    grid = np.arange(0.0, 3.0 + 1e-9, 0.5)
+    brs = track_branches(laplacian_family(torus_cx6, 1), 1, grid, k=6)
+    _assert_recorded_overlaps(brs, Tolerances())
 
 
 def _rot(th):
@@ -531,7 +545,7 @@ def test_tracking_per_block_ignores_crossings_between_blocks():
         _block_diag(R1 @ np.diag([1.0, 0.0]) @ R1.T,
                     R2 @ np.diag([-1.0, 0.5]) @ R2.T))
     grid = np.linspace(0.0, 1.2, 7)
-    brs = track_branches(None, 0, grid, k=3, tol=Tolerances(), family=fam)
+    brs = track_branches(fam, 0, grid, k=3, tol=Tolerances())
     assert all(len(b.ts) == len(grid) for b in brs)
     want = [1.5 - grid, grid, np.full_like(grid, 2.0)]
     for b, w in zip(brs, want):
@@ -550,7 +564,7 @@ def test_t0_cluster_ids_are_unique_across_blocks():
                                      np.diag([1.0, 1.0, -0.5, -0.5]),
                                      _block_diag(X, X))
     grid = np.linspace(0.0, 1.0, 5)
-    brs = track_branches(None, 0, grid, k=4, tol=Tolerances(), family=fam)
+    brs = track_branches(fam, 0, grid, k=4, tol=Tolerances())
     ids = [b.t0_cluster for b in brs]
     slopes = [b.t0_slope for b in brs]
     groups = {}
@@ -704,8 +718,8 @@ def test_product_vectors_are_kronecker_products_of_circle_tracks():
     cx = _quarter_turn_torus(12, ("cos", "-sin"))
     grid = np.arange(0.0, 5.0 + 1e-9, 0.5)
     tracked = package_branches(cx, {0: 10, 1: 14, 2: 10}, grid)
-    circle = [{p: track_branches(c, p, grid, k=16) for p in (0, 1)}
-              for c in _circle_factors(cx)]
+    circle = [{p: track_branches(laplacian_family(c, p), p, grid, k=16)
+               for p in (0, 1)} for c in _circle_factors(cx)]
     m = cx.dims[0]
     parts = {0: ((0, 0),), 1: ((1, 0), (0, 1)), 2: ((1, 1),)}
     for q, brs in tracked.items():
@@ -766,7 +780,7 @@ def test_nonseparable_torus_tracks_the_direct_values():
     grid = np.arange(0.0, 3.0 + 1e-9, 0.5)
     for q, k in ((0, 4), (1, 8), (2, 4)):
         fam = laplacian_family(cx, q)
-        brs = track_branches(cx, q, grid, k=k)
+        brs = track_branches(fam, q, grid, k=k)
         for t in grid:
             lam = np.linalg.eigvalsh(fam.at(t).toarray())
             for b in brs:

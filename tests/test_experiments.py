@@ -119,8 +119,9 @@ def assembled_package(run: experiments.PackageRun) -> dict:
     for q in range(cx.n + 1):
         points = [p for p in run.points if p.index == q]
         k = min(len(points) + cfg.k_extra, cx.dims[q])
-        deg = branches.classify(branches.track_branches(cx, q, ts, k, tol),
-                                cx.betti[q], len(points), float(ts[-1]), tol)
+        brs = branches.track_branches(laplacian_family(cx, q), q, ts, k, tol)
+        deg = branches.classify(brs, cx.betti[q], len(points), float(ts[-1]),
+                                tol)
         out[q] = branches.assign_to_critical_points(deg, points, cx, tol)
     return out
 
