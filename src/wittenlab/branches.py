@@ -308,12 +308,19 @@ def _polish_t0(w_full, V_full, cols, W, A1, cluster_rel):
 
 @dataclass
 class EigenBranch:
-    """One tracked analytic branch (lambda(t), v(t)) of a single degree."""
+    """One tracked analytic branch (lambda(t), v(t)) of a single degree.
+
+    A branch lives on one invariant block of its family, so only that
+    block's rows of v(t) are stored: vectors[i, j] is entry rows[j] of
+    the unit vector at ts[i], and every other of its dim entries is 0.
+    vector_at gives the full-dimension vector."""
 
     degree: int
     ts: np.ndarray  # ascending sample parameters (grid plus refinements)
     values: np.ndarray
-    vectors: np.ndarray  # shape (len(ts), dim), unit columns of the family
+    vectors: np.ndarray  # shape (len(ts), len(rows))
+    rows: np.ndarray  # full-dimension index of each stored column
+    dim: int  # dimension of the family
     overlaps: np.ndarray  # consecutive aligned overlaps, len(ts) - 1
     label: str = ""
     critical_point: int | None = None
@@ -332,7 +339,10 @@ class EigenBranch:
         return float(self.values[self._sample(t)])
 
     def vector_at(self, t: float) -> np.ndarray:
-        return self.vectors[self._sample(t)]
+        """The full-dimension unit vector at the sample t."""
+        v = np.zeros(self.dim)
+        v[self.rows] = self.vectors[self._sample(t)]
+        return v
 
 
 def lowest_eigenvalues(blocks, t: float, k: int,
@@ -523,9 +533,10 @@ def track_branches(fam: LaplacianFamily, q: int, grid, k: int | None = None,
     block is solved once at the last grid point, receives its share of
     the k smallest values there (lowest_eigenvalues' tie rule), and is
     tracked on its own from that solve, so exact crossings between
-    blocks are not tracking events.  The branches come back in the full
-    dimension, ordered by their value at the last grid point, with
-    t0_cluster ids unique across blocks.
+    blocks are not tracking events.  Each branch stores its vectors on
+    its block's rows (rows is the block's index into the family, dim
+    the family's dimension); the branches come ordered by their value
+    at the last grid point, with t0_cluster ids unique across blocks.
 
     A step is accepted as _track_family states; where it is not, a
     TrackingError reports the interval rather than silently permuting
@@ -554,9 +565,7 @@ def track_branches(fam: LaplacianFamily, q: int, grid, k: int | None = None,
         tracked = _track_family(sub, q, grid, slots.size, tol, start,
                                 spectra)
         for slot, br in zip(slots, tracked):
-            vectors = np.zeros((len(br.ts), dim))
-            vectors[:, idx] = br.vectors
-            br.vectors = vectors
+            br.rows, br.dim = idx, dim
             if br.t0_cluster is not None:
                 br.t0_cluster = int(slots[br.t0_cluster])
             merged[slot] = br
@@ -635,6 +644,8 @@ def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
             ts=ts.copy(),
             values=vals[:, j].copy(),
             vectors=vecs[:, :, j].copy(),
+            rows=np.arange(fam.dim),
+            dim=fam.dim,
             overlaps=ovs[:, j].copy(),
         )
         if t0_slopes is not None:
@@ -719,17 +730,19 @@ def package_branches(cx: DeRhamComplex, ks: dict, grid,
 
     A separable torus assembles no torus family: the ks[q] smallest of
     _CircleFactors.sums at t_max are chosen by _merge_lowest's tie rule,
-    and the factor blocks they need are tracked (_factor_tracks).  Branch
-    (a, b) has the values and t = 0 slopes of u_a plus v_b, the product
-    of their overlaps, the vectors u_a (x) v_b, and the t0_cluster of the
-    first branch of its block whose factors share their t0_clusters (tied
-    sums of other pairs are joined by experiments._t0_groups).
+    and the factor blocks they need are tracked (_factor_tracks); every
+    factor block's whole spectrum at t_max is solved once for all
+    degrees.  Branch (a, b) has the values and t = 0 slopes of u_a plus
+    v_b, the product of their overlaps, the vectors u_a (x) v_b stored on
+    the rows of its torus block, and the t0_cluster of the first branch
+    of its block whose factors share their t0_clusters (tied sums of
+    other pairs are joined by experiments._t0_groups).
     """
     tol, grid = tol or Tolerances(), np.asarray(grid, dtype=float)
     if cx.manifold != "torus" or not cx.f.is_separable():
         return {q: track_branches(laplacian_family(cx, q), q, grid, k, tol)
                 for q, k in ks.items()}
-    factors, spectra = _CircleFactors(cx, tol), _GridSpectra()
+    factors, spectra = _CircleFactors(cx, tol), _GridSpectra(grid[-1:])
     chosen, need = {}, {}  # need[key]: the branches needed of factor block
     for q, k in ks.items():
         values, orders = factors.sums(q, spectra, grid[-1])
@@ -747,13 +760,15 @@ def package_branches(cx: DeRhamComplex, ks: dict, grid,
     for q, picks in chosen.items():
         out[q], first = [], {}
         for j, (b, rows, key1, a1, key2, a2) in enumerate(picks):
+            # a factor block is one invariant block, so u and v store all
+            # its rows, and u (x) v all the rows of the torus block
             u, v = tracks[key1][a1], tracks[key2][a2]
-            vectors = np.zeros((u.ts.size, cx.dims[q]))
-            vectors[:, rows] = (u.vectors[:, :, None]
-                                * v.vectors[:, None, :]).reshape(u.ts.size, -1)
             out[q].append(EigenBranch(
                 degree=q, ts=u.ts.copy(), values=u.values + v.values,
-                vectors=vectors, overlaps=u.overlaps * v.overlaps,
+                vectors=(u.vectors[:, :, None] * v.vectors[:, None, :]
+                         ).reshape(u.ts.size, -1),
+                rows=rows, dim=cx.dims[q],
+                overlaps=u.overlaps * v.overlaps,
                 t0_slope=u.t0_slope + v.t0_slope, t0_cluster=first.setdefault(
                     (b, u.t0_cluster, v.t0_cluster), j)))
     return out

@@ -107,6 +107,20 @@ def test_bench_track_branches_torus24(benchmark):
     assert len(out[1]) == k
 
 
+def test_bench_package_branches_torus24(benchmark):
+    """The package layer alone, which has no timer of its own: the
+    branches of every degree of torus-sin2-product at 24 modes over the
+    torus-package-sparse grid (t_step 0.5 to t = 5), as many per degree
+    as run_package tracks, built from circle-factor tracks and stored on
+    their block rows."""
+    cfg = preset("torus-sin2-product").replace(modes=24, t_step=0.5)
+    run = run_package(cfg, assign=False)
+    ks = {q: len(d.branches) + len(d.large)
+          for q, d in run.package.degrees.items()}
+    out = benchmark(package_branches, run.cx, ks, cfg.grid(), cfg.tolerances)
+    assert {q: len(brs) for q, brs in out.items()} == ks
+
+
 def test_bench_torus_assembly12(benchmark):
     """Assembly: the torus-sin2-product complex at 12 modes and the
     exact invariant blocks of the Laplacian family of every degree."""

@@ -93,16 +93,23 @@ def test_windowed_dense_route_matches_full_eigh(monkeypatch):
             assert np.max(np.abs(a.values - b.values)) < 1e-10
         lam = np.array([b.values[-1] for b in full])
         for lo, hi in eigenvalue_clusters(lam, Tolerances().cluster_rel):
-            Vf = np.column_stack([b.vectors[-1] for b in full[lo:hi]])
-            Vw = np.column_stack([b.vectors[-1] for b in windowed[lo:hi]])
+            Vf = np.column_stack([b.vector_at(grid[-1]) for b in full[lo:hi]])
+            Vw = np.column_stack([b.vector_at(grid[-1])
+                                  for b in windowed[lo:hi]])
             assert np.linalg.svd(Vf.T @ Vw, compute_uv=False).min() > 1 - 1e-10
             for a, b in zip(full[lo:hi], windowed[lo:hi]):
                 # the package is simple in its block; a LARGE pair
                 # degenerate inside one block is fixed only up to a
                 # rotation of its span
-                simple = abs(a.vectors[-1] @ b.vectors[-1]) > 1 - 1e-8
+                Va, Vb = _full_vectors(a), _full_vectors(b)
+                simple = abs(Va[-1] @ Vb[-1]) > 1 - 1e-8
                 if a.values[-1] < 1.0 or simple:
-                    assert np.max(np.abs(a.vectors - b.vectors)) < 1e-10
+                    assert np.max(np.abs(Va - Vb)) < 1e-10
+
+
+def _full_vectors(b):
+    """The full-dimension vectors of branch b, one row per sample."""
+    return np.stack([b.vector_at(t) for t in b.ts])
 
 
 def _rotated_spectrum(vals, seed=7):
@@ -212,14 +219,17 @@ def test_each_factor_block_is_solved_once_per_tracking_call(monkeypatch):
     """Building every degree of the 24-mode torus preset from its circle
     factors solves each circle-factor block it tracks once on the whole
     grid: the two equal factors are tracked once.  Only the t_max sums
-    and off-grid (bisection) samples are solved alone."""
+    and off-grid (bisection) samples are solved alone, and the t_max
+    sums of all degrees solve each circle-factor block once."""
     cx = build_torus_complex(24, torus_sin2_product())
     grid = np.arange(0.0, 5.0 + 1e-9, 0.5)
-    sizes = []
+    sizes, at_t_max = [], []
     solve = branches._full_spectra
 
     def counting(fam, ts):
         sizes.append((fam, ts.size))
+        if ts.size == 1 and ts[0] == grid[-1]:
+            at_t_max.append(content(fam))
         return solve(fam, ts)
 
     def content(F):
@@ -233,6 +243,8 @@ def test_each_factor_block_is_solved_once_per_tracking_call(monkeypatch):
     assert len(stacked) == len(set(stacked))
     assert 0 < len(stacked) and set(stacked) <= {
         content(F) for F in _factor_blocks(24)}
+    assert len(at_t_max) == len(set(at_t_max))
+    assert set(at_t_max) == {content(F) for F in _factor_blocks(24)}
 
 
 @pytest.mark.parametrize("factor, raises", [(1.05, True), (0.95, False)])
@@ -473,7 +485,7 @@ def test_tracking_is_deterministic(circle_cx8):
     b = track_branches(fam, 0, grid, k=4, tol=Tolerances())
     for x, y in zip(a, b):
         assert np.array_equal(x.values, y.values)
-        assert np.array_equal(x.vectors, y.vectors)
+        assert np.array_equal(_full_vectors(x), _full_vectors(y))
 
 
 def test_a_step_below_overlap_min_is_refused(circle_cx8, monkeypatch):
@@ -496,7 +508,7 @@ def _assert_recorded_overlaps(brs, tol):
     """Each recorded overlap is |<v_i, v_(i+1)>| of the branch's own
     consecutive vectors, and at least overlap_min."""
     for b in brs:
-        V = b.vectors
+        V = _full_vectors(b)
         assert b.overlaps.shape == (len(b.ts) - 1,)
         got = np.abs(np.sum(V[:-1] * V[1:], axis=1))
         assert np.max(np.abs(b.overlaps - got)) <= 1e-12
@@ -550,9 +562,12 @@ def test_tracking_per_block_ignores_crossings_between_blocks():
     want = [1.5 - grid, grid, np.full_like(grid, 2.0)]
     for b, w in zip(brs, want):
         assert np.max(np.abs(b.values - w)) < 1e-12
-    # the tied value 2 is block 1's branch, embedded in the full dimension
-    assert np.max(np.abs(brs[2].vectors[:, 2:])) == 0.0
-    assert np.max(np.abs(brs[0].vectors[:, :2])) == 0.0
+    # the tied value 2 is block 1's branch: each branch is stored on its
+    # block's rows, and its full-dimension vector is zero off them
+    for b, rows in zip(brs, ([2, 3], [0, 1], [0, 1])):
+        assert np.array_equal(b.rows, rows) and b.dim == 4
+        off = np.setdiff1d(np.arange(4), rows)
+        assert all(np.max(np.abs(b.vector_at(t)[off])) == 0.0 for t in grid)
 
 
 def test_t0_cluster_ids_are_unique_across_blocks():
@@ -669,7 +684,7 @@ def test_factored_bound_covers_the_assembled_residual(turns):
         fam = laplacian_family(cx, q)
         for i, t in enumerate(brs[0].ts):
             w = np.array([b.values[i] for b in brs])
-            V = np.column_stack([b.vectors[i] for b in brs])
+            V = np.column_stack([b.vector_at(t) for b in brs])
             r = np.abs(fam.at(t) @ V - V * w).max(axis=0)
             assert np.all(r <= tol.eig_residual * max(1.0, np.abs(w).max()))
 
@@ -698,7 +713,7 @@ def test_factor_blocks_are_tracked_on_one_sample_set(monkeypatch):
         for i, t in enumerate(ts):
             assert all(np.array_equal(b.ts, ts) for b in brs)
             w = np.array([b.values[i] for b in brs])
-            V = np.column_stack([b.vectors[i] for b in brs])
+            V = np.column_stack([b.vector_at(t) for b in brs])
             r = np.abs(fam.at(t) @ V - V * w).max(axis=0)
             assert np.all(r <= eig_residual * max(1.0, np.abs(w).max()))
 
@@ -720,21 +735,64 @@ def test_product_vectors_are_kronecker_products_of_circle_tracks():
     tracked = package_branches(cx, {0: 10, 1: 14, 2: 10}, grid)
     circle = [{p: track_branches(laplacian_family(c, p), p, grid, k=16)
                for p in (0, 1)} for c in _circle_factors(cx)]
-    m = cx.dims[0]
+    m, t_max = cx.dims[0], grid[-1]
     parts = {0: ((0, 0),), 1: ((1, 0), (0, 1)), 2: ((1, 1),)}
     for q, brs in tracked.items():
         for b in brs:
-            v = b.vectors[-1]
+            v = b.vector_at(t_max)
             (part,) = [j for j in range(len(parts[q]))
                        if np.any(v[j * m:(j + 1) * m])]
             M = v[part * m:(part + 1) * m].reshape(cx.N * 2 + 1, -1)
             p1, p2 = parts[q][part]
             x, y = max(((x, y) for x in circle[0][p1] for y in circle[1][p2]),
-                       key=lambda xy: abs(xy[0].vectors[-1] @ M
-                                          @ xy[1].vectors[-1]))
-            assert np.array_equal(M, np.outer(x.vectors[-1], y.vectors[-1]))
+                       key=lambda xy: abs(xy[0].vector_at(t_max) @ M
+                                          @ xy[1].vector_at(t_max)))
+            assert np.array_equal(M, np.outer(x.vector_at(t_max),
+                                              y.vector_at(t_max)))
             assert np.array_equal(b.ts, x.ts)
             assert np.array_equal(b.values, x.values + y.values)
+
+
+def test_package_vectors_are_stored_on_their_block_rows(monkeypatch):
+    """On cos 2th1 + sin 2th2 at 24 modes and t_step 0.5 (seed 1 of the
+    torus-package-sparse benchmark) every package and LARGE branch
+    stores its vectors on the rows of its torus block alone, in at most
+    1 MiB for the whole package (9.67 MiB padded to the full dimension),
+    and at every sample its full-dimension vector is u (x) v of two
+    circle-factor tracks, scattered into those rows."""
+    tracks = []
+    factor_tracks = branches._factor_tracks
+
+    def recording(*args):
+        out = factor_tracks(*args)
+        tracks.extend(b for brs in out.values() for b in brs)
+        return out
+
+    monkeypatch.setattr(branches, "_factor_tracks", recording)
+    potential = {"arity": 2, "terms": [
+        {"freq": [0, 2], "cos": 0.0, "sin": 1.0},
+        {"freq": [2, 0], "cos": 1.0, "sin": 0.0}]}
+    cfg = preset("torus-sin2-product").replace(modes=24, t_step=0.5,
+                                               potential=potential)
+    run = experiments.run_package(cfg, assign=False)
+    brs = [b for d in run.package.degrees.values()
+           for b in d.branches + d.large]
+    assert len(brs) == 34
+    for b in brs:
+        dim = run.cx.dims[b.degree]
+        assert b.dim == dim and len(b.rows) < dim
+        assert b.vectors.shape == (len(b.ts), len(b.rows))
+    assert sum(b.vectors.nbytes for b in brs) <= 2**20
+    for b in brs:
+        u, v = max(((u, v) for u in tracks for v in tracks
+                    if u.dim * v.dim == len(b.rows)),
+                   key=lambda uv: abs(np.kron(uv[0].vectors[-1],
+                                              uv[1].vectors[-1])
+                                      @ b.vectors[-1]))
+        for t in b.ts:
+            want = np.zeros(b.dim)
+            want[b.rows] = np.kron(u.vector_at(t), v.vector_at(t))
+            assert np.array_equal(b.vector_at(t), want)
 
 
 def _record_families(monkeypatch):
