@@ -19,7 +19,6 @@ from .branches import (
     SpectralPackage,
     assign_to_critical_points,
     classify,
-    localization_masses,
     match_step,
     track_branches,
 )

@@ -13,7 +13,6 @@ t = 0 they generally are not.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +33,7 @@ from .errors import (
     TrackingError,
     ZeroCountError,
 )
+from .integrals import gauss_legendre
 
 LABEL_ZERO = "ZERO"
 LABEL_VS = "VS_POSITIVE"
@@ -909,33 +909,10 @@ def _nearest(ts, t):
 # -- localization and critical point assignment --------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(nodes: int):
-    """The nodes-point Gauss-Legendre rule on [-1, 1], computed once."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
 def _box_axes(center, radius, nodes):
-    x, w = _gauss_legendre(nodes)
+    x, w = gauss_legendre(nodes)
     pts = center + radius * x
     return pts, radius * w
-
-
-def localization_masses(cx: DeRhamComplex, q: int, vectors: np.ndarray,
-                        centers, radius: float, nodes: int | None = None):
-    """Mass of each form in a coordinate box around each center.
-
-    vectors is a (dim, k) block with one degree-q form per column;
-    returns the (k, n_centers) matrix of integrals of |omega|^2 over the
-    boxes, the diagonals of the box Gram matrices.
-    """
-    if nodes is None:
-        nodes = max(48, 2 * cx.N + 10)
-    W = np.asarray(vectors, dtype=float)
-    return np.column_stack([np.diag(_box_gram(cx, q, W, c, radius, nodes))
-                            for c in centers])
 
 
 def _box_gram(cx, q, W, center, radius, nodes):
@@ -958,11 +935,14 @@ def assign_to_critical_points(pkg: PackageDegree, points, cx: DeRhamComplex,
 
     Eigenforms at t_max concentrate near critical points, but within an
     (asymptotically) degenerate cluster only their span is canonical, so
-    the localized representatives are recovered first: per cluster, a
-    greedy deflation picks the unit combination with the largest box mass
-    at some remaining point, and each representative takes a point by an
-    optimal assignment on the masses.  A branch whose overlap |R| with a
-    representative is at least tol.overlap_min is determined and takes
+    the localized representatives are recovered first.  Each point's box
+    Gram G_p of the whole degree's package is computed once.  Per
+    cluster, a greedy deflation of the sub-blocks G_p[sel, sel] picks the
+    unit combination with the largest box mass at some remaining point;
+    the representatives are W R, with R block-diagonal over the clusters,
+    so their masses are diag(R^T G_p R), and each takes a point by an
+    optimal assignment on those masses.  A branch whose overlap |R| with
+    a representative is at least tol.overlap_min is determined and takes
     that representative's point (R is orthogonal and overlap_min^2 > 1/2,
     so no two branches claim one representative).  The other branches of
     a cluster form one tie group: the sorted points of the remaining
@@ -985,9 +965,10 @@ def assign_to_critical_points(pkg: PackageDegree, points, cx: DeRhamComplex,
     lamT = np.array([b.value_at(t_max) for b in pool])
     coords = [getattr(p, "coords", p) for p in points]
     radius, nodes = tol.mass_radius, max(48, 2 * cx.N + 10)
+    G = [_box_gram(cx, q, W, c, radius, nodes) for c in coords]
 
     order = np.argsort(lamT, kind="stable")
-    reps = np.zeros_like(W)
+    R = np.zeros((len(pool), len(pool)))  # the representatives are W R
     clusters = []  # (branches, representatives, |R|) of each cluster
     avail = set(range(len(coords)))
     # the package branches all decay to zero, so at t_max they are
@@ -996,10 +977,8 @@ def assign_to_critical_points(pkg: PackageDegree, points, cx: DeRhamComplex,
     # splittings, hence the absolute cluster threshold here
     for lo, hi in _runs(lamT[order], max(tol.vanish_max, pkg.tol_zero)):
         sel = order[lo:hi]
-        Wc = W[:, sel]
         kc = len(sel)
-        grams = {p: _box_gram(cx, q, Wc, coords[p], radius, nodes)
-                 for p in sorted(avail)}
+        grams = {p: G[p][np.ix_(sel, sel)] for p in sorted(avail)}
         chosen_u = []
         for _ in range(kc):
             best = None
@@ -1014,11 +993,11 @@ def assign_to_critical_points(pkg: PackageDegree, points, cx: DeRhamComplex,
             P = np.eye(kc) - np.outer(u, u)
             for p in grams:
                 grams[p] = P @ grams[p] @ P
-        R = np.column_stack(chosen_u)  # orthogonal: deflation keeps u's orthonormal
-        reps[:, lo:hi] = Wc @ R
-        clusters.append((sel, np.arange(lo, hi), np.abs(R)))
+        Rc = np.column_stack(chosen_u)  # orthogonal, by the deflation
+        R[sel, lo:hi] = Rc
+        clusters.append((sel, np.arange(lo, hi), np.abs(Rc)))
 
-    M = localization_masses(cx, q, reps, coords, radius, nodes)
+    M = np.column_stack([np.sum(R * (Gp @ R), axis=0) for Gp in G])
     point_of_rep = _min_cost_assignment(-M)
 
     rep_of_branch = np.empty(len(pool), dtype=int)

@@ -24,7 +24,6 @@ from .experiments import (
     run_torsion,
     run_verify_anomaly,
 )
-from .svgplot import branch_plot, write_svg
 
 
 def build_config(args) -> ExperimentConfig:
@@ -140,6 +139,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_branches(args) -> int:
+    # the one command that draws imports the plotting module
+    from .svgplot import branch_plot, write_svg
+
     cfg = build_config(args)
     run = run_package(cfg, assign=False)
     _write_branch_csv(_outpath(cfg, "branches", "csv"), run.package)

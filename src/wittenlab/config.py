@@ -9,7 +9,6 @@ for byte.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,6 +17,16 @@ import numpy as np
 
 from .errors import ConfigError
 from .trigpoly import TrigPoly, circle_sin2, torus_sin2_product
+
+# CPython's built-in SHA-256, as random.py takes its _sha512: hashlib
+# would load OpenSSL into every run for one 16-digit digest
+try:
+    from _sha2 import sha256 as _sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 @dataclass(frozen=True)
@@ -150,8 +159,10 @@ class ExperimentConfig:
         return d
 
     def digest(self) -> str:
+        """First 16 hex digits of the canonical JSON's SHA-256, from
+        CPython's built-in module (the same digest hashlib gives)."""
         canon = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        return _sha256(canon.encode()).hexdigest()[:16]
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)

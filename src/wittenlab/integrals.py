@@ -16,6 +16,7 @@ forms the (nodes, n_t (2N + 1)) table of their products.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,8 +27,13 @@ from .derham import DeRhamComplex, basis_matrix_1d
 from .errors import ConfigError, NumericalError
 from .morse import FlowComplex, UnstableCell, factor_potentials
 
-_GL32 = np.polynomial.legendre.leggauss(32)
-_GL16 = np.polynomial.legendre.leggauss(16)
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(nodes: int):
+    """The nodes-point Gauss-Legendre rule on [-1, 1], computed once."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _rule_1d(fn, lo: float, hi: float, rule):
@@ -40,7 +46,8 @@ def _rule_1d(fn, lo: float, hi: float, rule):
 
 def _panel_1d(fn, lo: float, hi: float):
     """GL32 and embedded GL16 values on one panel."""
-    return _rule_1d(fn, lo, hi, _GL32), _rule_1d(fn, lo, hi, _GL16)
+    return (_rule_1d(fn, lo, hi, gauss_legendre(32)),
+            _rule_1d(fn, lo, hi, gauss_legendre(16)))
 
 
 def integrate_1d(fn, lo: float, hi: float, rel_tol: float = 1e-10,
@@ -60,7 +67,8 @@ def integrate_1d(fn, lo: float, hi: float, rel_tol: float = 1e-10,
     width = hi - lo
     edges = np.linspace(lo, hi, 9)
     # |ab| = |a| |b| exactly, so the |fn| rule takes the factors' |.|
-    scale = sum(_rule_1d(lambda x: [np.abs(v) for v in fn(x)], a, b, _GL32)
+    scale = sum(_rule_1d(lambda x: [np.abs(v) for v in fn(x)], a, b,
+                         gauss_legendre(32))
                 for a, b in zip(edges[:-1], edges[1:]))
     stack = [(lo, hi)]
     total = 0.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wittenlab.branches import (_CoveredSolver, _lowest_solves,
+                                assign_to_critical_points,
                                 lowest_eigenvalues, match_step,
                                 package_branches)
 from wittenlab.config import preset
@@ -119,6 +120,25 @@ def test_bench_package_branches_torus24(benchmark):
           for q, d in run.package.degrees.items()}
     out = benchmark(package_branches, run.cx, ks, cfg.grid(), cfg.tolerances)
     assert {q: len(brs) for q, brs in out.items()} == ks
+
+
+def test_bench_assign_torus24(benchmark):
+    """Localization: assign_to_critical_points on every degree of the
+    torus-sin2-product package at 24 modes over the torus-package-sparse
+    grid (t_step 0.5 to t = 5), one box Gram per critical point."""
+    cfg = preset("torus-sin2-product").replace(modes=24, t_step=0.5)
+    run = run_package(cfg, assign=False)
+    degrees = run.package.degrees
+
+    def assign():
+        for q, deg in degrees.items():
+            points = [p for p in run.points if p.index == q]
+            assign_to_critical_points(deg, points, run.cx, cfg.tolerances)
+
+    benchmark(assign)
+    for q, deg in degrees.items():
+        assert sorted(b.critical_point for b in deg.branches) == \
+            list(range(len(deg.branches)))
 
 
 def test_bench_torus_assembly12(benchmark):

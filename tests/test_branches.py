@@ -618,6 +618,63 @@ def test_box_gram_matches_column_loop(rng):
         assert np.max(np.abs(got - want)) < 1e-14
 
 
+def test_assignment_builds_one_box_gram_per_point(monkeypatch):
+    """assign_to_critical_points evaluates each critical point's box
+    once: on the torus preset every (degree, point) pair has exactly one
+    _box_gram call, over all of that degree's package branches, and the
+    clusters' deflations and the representatives' masses reuse it."""
+    calls = []
+    box_gram = branches._box_gram
+
+    def counting(cx, q, W, center, radius, nodes):
+        calls.append((q, tuple(center), W.shape[1]))
+        return box_gram(cx, q, W, center, radius, nodes)
+
+    monkeypatch.setattr(branches, "_box_gram", counting)
+    run = experiments.run_package(preset("torus-sin2-product"))
+    want = [(p.index, tuple(p.coords), len(run.degree(p.index).branches))
+            for p in run.points]
+    assert len(want) == 16
+    assert sorted(calls) == sorted(want)
+
+
+def test_localized_representatives_are_orthonormal(monkeypatch, rng,
+                                                   circle_cx8):
+    """Three orthonormal degree-0 forms of one cluster, with mass all
+    around the circle, and three points: the masses the assignment
+    reads are those of orthonormal representatives, so at every point
+    they sum to the trace of the box Gram of the forms themselves, and
+    the first representative has the largest box mass that any unit
+    combination has at any point."""
+    W, _ = np.linalg.qr(rng.standard_normal((circle_cx8.dims[0], 3)))
+    ts = np.array([4.0])
+    pool = [branches.EigenBranch(
+        degree=0, ts=ts, values=np.zeros(1), vectors=W[:, [j]].T,
+        rows=np.arange(circle_cx8.dims[0]), dim=circle_cx8.dims[0],
+        overlaps=np.zeros(0)) for j in range(3)]
+    deg = branches.PackageDegree(degree=0, branches=pool, large=[], beta=1,
+                                 c=3, gap=np.inf, tol_zero=0.0)
+    points = [0.3, 2.5, 4.4]
+    tol = Tolerances()
+    masses = []
+    assignment = branches._min_cost_assignment
+
+    def recording(C):
+        masses.append(-C)
+        return assignment(C)
+
+    monkeypatch.setattr(branches, "_min_cost_assignment", recording)
+    branches.assign_to_critical_points(deg, points, circle_cx8, tol)
+    (M,) = masses
+    nodes = max(48, 2 * circle_cx8.N + 10)
+    grams = [_box_gram(circle_cx8, 0, W, p, tol.mass_radius, nodes)
+             for p in points]
+    assert np.allclose(M.sum(axis=0), [np.trace(G) for G in grams],
+                       rtol=1e-13, atol=0.0)
+    top = max(np.linalg.eigvalsh(G)[-1] for G in grams)
+    assert M.max() == pytest.approx(top, rel=1e-13)
+
+
 # -- Kronecker-sum blocks of separable torus potentials -----------------
 
 

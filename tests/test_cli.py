@@ -257,8 +257,10 @@ def test_default_routes_load_no_scipy_jsonschema_or_numpy_ma(tmp_path):
     circle torsion run or a separable torus package run, which is built
     from circle factors: scipy serves only the subset and Lanczos
     eigensolves of assembled blocks above SMALL_BLOCK_DIM rows.  None of
-    them loads jsonschema (the package reads the config schema itself)
-    or numpy.ma (which np.unique would load)."""
+    them loads jsonschema (the package reads the config schema itself),
+    numpy.ma (which np.unique would load) or OpenSSL's _hashlib (the
+    config digest takes CPython's built-in SHA-256).  Only the branches
+    command, the one that draws, loads the SVG module."""
     configs = []
     for name, potential in (("sin2", SIN2), ("cos2", COS2)):
         path = tmp_path / f"torus24-{name}.json"
@@ -269,11 +271,17 @@ def test_default_routes_load_no_scipy_jsonschema_or_numpy_ma(tmp_path):
             "rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
             "print(rc, [m for m in sys.modules\n"
             "           if m.split('.')[0] in ('scipy', 'jsonschema')\n"
-            "           or (m + '.').startswith('numpy.ma.')])")
-    for args in ([], ["torsion", "--preset", "circle-sin2",
-                      "--out", str(tmp_path / "circle")],
-                 ["package", "--config", configs[0]],
-                 ["package", "--config", configs[1]]):
+            "           or (m + '.').startswith('numpy.ma.')\n"
+            "           or m in ('_hashlib', 'wittenlab.svgplot')])")
+    for args, loaded in (
+            ([], []),
+            (["torsion", "--preset", "circle-sin2",
+              "--out", str(tmp_path / "circle")], []),
+            (["package", "--config", configs[0]], []),
+            (["package", "--config", configs[1]], []),
+            (["branches", "--preset", "circle-sin2",
+              "--out", str(tmp_path / "branches")], ["wittenlab.svgplot"])):
         out = subprocess.run([sys.executable, "-c", code, *args],
                              capture_output=True, text=True, check=True)
-        assert out.stdout.splitlines()[-1] == "0 []", (args, out.stdout)
+        assert out.stdout.splitlines()[-1] == f"0 {loaded}", (args,
+                                                              out.stdout)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import re
 
@@ -20,6 +21,25 @@ def test_digest_is_stable_hex():
     assert re.fullmatch(r"[0-9a-f]{16}", a.digest())
     assert a.replace(modes=16).digest() != a.digest()
     assert a.replace(tolerances=Tolerances(vanish_max=1e-4)).digest() != a.digest()
+
+
+def test_digest_is_hashlib_sha256_of_the_canonical_json():
+    """The digest, taken from CPython's built-in SHA-256, equals
+    hashlib's on every preset and on a torus-package-sparse benchmark
+    config (seed 1: cos 2th1 + sin 2th2, 24 modes, t_step 0.5), so
+    artifact names do not depend on which module computed it."""
+    potential = {"arity": 2, "terms": [
+        {"freq": [0, 2], "cos": 0.0, "sin": 1.0},
+        {"freq": [2, 0], "cos": 1.0, "sin": 0.0}]}
+    cfgs = [preset(name) for name in sorted(PRESETS)]
+    cfgs.append(preset("torus-sin2-product").replace(
+        modes=24, t_step=0.5, potential=potential,
+        out_dir="torus-package-sparse"))
+    for cfg in cfgs:
+        canon = json.dumps(cfg.as_dict(), sort_keys=True,
+                           separators=(",", ":"))
+        want = hashlib.sha256(canon.encode()).hexdigest()[:16]
+        assert cfg.digest() == want
 
 
 def test_dict_round_trip():

@@ -103,14 +103,15 @@ def test_factored_rule_matches_the_product_table():
     factors, products = _moment_integrands(circle_sin2(), cfg.modes,
                                            cfg.grid())
     rule = integrals._rule_1d
+    gl32, gl16 = integrals.gauss_legendre(32), integrals.gauss_legendre(16)
     for lo, hi in ((0.3, 1.1), (-0.7, 2.4), (0.0, TWO_PI)):
-        scale = rule(_abs(products), lo, hi, integrals._GL32)
+        scale = rule(_abs(products), lo, hi, gl32)
         assert scale.shape == (cfg.grid().size * (2 * cfg.modes + 1),)
-        for gl in (integrals._GL32, integrals._GL16):
+        for gl in (gl32, gl16):
             got = rule(factors, lo, hi, gl)
             assert np.all(np.abs(got - rule(products, lo, hi, gl))
                           <= 1e-14 * scale)
-        got = rule(_abs(factors), lo, hi, integrals._GL32)
+        got = rule(_abs(factors), lo, hi, gl32)
         assert np.all(np.abs(got - scale) <= 1e-14 * scale)
 
 
@@ -144,7 +145,7 @@ def test_factored_moments_keep_the_panels_of_the_product_table(monkeypatch):
         # |.| has kinks, so a fixed composite rule, not the adaptive one
         edges = np.linspace(lo, hi, 33)
         mass = sum(integrals._rule_1d(_abs(products), e0, e1,
-                                      integrals._GL32)
+                                      integrals.gauss_legendre(32))
                    for e0, e1 in zip(edges[:-1], edges[1:]))
         assert np.all(np.abs(got - want) <= 1e-14 * mass)
         assert np.array_equal(moments.axis(a, ax), got.reshape(ts.size, -1))
