@@ -30,7 +30,6 @@ from .derham import (
     build_torus_complex,
     check_duality_identities,
     laplacian_family,
-    witten_laplacian,
 )
 from .errors import (
     ConfigError,
@@ -49,7 +48,7 @@ from .experiments import (
     run_torsion,
     run_verify_anomaly,
 )
-from .integrals import det_log, integral_A, pairing_matrix
+from .integrals import CellMoments, det_log
 from .morse import (
     CriticalPoint,
     FlowComplex,

@@ -111,8 +111,8 @@ class ExperimentConfig:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if not (isinstance(self.modes, int) and 2 <= self.modes <= 128):
             raise ConfigError("modes must be an integer in [2, 128]")
-        if not (0 < self.t_step <= self.t_max):
-            raise ConfigError("need 0 < t_step <= t_max")
+        if not (math.isfinite(self.t_max) and 0 < self.t_step <= self.t_max):
+            raise ConfigError("need 0 < t_step <= t_max, both finite")
         if self.k_extra < 0:
             raise ConfigError("k_extra must be nonnegative")
         n = 1 if self.manifold == "circle" else 2
@@ -186,9 +186,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
+        def refuse(name):
+            # NaN and +-Infinity are not JSON, and they pass every bound
+            raise ConfigError(f"config {path} holds the non-JSON constant "
+                              f"{name}")
+
         try:
             with open(path) as fh:
-                d = json.load(fh)
+                d = json.load(fh, parse_constant=refuse)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:

@@ -594,11 +594,6 @@ def graded_kronecker_defect(cx: DeRhamComplex, c1: DeRhamComplex,
             (cx.D, c1.D[0], c2.D[0]), (cx.E, c1.E[0], c2.E[0])))
 
 
-def witten_laplacian(cx: DeRhamComplex, q: int, t: float):
-    """Deformed Laplacian on degree q at parameter t (CSR)."""
-    return laplacian_family(cx, q).at(t)
-
-
 def d_squared_residual(cx: DeRhamComplex, t: float) -> float:
     """Max-abs norm of d(t) o d(t); zero up to cutoff closure effects."""
     if cx.n < 2:

@@ -226,17 +226,19 @@ def _anomaly_sample_ts(grid: np.ndarray) -> list:
 
 
 def run_torsion(config: ExperimentConfig) -> TorsionRun:
-    """Track the package and assemble the torsion comparison formulas."""
-    run = run_package(config, assign=True)
-    cx, pkg = run.cx, run.package
-    tol = config.tolerances
-    if sorted(pkg.degrees) != list(range(cx.n + 1)):
-        raise ConfigError("torsion needs every degree tracked")
+    """Track the package and assemble the torsion comparison formulas.
 
-    flow = run.flow
-    if flow is None:
+    The config is refused before any tracking when it leaves out a
+    degree or has no flow (a non-separable torus potential).
+    """
+    if set(config.degrees) != set(range(config.dim + 1)):
+        raise ConfigError("torsion needs every degree tracked")
+    if not config.potential_trigpoly().is_separable():
         raise ConfigError("unsupported flow: torus gradient cells need a "
                           "separable potential")
+    run = run_package(config, assign=True)
+    cx, pkg, flow = run.cx, run.package, run.flow
+    tol = config.tolerances
     fc_morse = morse_finite_complex(flow)
     log_T_morse = torsion_T(fc_morse, nullities=cx.betti, tol=tol)
     covols = cohomology_volumes(fc_morse, flow.classes, nullities=cx.betti,
@@ -333,21 +335,24 @@ def run_duality(config: ExperimentConfig) -> DualityRun:
     run.  Matching is per jointly-determined t=0 cluster: inside an
     exactly degenerate cluster only the span is canonical (per-branch
     point labels are a tie-break convention, reported but not compared).
+    A degree set without the dual of each of its degrees is refused
+    before any tracking.
     """
+    n = config.dim
+    missing = sorted({n - q for q in config.degrees} - set(config.degrees))
+    if missing:
+        raise ConfigError(f"duality needs the dual degrees {missing} tracked")
     run_f = run_package(config, assign=True)
     identity = check_duality_identities(run_f.cx)
     neg = ExperimentConfig.from_dict(
         {**config.as_dict(), "potential": _potential_to_json(-run_f.cx.f)})
     run_g = run_package(neg, assign=True)
 
-    n = run_f.cx.n
     worst_val = 0.0
     worst_star = 0.0
     pairs = []
     rel = config.tolerances.cluster_rel
     for q in sorted(run_f.package.degrees):
-        if n - q not in run_g.package.degrees:
-            raise ConfigError("dual degree missing from the -f run")
         deg_f = run_f.package.degrees[q]
         deg_g = run_g.package.degrees[n - q]
         all_f = list(deg_f.branches) + list(deg_f.large)

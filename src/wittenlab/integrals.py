@@ -169,32 +169,6 @@ class CellMoments:
         return out
 
 
-def integral_A(cx: DeRhamComplex, q: int, omega: np.ndarray,
-               cell: UnstableCell, t: float,
-               tol: Tolerances | None = None) -> float | np.ndarray:
-    """int over one cell piece of e^{t f} omega, orientation applied.
-
-    omega is one form, giving a float, or a (dim, k) block of forms,
-    giving one value per column.  The piece dimension must match the
-    form degree.
-    """
-    omega = np.asarray(omega, dtype=float)
-    out = CellMoments(cx, [t], tol).cell_vectors(q, cell)[0] @ omega
-    return out if omega.ndim > 1 else float(out)
-
-
-# -- the pairing with a critical-point basis -------------------------------
-
-
-def pairing_matrix(cx: DeRhamComplex, q: int, forms: np.ndarray,
-                   flow: FlowComplex, t: float,
-                   tol: Tolerances | None = None) -> np.ndarray:
-    """Matrix of the pairing at one t: rows index forms, columns the
-    index-q critical points in the order of flow.degrees[q]."""
-    forms = np.asarray(forms, dtype=float)
-    return CellMoments(cx, [t], tol).pairing(q, forms[None], flow)[0]
-
-
 @dataclass
 class DetValue:
     """Log-domain determinant magnitude with conditioning data."""

@@ -14,7 +14,6 @@ LABEL_COLORS = {
     LABEL_VS: "#1f5fbf",
     LABEL_LARGE: "#9a9a9a",
 }
-_EXTRA = ["#c04a4a", "#b07820", "#7a4ab0", "#2090a0"]
 
 
 def _fmt(x: float) -> str:
@@ -50,17 +49,24 @@ def _tick_label(v: float) -> str:
     return f"{v:g}"
 
 
-def line_plot(xs, series, colors=None, names=None, title: str = "",
-              xlabel: str = "t", ylabel: str = "", width: int = 720,
-              height: int = 460) -> str:
-    """SVG for a family of curves sampled at common x values.
+def branch_plot(deg, grid, log_scale: bool = False) -> str:
+    """SVG of the eigenvalue curves of one package degree, colored by
+    label, with one legend entry per label."""
+    width, height = 720, 460
+    branches = list(deg.branches) + list(deg.large)
+    xs = [float(t) for t in grid]
+    series = []
+    for b in branches:
+        ys = [b.value_at(t) for t in xs]
+        if log_scale:
+            ys = [math.log10(max(y, 1e-16)) for y in ys]
+        series.append(ys)
+    colors = [LABEL_COLORS.get(b.label, "#000000") for b in branches]
+    ylabel = "log10 lambda" if log_scale else "lambda"
+    title = f"degree {deg.degree} branches" + (" (log)" if log_scale else "")
 
-    series is a list of y arrays (same length as xs); colors and names
-    are optional parallel lists.
-    """
     ml, mr, mt, mb = 64.0, 16.0, 34.0, 44.0
     pw, ph = width - ml - mr, height - mt - mb
-    xs = [float(x) for x in xs]
     ys_all = [float(y) for ys in series for y in ys if math.isfinite(y)]
     if not ys_all:
         ys_all = [0.0, 1.0]
@@ -105,51 +111,30 @@ def line_plot(xs, series, colors=None, names=None, title: str = "",
                      f'text-anchor="end">{_tick_label(v)}</text>')
     parts.append(f'<text x="{_fmt(ml + pw / 2)}" y="{_fmt(height - 8)}" '
                  f'font-family="sans-serif" font-size="12" '
-                 f'text-anchor="middle">{xlabel}</text>')
+                 f'text-anchor="middle">t</text>')
     parts.append(f'<text x="16" y="{_fmt(mt + ph / 2)}" '
                  f'font-family="sans-serif" font-size="12" '
                  f'text-anchor="middle" '
                  f'transform="rotate(-90 16 {_fmt(mt + ph / 2)})">{ylabel}</text>')
 
-    for i, ys in enumerate(series):
-        color = (colors[i] if colors else _EXTRA[i % len(_EXTRA)])
+    for ys, color in zip(series, colors):
         pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(float(y)))}"
                        for x, y in zip(xs, ys) if math.isfinite(float(y)))
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
     seen = []
-    if names:
-        yleg = mt + 14
-        for i, name in enumerate(names):
-            color = (colors[i] if colors else _EXTRA[i % len(_EXTRA)])
-            if (name, color) in seen:
-                continue
-            seen.append((name, color))
-            y = yleg + 16 * (len(seen) - 1)
-            parts.append(f'<line x1="{_fmt(ml + pw - 110)}" y1="{_fmt(y - 4)}" '
-                         f'x2="{_fmt(ml + pw - 86)}" y2="{_fmt(y - 4)}" '
-                         f'stroke="{color}" stroke-width="2"/>')
-            parts.append(f'<text x="{_fmt(ml + pw - 80)}" y="{_fmt(y)}" '
-                         f'font-family="sans-serif" font-size="11">{name}</text>')
+    for b, color in zip(branches, colors):
+        if b.label in seen:
+            continue
+        seen.append(b.label)
+        y = mt + 14 + 16 * (len(seen) - 1)
+        parts.append(f'<line x1="{_fmt(ml + pw - 110)}" y1="{_fmt(y - 4)}" '
+                     f'x2="{_fmt(ml + pw - 86)}" y2="{_fmt(y - 4)}" '
+                     f'stroke="{color}" stroke-width="2"/>')
+        parts.append(f'<text x="{_fmt(ml + pw - 80)}" y="{_fmt(y)}" '
+                     f'font-family="sans-serif" font-size="11">{b.label}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def branch_plot(deg, grid, log_scale: bool = False, floor: float = 1e-16) -> str:
-    """Eigenvalue curves of one package degree, colored by label."""
-    xs = [float(t) for t in grid]
-    series, colors, names = [], [], []
-    for b in list(deg.branches) + list(deg.large):
-        ys = [b.value_at(t) for t in xs]
-        if log_scale:
-            ys = [math.log10(max(y, floor)) for y in ys]
-        series.append(ys)
-        colors.append(LABEL_COLORS.get(b.label, "#000000"))
-        names.append(b.label)
-    ylabel = "log10 lambda" if log_scale else "lambda"
-    title = f"degree {deg.degree} branches" + (" (log)" if log_scale else "")
-    return line_plot(xs, series, colors=colors, names=names, title=title,
-                     ylabel=ylabel)
 
 
 def write_svg(path, svg: str):

@@ -13,10 +13,10 @@ import time
 import numpy as np
 
 from wittenlab.config import preset
-from wittenlab.derham import witten_laplacian
+from wittenlab.derham import laplacian_family
 from wittenlab.experiments import (build_complex, package_vectors,
                                    random_based_complex, run_verify_anomaly)
-from wittenlab.integrals import det_log, pairing_matrix
+from wittenlab.integrals import CellMoments, det_log
 
 import oracles
 
@@ -38,7 +38,7 @@ def test_criterion_01_circle_flat_spectrum():
     cfg = preset("circle-sin2")
     t0 = time.perf_counter()
     cx = build_complex(cfg)
-    w = np.linalg.eigvalsh(witten_laplacian(cx, 0, 0.0).toarray())
+    w = np.linalg.eigvalsh(laplacian_family(cx, 0).at(0.0).toarray())
     dt = time.perf_counter() - t0
     want = np.array([0.0, 1.0, 1.0, 4.0, 4.0, 9.0, 9.0])
     worst = float(np.max(np.abs(w[:7] - want)))
@@ -52,7 +52,7 @@ def test_criterion_02_torus_flat_spectrum():
     cfg = preset("torus-sin2-product")
     t0 = time.perf_counter()
     cx = build_complex(cfg)
-    w = np.linalg.eigvalsh(witten_laplacian(cx, 0, 0.0).toarray())
+    w = np.linalg.eigvalsh(laplacian_family(cx, 0).at(0.0).toarray())
     dt = time.perf_counter() - t0
     head = float(np.max(np.abs(w[:5] - np.array([0, 1, 1, 1, 1.0]))))
     # the chain of the first six values stays below 4; the sixth flat
@@ -192,8 +192,8 @@ def test_criterion_09_pairing_positivity(circle_torsion, torus_torsion):
                           3 * len(rows) // 4, len(rows) - 1})
             for i in idx:
                 t = rows[i][0]
-                M = pairing_matrix(cx, q, package_vectors(deg, t), flow,
-                                   t, tol)
+                M = CellMoments(cx, [t], tol).pairing(
+                    q, package_vectors(deg, t)[None], flow)[0]
                 norms = np.linalg.norm(M, axis=0)
                 ok = ok and bool(np.all(norms > 0.0))
                 scale = float(np.sum(np.log(norms)))

@@ -14,7 +14,7 @@ from wittenlab.derham import build_torus_complex, laplacian_family
 from wittenlab.experiments import (build_complex, grid_pairings, int_morphism,
                                    morse_finite_complex, run_package,
                                    vs_complex)
-from wittenlab.integrals import a_log_total, det_log, pairing_matrix
+from wittenlab.integrals import CellMoments, a_log_total, det_log
 from wittenlab.morse import flow_complex
 from wittenlab.torsion import (alternating_log, check_anomaly, harmonic_basis,
                                torsion_T, vol_of_iso)
@@ -25,13 +25,15 @@ pytestmark = pytest.mark.bench
 @pytest.mark.parametrize("q", [0, 1])
 def test_bench_pairing_matrix_circle(benchmark, q):
     """One pairing matrix of circle-sin2 at t = 4, paired with the
-    lowest eigenvectors of the deformed Laplacian, one per cell."""
+    lowest eigenvectors of the deformed Laplacian, one per cell: a
+    one-t CellMoments pass, moments integrated included."""
     cfg = preset("circle-sin2")
     cx = build_complex(cfg)
     flow = flow_complex(cx.f, cx.manifold, cfg.tolerances)
     k = len(flow.degrees[q])
     _, V = np.linalg.eigh(laplacian_family(cx, q).at(4.0).toarray())
-    M = benchmark(pairing_matrix, cx, q, V[:, :k], flow, 4.0, cfg.tolerances)
+    M = benchmark(lambda: CellMoments(cx, [4.0], cfg.tolerances).pairing(
+        q, V[None, :, :k], flow)[0])
     assert M.shape == (k, k)
 
 

@@ -1,14 +1,16 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from wittenlab.cli import main
-from wittenlab.config import ExperimentConfig, Tolerances, load_schema
+from wittenlab.cli import main, make_parser
+from wittenlab.config import PRESETS, ExperimentConfig, Tolerances, load_schema
 from wittenlab.errors import NumericalError
 
 
@@ -178,6 +180,34 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert main(["spectrum", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("section, value", [("tolerances", math.nan),
+                                            ("tolerances", math.inf),
+                                            ("potential", -math.inf)])
+def test_non_finite_config_constants_exit_2(tmp_path, capsys, section, value):
+    """NaN and +-Infinity are not JSON, and each passes every bound of
+    the schema (a NaN or infinite vanish_max let a 16-mode circle that
+    cannot resolve its decay by t = 2 exit 0), so a config file that
+    holds one is refused."""
+    cfg, path = write_config(tmp_path, t_max=2.0, tolerances=Tolerances())
+    doc = cfg.as_dict()
+    if section == "tolerances":
+        doc["tolerances"]["vanish_max"] = value
+    else:
+        doc["potential"] = {"arity": 1,
+                            "terms": [{"freq": [2], "sin": value}]}
+    with open(path, "w") as fh:
+        json.dump(doc, fh)  # writes the constant NaN, Infinity or -Infinity
+    assert main(["package", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and json.dumps(value) in err
+
+
+def test_non_finite_tmax_exits_2(tmp_path, capsys):
+    _, path = write_config(tmp_path)
+    assert main(["spectrum", "--config", path, "--tmax", "inf"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [("modes", 16.0), ("k_extra", 2.0),
                                         ("seed", 1.0), ("degrees", [0.0, 1.0])])
 def test_integral_floats_run_as_their_ints(tmp_path, capsys, key, value):
@@ -285,3 +315,28 @@ def test_default_routes_load_no_scipy_jsonschema_or_numpy_ma(tmp_path):
                              capture_output=True, text=True, check=True)
         assert out.stdout.splitlines()[-1] == f"0 {loaded}", (args,
                                                               out.stdout)
+
+
+def readme_commands() -> list:
+    """Every `wittenlab ...` line of the README's code blocks, comments
+    dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = text.split("```")[1::2]
+    return [line.split("#")[0].strip() for block in blocks
+            for line in block.splitlines()
+            if line.startswith("wittenlab ")]
+
+
+def test_readme_commands_parse():
+    """The README's commands, the one reproduction of both experiments,
+    parse with the command's own parser (no call runs), and they run
+    package, torsion and duality on both presets."""
+    runs = set()
+    for line in readme_commands():
+        try:
+            args = make_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        runs.add((args.command, args.preset))
+    assert {(c, p) for c in ("package", "torsion", "duality")
+            for p in PRESETS} <= runs

@@ -8,7 +8,7 @@ from wittenlab.derham import (CSR, build_circle_complex,
                               build_torus_complex, check_duality_identities,
                               LaplacianFamily, d_squared_residual,
                               graded_kronecker_defect, laplacian_family,
-                              mult_matrix_2d, witten_laplacian)
+                              mult_matrix_2d)
 from wittenlab.errors import ConfigError
 from wittenlab.branches import _eig_smallest_sparse, lowest_eigenvalues
 from wittenlab.trigpoly import TrigPoly, circle_sin2, torus_sin2_product
@@ -20,7 +20,7 @@ FP = lambda th: 2 * np.cos(2 * th)
 
 
 def test_circle_flat_spectrum(circle_cx8):
-    w = np.linalg.eigvalsh(witten_laplacian(circle_cx8, 0, 0.0).toarray())
+    w = np.linalg.eigvalsh(laplacian_family(circle_cx8, 0).at(0.0).toarray())
     want = np.sort([0.0] + [float(k * k) for k in range(1, 9)
                             for _ in range(2)])
     assert np.max(np.abs(w - want)) < 1e-11
@@ -37,7 +37,7 @@ def test_circle_operator_matches_collocation(circle_cx8):
 
 
 def test_torus_flat_spectrum_start(torus_cx6):
-    w = np.linalg.eigvalsh(witten_laplacian(torus_cx6, 0, 0.0).toarray())
+    w = np.linalg.eigvalsh(laplacian_family(torus_cx6, 0).at(0.0).toarray())
     assert np.max(np.abs(w[:6] - np.array([0, 1, 1, 1, 1, 2]))) < 1e-11
 
 
@@ -46,8 +46,8 @@ def test_torus_function_spectrum_is_sum_of_circle_spectra(torus_cx6, t):
     """The product structure survives the cutoff exactly for the square
     mode set: every degree-0 eigenvalue is a sum of two circle ones."""
     cx1 = build_circle_complex(6, circle_sin2())
-    w0 = np.linalg.eigvalsh(witten_laplacian(cx1, 0, t).toarray())
-    w = np.linalg.eigvalsh(witten_laplacian(torus_cx6, 0, t).toarray())
+    w0 = np.linalg.eigvalsh(laplacian_family(cx1, 0).at(t).toarray())
+    w = np.linalg.eigvalsh(laplacian_family(torus_cx6, 0).at(t).toarray())
     want = oracles.sum_spectrum(w0, w0)
     assert np.max(np.abs(w - want)) < 1e-9
 
@@ -55,9 +55,9 @@ def test_torus_function_spectrum_is_sum_of_circle_spectra(torus_cx6, t):
 @pytest.mark.parametrize("t", [0.0, 1.3])
 def test_torus_one_form_spectrum_tensor(torus_cx6, t):
     cx1 = build_circle_complex(6, circle_sin2())
-    w0 = np.linalg.eigvalsh(witten_laplacian(cx1, 0, t).toarray())
-    w1 = np.linalg.eigvalsh(witten_laplacian(cx1, 1, t).toarray())
-    w = np.linalg.eigvalsh(witten_laplacian(torus_cx6, 1, t).toarray())
+    w0 = np.linalg.eigvalsh(laplacian_family(cx1, 0).at(t).toarray())
+    w1 = np.linalg.eigvalsh(laplacian_family(cx1, 1).at(t).toarray())
+    w = np.linalg.eigvalsh(laplacian_family(torus_cx6, 1).at(t).toarray())
     want = oracles.torus_spectrum_from_circle(w0, w1, 1)
     assert np.max(np.abs(w - want)) < 1e-9
 
@@ -71,7 +71,7 @@ def test_d_squared_vanishes(circle_cx8, torus_cx6, t):
 def test_laplacians_symmetric(circle_cx8, torus_cx6):
     for cx in (circle_cx8, torus_cx6):
         for q in range(cx.n + 1):
-            A = witten_laplacian(cx, q, 1.7)
+            A = laplacian_family(cx, q).at(1.7)
             assert (A - A.T).nnz == 0  # exact zeros are not stored
 
 

@@ -7,7 +7,7 @@ import pytest
 from wittenlab import branches, experiments
 from wittenlab.branches import LABEL_VS, LABEL_ZERO
 from wittenlab.config import ExperimentConfig, Tolerances, preset
-from wittenlab.derham import laplacian_family, witten_laplacian
+from wittenlab.derham import laplacian_family
 from wittenlab.errors import ConfigError, NumericalError
 from wittenlab.experiments import (_anomaly_sample_ts, grid_pairings,
                                    int_morphism, morse_finite_complex,
@@ -41,7 +41,7 @@ def test_run_spectrum_matches_dense_solves():
     cx = build_circle_complex(8, cfg.potential_trigpoly())
     for q in (0, 1):
         for i, t in enumerate(run.ts):
-            A = witten_laplacian(cx, q, float(t)).toarray()
+            A = laplacian_family(cx, q).at(float(t)).toarray()
             ref = np.linalg.eigvalsh(A)[:5]
             assert np.max(np.abs(run.values[q][i] - ref)) < 1e-9
 
@@ -282,27 +282,53 @@ def test_critical_points_found_once_per_flow(monkeypatch):
     assert calls == ["circle", "circle"]
 
 
-def test_nonseparable_torus_package_takes_the_2d_search(monkeypatch):
-    """A non-separable torus potential has no flow, so run_package takes
-    its points from the 2-D search.  The run is stopped once tracking
-    starts: at this cutoff the classification fails its zero count."""
-    potential = {"arity": 2, "terms": [
-        {"freq": [2, 0], "sin": 1.0}, {"freq": [0, 2], "sin": 1.0},
-        {"freq": [1, 1], "cos": 0.3}]}
-    cfg = ExperimentConfig(manifold="torus", potential=potential, modes=6,
-                           t_max=1.0, t_step=0.5)
-    calls = count_critical_point_searches(monkeypatch)
+# sin 2th1 + sin 2th2 + 0.3 cos(th1 + th2): no flow; at 6 modes the
+# classification fails its zero count
+NONSEPARABLE = ExperimentConfig(manifold="torus", modes=6, t_max=1.0,
+                                t_step=0.5, potential={"arity": 2, "terms": [
+                                    {"freq": [2, 0], "sin": 1.0},
+                                    {"freq": [0, 2], "sin": 1.0},
+                                    {"freq": [1, 1], "cos": 0.3}]})
 
-    class TrackingStarted(Exception):
-        pass
 
+class TrackingStarted(Exception):
+    pass
+
+
+def stop_at_tracking(monkeypatch):
     def stop(*args, **kwargs):
         raise TrackingStarted
 
     monkeypatch.setattr(experiments, "package_branches", stop)
+
+
+def test_nonseparable_torus_package_takes_the_2d_search(monkeypatch):
+    """A non-separable torus potential has no flow, so run_package takes
+    its points from the 2-D search.  The run is stopped once tracking
+    starts."""
+    calls = count_critical_point_searches(monkeypatch)
+    stop_at_tracking(monkeypatch)
     with pytest.raises(TrackingStarted):
-        run_package(cfg)
+        run_package(NONSEPARABLE)
     assert calls == ["torus"]
+
+
+@pytest.mark.parametrize("runner, cfg, message", [
+    (run_torsion, NONSEPARABLE, "unsupported flow"),
+    (run_torsion, small_circle_config(degrees=(0,)), "every degree"),
+    (run_duality, small_circle_config(degrees=(0,)), r"dual degrees \[1\]"),
+    (run_duality, replace(NONSEPARABLE, degrees=(0, 1)),
+     r"dual degrees \[2\]"),
+], ids=["torsion-no-flow", "torsion-degrees", "duality-circle",
+        "duality-torus"])
+def test_config_preconditions_are_checked_before_tracking(monkeypatch, runner,
+                                                          cfg, message):
+    """torsion refuses a config without a flow or with a degree left out,
+    and duality one without the dual of a tracked degree, before any
+    branch is tracked."""
+    stop_at_tracking(monkeypatch)
+    with pytest.raises(ConfigError, match=message):
+        runner(cfg)
 
 
 def test_run_duality_small_circle():

@@ -11,7 +11,7 @@ from wittenlab.derham import (basis_matrix_1d, build_circle_complex,
 from wittenlab.errors import ConfigError, NumericalError
 from wittenlab.experiments import grid_pairings
 from wittenlab.integrals import (CellMoments, DetValue, a_log_total, det_log,
-                                 integral_A, integrate_1d, pairing_matrix)
+                                 integrate_1d)
 from wittenlab.morse import flow_complex
 from wittenlab.trigpoly import (TWO_PI, TrigPoly, circle_sin2,
                                 torus_sin2_product)
@@ -187,7 +187,7 @@ def test_point_cell_pairing_closed_form(circle_cx8):
     e0 = np.zeros(circle_cx8.dims[0])
     e0[0] = 1.0  # constant basis function, value 1/sqrt(2 pi)
     for t in (0.0, 2.0):
-        got = integral_A(circle_cx8, 0, e0, piece, t)
+        got = CellMoments(circle_cx8, [t]).cell_vectors(0, piece)[0] @ e0
         want = math.exp(t * pt.value) / math.sqrt(TWO_PI)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -201,7 +201,7 @@ def test_arc_cell_pairing_against_quad(circle_cx8):
     for piece in pieces:
         _, lo, hi = piece.axes[0]
         t = 1.7
-        got = integral_A(circle_cx8, 1, e0, piece, t)
+        got = CellMoments(circle_cx8, [t]).cell_vectors(1, piece)[0] @ e0
         ref = piece.orientation * \
             oracles.quad_exp_potential_1d(t, lo, hi, f) / math.sqrt(TWO_PI)
         assert got == pytest.approx(ref, rel=1e-9)
@@ -214,8 +214,9 @@ def test_integral_orientation_flips_sign(circle_cx8):
     flipped = dataclasses.replace(piece, orientation=-piece.orientation)
     w = np.zeros(circle_cx8.dims[1])
     w[0] = 1.0
-    a = integral_A(circle_cx8, 1, w, piece, 0.9)
-    b = integral_A(circle_cx8, 1, w, flipped, 0.9)
+    moments = CellMoments(circle_cx8, [0.9])
+    a = moments.cell_vectors(1, piece)[0] @ w
+    b = moments.cell_vectors(1, flipped)[0] @ w
     assert a == pytest.approx(-b, rel=1e-12)
 
 
@@ -223,12 +224,17 @@ def test_integral_degree_mismatch(circle_cx8):
     flow = flow_complex(circle_cx8.f, "circle")
     piece = flow.cells[flow.degrees[0][0]][0]
     with pytest.raises(ConfigError):
-        integral_A(circle_cx8, 1, np.zeros(circle_cx8.dims[1]), piece, 0.0)
+        CellMoments(circle_cx8, [0.0]).cell_vectors(1, piece)
+
+
+def one_t_pairing(cx, q, forms, flow, t):
+    """The (k, n_q) pairing matrix of the forms (columns) at one t."""
+    return CellMoments(cx, [t]).pairing(q, forms[None], flow)[0]
 
 
 def cochain(cx, q, omega, flow, t):
     """Pairing values of one q-form against every index-q point."""
-    return pairing_matrix(cx, q, omega[:, None], flow, t)[0]
+    return one_t_pairing(cx, q, omega[:, None], flow, t)[0]
 
 
 def test_stokes_circle(rng, circle_cx8):
@@ -341,7 +347,7 @@ def test_pairing_matrix_form_block_against_oracle_circle(rng, circle_cx8):
         for t in (0.0, 4.0, 15.0):
             forms = np.column_stack([band_limited_scalar(rng, cx.N, cx.N - 2)
                                      for _ in range(3)])
-            got = pairing_matrix(cx, q, forms, flow, t)
+            got = one_t_pairing(cx, q, forms, flow, t)
             assert_close_to_oracle(got, oracle_pairing(cx, q, forms, flow, t),
                                    1e-9)
 
@@ -356,7 +362,7 @@ def test_pairing_matrix_form_block_against_oracle_torus(rng, torus_cx6):
             np.concatenate([band_limited_scalar_2d(rng, cx.N, cx.N - 2)
                             for _ in range(blocks)])
             for _ in range(3)])
-        got = pairing_matrix(cx, q, forms, flow, t)
+        got = one_t_pairing(cx, q, forms, flow, t)
         assert_close_to_oracle(got, oracle_pairing(cx, q, forms, flow, t),
                                1e-9)
 
@@ -417,7 +423,7 @@ def test_grid_pass_matches_one_t_pairings(rng, circle_cx8, torus_cx6,
         grid = moments.pairing(q, forms, flow)
         assert grid.shape == (ts.size, 3, len(flow.degrees[q]))
         for k, t in enumerate(ts):
-            one = pairing_matrix(cx, q, forms[k], flow, t)
+            one = one_t_pairing(cx, q, forms[k], flow, t)
             assert np.max(np.abs(grid[k] - one)) <= \
                 1e-13 * np.max(np.abs(one))
 
@@ -468,10 +474,10 @@ def test_a_q_shape_guard_and_consistency(rng, circle_cx8):
     cx = circle_cx8
     flow = flow_complex(cx.f, "circle")
     forms = rng.standard_normal((cx.dims[0], 2))
-    M = pairing_matrix(cx, 0, forms, flow, 0.5)
+    M = one_t_pairing(cx, 0, forms, flow, 0.5)
     d = det_log(M)
     assert M.shape == (2, 2)
     assert d.value == pytest.approx(np.linalg.det(M), rel=1e-12)
     with pytest.raises(ConfigError):
-        det_log(pairing_matrix(cx, 0, rng.standard_normal((cx.dims[0], 3)),
-                               flow, 0.5))
+        det_log(one_t_pairing(cx, 0, rng.standard_normal((cx.dims[0], 3)),
+                              flow, 0.5))
