@@ -89,28 +89,34 @@ class _GridSpectra:
 
     A family is solved for every t of the grid by one _full_spectra call
     when a grid sample of it is first asked for, and an off-grid sample
-    (a bisection point) alone.  Each pair's residual is taken from the
-    stacked matrices by one batched product, and the matrices are then
-    dropped.  The stacks live as long as this object; a family is known
-    by its identity."""
+    (a bisection point) alone.  Each solve validates all its pairs at
+    once, each sample's residuals (one batched product of the stacked
+    matrices, which are then dropped) against eig_residual times that
+    sample's largest |value|, and keeps the validated (w, V) with the
+    cluster bounds (_cluster_bounds) of every sample.  The stacks live
+    as long as this object; a family is known by its identity."""
 
-    def __init__(self, grid=()):
+    def __init__(self, tol: Tolerances, grid=()):
+        self.tol = tol
         self.grid = np.asarray(grid, dtype=float)
-        self._stacks = {}  # family -> (w, V, r) stacks along the grid
+        self._row = {t: i for i, t in enumerate(self.grid.tolist())}
+        self._stacks = {}  # family -> (w, V, lo, hi) stacks along the grid
 
     def __call__(self, fam: LaplacianFamily, t: float):
-        """(w, V, r): the full eigh of fam at t and each pair's residual."""
-        hit = np.flatnonzero(self.grid == t)
-        if hit.size == 0:
-            return tuple(x[0] for x in self._solve(fam, np.array([t])))
+        """(w, V, (lo, hi)): the full eigh of fam at t and its clusters."""
+        i = self._row.get(t)
+        if i is None:
+            w, V, lo, hi = self._solve(fam, np.array([t]))
+            return w[0], V[0], (lo[0], hi[0])
         if fam not in self._stacks:
             self._stacks[fam] = self._solve(fam, self.grid)
-        return tuple(x[hit[0]] for x in self._stacks[fam])
+        w, V, lo, hi = self._stacks[fam]
+        return w[i], V[i], (lo[i], hi[i])
 
-    @staticmethod
-    def _solve(fam: LaplacianFamily, ts: np.ndarray):
+    def _solve(self, fam: LaplacianFamily, ts: np.ndarray):
         A, w, V = _full_spectra(fam, ts)
-        return w, V, _residuals(A, w, V)
+        _validate_residuals(_residuals(A, w, V), self.tol.eig_residual, w)
+        return w, V, *_cluster_bounds(w, self.tol.cluster_rel)
 
 
 def _eig_smallest_sparse(A: CSR, k: int, residual_tol: float = 1e-9):
@@ -149,24 +155,32 @@ def _eig_smallest_sparse(A: CSR, k: int, residual_tol: float = 1e-9):
 
 
 def _runs(w, limit):
-    """Split the ascending w where a step w[i] - w[i - 1] exceeds limit
-    (one bound, or one per step).
+    """(lo, hi), hi exclusive: the run of each value of the ascending w,
+    or of each row of a stack of them, where a step w[i] - w[i - 1]
+    above limit (one bound, or one per step) starts a run at i."""
+    n = w.shape[-1]
+    cut = np.ones(w.shape[:-1] + (n + 1,), dtype=bool)  # a run starts at j
+    cut[..., 1:-1] = w[..., 1:] - w[..., :-1] > limit
+    idx = np.arange(n + 1)
+    lo = np.maximum.accumulate(np.where(cut, idx, 0), axis=-1)
+    hi = np.minimum.accumulate(np.where(cut, idx, n)[..., ::-1], axis=-1)
+    return lo[..., :-1], hi[..., -2::-1]
 
-    Returns a list of (lo, hi) index ranges, hi exclusive.
-    """
-    cuts = (np.flatnonzero(w[1:] - w[:-1] > limit) + 1).tolist()
-    bounds = [0, *cuts, len(w)]
-    return list(zip(bounds[:-1], bounds[1:]))
+
+def _cluster_bounds(w: np.ndarray, cluster_rel: float):
+    """_runs of w, or of a stack's rows, by eigenvalue_clusters' rule."""
+    return _runs(w, cluster_rel * (1.0 + np.abs(w[..., 1:])))
 
 
 def eigenvalue_clusters(w: np.ndarray, cluster_rel: float):
     """Partition an ascending eigenvalue list into near-degenerate runs:
     a step above cluster_rel (1 + |w[i]|) up to w[i] starts a new run.
 
-    Returns a list of (lo, hi) index ranges, hi exclusive.
+    Returns a list of (lo, hi) index ranges, hi exclusive, in order; an
+    empty w is one empty run.
     """
-    w = np.asarray(w, dtype=float)
-    return _runs(w, cluster_rel * (1.0 + np.abs(w[1:])))
+    lo, hi = _cluster_bounds(np.asarray(w, dtype=float), cluster_rel)
+    return sorted(set(zip(lo.tolist(), hi.tolist()))) or [(0, 0)]
 
 
 def _min_cost_assignment(cost) -> np.ndarray:
@@ -178,7 +192,7 @@ def _min_cost_assignment(cost) -> np.ndarray:
     is returned is unspecified.
     """
     C = np.asarray(cost, dtype=float)
-    cols = np.argmin(C, axis=1)
+    cols = C.argmin(axis=1)
     if len(set(cols.tolist())) == cols.size:
         return cols
     return _shortest_augmenting_paths(C)
@@ -231,40 +245,42 @@ def _procrustes(sub: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 
 def match_step(prev_V: np.ndarray, w_next: np.ndarray, V_next: np.ndarray,
-               cluster_rel: float = 1e-6):
+               cluster_rel: float = 1e-6, clusters=None):
     """Match tracked vectors to the eigenbasis at the next parameter value.
 
     prev_V has one column per tracked branch; (w_next, V_next) are the
-    lowest eigenpairs, ascending, in complete clusters.  Returns (cols,
-    W, overlaps): column indices into V_next per branch, the aligned
+    lowest eigenpairs, ascending, in complete clusters, and clusters is
+    _cluster_bounds of w_next when the caller has it.  Returns (cols, W,
+    overlaps): column indices into V_next per branch, the aligned
     vectors, and the diagonal overlaps after alignment.  Assignment
     maximizes total |<v_prev, v>|; inside near-degenerate clusters of
     w_next an arbitrary orthogonal rotation is permitted (the
     eigenvectors are only subspace-unique there), realized as an
-    orthogonal Procrustes fit to the predecessors.
+    orthogonal Procrustes fit to the predecessors.  A step whose matched
+    columns all lie in clusters of one value is a signed permutation:
+    it fits nothing, and its overlaps are entries of prev_V^T V_next.
     """
-    cols = _min_cost_assignment(-np.abs(prev_V.T @ V_next))
-    W = V_next[:, cols].copy()
-
-    for lo, hi in eigenvalue_clusters(w_next, cluster_rel):
-        if hi - lo < 2:
-            continue
-        sel = np.nonzero((cols >= lo) & (cols < hi))[0]
-        if sel.size == 0:
-            continue
-        # the tracked branches may cover only part of this eigenspace (the
+    lo, hi = clusters or _cluster_bounds(w_next, cluster_rel)
+    P = prev_V.T @ V_next
+    cols = _min_cost_assignment(-np.abs(P))
+    W = V_next.take(cols, axis=1)
+    ov = P[np.arange(cols.size), cols]
+    spans = hi[cols] - lo[cols]
+    if max(spans.tolist()) > 1:
+        # the tracked branches may cover only part of an eigenspace (the
         # k-cutoff can split an exactly degenerate pair), so fit them by
-        # projecting the predecessors onto the whole cluster subspace and
-        # taking the nearest orthonormal set
-        W[:, sel] = _procrustes(V_next[:, lo:hi], prev_V[:, sel])
+        # projecting the predecessors onto the whole cluster subspace
+        # and taking the nearest orthonormal set
+        for c in set(lo[cols[spans > 1]].tolist()):
+            sel = np.flatnonzero((cols >= c) & (cols < hi[c]))
+            W[:, sel] = _procrustes(V_next[:, c:hi[c]], prev_V[:, sel])
+        ov = (prev_V * W).sum(axis=0)
+    sign = np.copysign(1.0, ov)
+    W *= sign
+    return cols, W, ov * sign
 
-    ov = np.sum(prev_V * W, axis=0)
-    flip = ov < 0
-    W[:, flip] *= -1.0
-    return cols, W, np.abs(ov)
 
-
-def _polish_t0(w_full, V_full, cols, W, A1, cluster_rel):
+def _polish_t0(clusters, V_full, cols, W, A1, cluster_rel):
     """Replace t=0 vectors by their analytic limits from t > 0.
 
     Within each exactly degenerate eigenspace of Delta(0) the limits of
@@ -276,31 +292,38 @@ def _polish_t0(w_full, V_full, cols, W, A1, cluster_rel):
     projection: as the last tracking step shrinks they converge to the
     true limits, and the caller's overlap check certifies that.
 
-    Returns (vectors, slopes, cluster_key) with cluster_key shared among
+    clusters is _cluster_bounds of the values at t = 0.  Returns
+    (vectors, slopes, cluster_key) with cluster_key shared among
     branches whose t=0 subspace is only jointly determined.
     """
     k = W.shape[1]
     slopes = np.zeros(k)
     cluster_key = np.arange(k)
-    for lo, hi in eigenvalue_clusters(w_full, cluster_rel):
-        sel = np.nonzero((cols >= lo) & (cols < hi))[0]
-        if sel.size == 0:
+    lo, hi = clusters
+    reached = sorted(set(lo[cols].tolist()))  # the clusters with branches
+    span = np.concatenate([np.arange(c, hi[c]) for c in reached])
+    AU = A1 @ V_full[:, span]  # one product, dense-free on the sparse A1
+    at = 0
+    for c in reached:
+        sel = np.flatnonzero((cols >= c) & (cols < hi[c]))
+        U = V_full[:, c:hi[c]]
+        B = U.T @ AU[:, at:at + U.shape[1]]
+        at += U.shape[1]
+        if B.size == 1:  # a simple value's limit is its vector, in W
+            slopes[sel] = B[0, 0]
             continue
-        U = V_full[:, lo:hi]
-        B = U.T @ (A1 @ U)  # grouping keeps the sparse A1 path dense-free
         s_all, Q = np.linalg.eigh(0.5 * (B + B.T))
         cand = U @ Q
         # pick which first-order candidate each tracked branch continues into
         chosen = _min_cost_assignment(-np.abs(W[:, sel].T @ cand))
-        for glo, ghi in eigenvalue_clusters(s_all, cluster_rel):
-            mem = sel[(chosen >= glo) & (chosen < ghi)]
-            if mem.size == 0:
-                continue
-            New = _procrustes(cand[:, glo:ghi], W[:, mem])
+        glo, ghi = _cluster_bounds(s_all, cluster_rel)
+        for g in set(glo[chosen].tolist()):
+            mem = sel[(chosen >= g) & (chosen < ghi[g])]
+            New = _procrustes(cand[:, g:ghi[g]], W[:, mem])
             ovd = np.sum(W[:, mem] * New, axis=0)
             New[:, ovd < 0] *= -1.0
             W[:, mem] = New
-            slopes[mem] = float(np.mean(s_all[glo:ghi]))
+            slopes[mem] = float(np.mean(s_all[g:ghi[g]]))
             if mem.size >= 2:
                 cluster_key[mem] = int(np.min(mem))
     return W, slopes, cluster_key
@@ -365,7 +388,8 @@ def eigenvalue_grid(cx: DeRhamComplex, ks: dict, ts,
     row per t, by lowest_eigenvalues' tie rule; a separable torus takes
     them from _CircleFactors.sums.  Every whole spectrum, of a small or
     a circle-factor block, is solved once for the whole grid."""
-    tol, spectra = tol or Tolerances(), _GridSpectra(ts)
+    tol = tol or Tolerances()
+    spectra = _GridSpectra(tol, ts)
     if cx.manifold == "torus" and cx.f.is_separable():
         factors = _CircleFactors(cx, tol)
         return {q: np.array([_merge_lowest(factors.sums(q, spectra, t)[0], k,
@@ -391,7 +415,7 @@ def _lowest_solves(blocks, t: float, k: int, tol: Tolerances,
     solvers = [_CoveredSolver(sub, 1, tol, spectra) for _, sub in blocks]
     solves = [s.solve(t) for s in solvers]
     while True:
-        values, owner, reach = _merge_lowest([w for w, _ in solves], k,
+        values, owner, reach = _merge_lowest([s[0] for s in solves], k,
                                              tol.cluster_rel)
         short = [b for b in reach if solves[b][0].size < blocks[b][1].dim]
         if not short:
@@ -416,9 +440,8 @@ def _merge_lowest(values, k: int, cluster_rel: float):
     w = np.concatenate(values)
     owner = np.concatenate([np.full(v.size, b) for b, v in enumerate(values)])
     order = np.argsort(w, kind="stable")
-    cluster = np.empty(w.size, dtype=int)
-    for c, (lo, hi) in enumerate(eigenvalue_clusters(w[order], cluster_rel)):
-        cluster[order[lo:hi]] = c
+    cluster = np.empty(w.size, dtype=int)  # where its cluster starts in order
+    cluster[order] = _cluster_bounds(w[order], cluster_rel)[0]
     # concatenation position is (block, block-local index)
     pick = np.lexsort((np.arange(w.size), cluster))[:k]
     cut = cluster[pick[-1]] if pick.size else -1
@@ -438,49 +461,33 @@ def _whole(fam: LaplacianFamily) -> bool:
     return fam.dim <= SMALL_BLOCK_DIM and not _windowed(fam)
 
 
-def _smallest(fam: LaplacianFamily, t: float, m: int, tol: Tolerances,
-              spectra: _GridSpectra):
-    """(w, V, r): the min(m, dim) smallest eigenpairs of fam at t,
-    ascending, and each pair's max-abs residual against fam at t.  A
-    small dense block (_whole) takes a prefix of its whole spectrum from
-    spectra, a block above DENSE_MAX_DIM the shift-invert solve of its
-    CSR form, any other _dense_smallest of its dense form."""
-    if _whole(fam):
-        w, V, r = spectra(fam, t)
-        return w[:m], V[:, :m], r[:m]
-    A = fam.at(t)
-    if _windowed(fam):
-        w, V = _eig_smallest_sparse(A, m, tol.eig_residual)
-    else:
-        A = A.toarray()
-        w, V = _dense_smallest(A, m)
-    return w, V, _residuals(A, w, V)
-
-
 class _CoveredSolver:
     """Eigensolves of one family whose complete clusters cover k values.
 
-    Each solve asks _smallest for the window smallest pairs.  A cluster
+    Each solve takes the window smallest pairs, from the shift-invert
+    solve of the CSR form of a block above DENSE_MAX_DIM and from
+    _dense_smallest of the dense form of any other.  A cluster
     cut by the window edge comes back as an arbitrary partial slice of
     its degenerate subspace, and matching onto such a slice corrupts a
     tracked branch without tripping the overlap gate.  So unless the
     window holds the whole spectrum, its top cluster (eigenvalue_clusters)
     is dropped, and the window grows until the complete clusters hold k
     values and, when a value is needed, reach past it with a margin.
-    Every solve's pairs are validated before they are returned.  Whole
-    spectra come from spectra, by default a _GridSpectra without a
-    grid, which solves each t alone.
+    Every solve's pairs are validated before they are returned.  A small
+    block (_whole) takes its whole spectrum, validated, from spectra, by
+    default a _GridSpectra without a grid, which solves each t alone.
     """
 
     def __init__(self, fam: LaplacianFamily, k: int, tol: Tolerances,
                  spectra: _GridSpectra | None = None):
         self.fam, self.k, self.tol = fam, k, tol
-        self.spectra = spectra or _GridSpectra()
+        self.spectra = spectra or _GridSpectra(tol)
         dim = fam.dim
         # Lanczos needs a window below dim - 1; a dense one can reach dim
         self.cap = min(dim - 2, max(256, 8 * k)) if _windowed(fam) else dim
         self.window = min(self.cap, max(2 * k + 4, k + 8))
-        if _whole(fam):
+        self.whole = _whole(fam)
+        if self.whole:
             self.window = dim  # a full eigh fills the whole block anyway
 
     def widen(self) -> bool:
@@ -490,23 +497,34 @@ class _CoveredSolver:
         self.window = min(self.cap, 2 * self.window)
         return True
 
-    def solve(self, t: float, needed: float | None = None):
-        margin = None if needed is None else (
-            needed + 1e-2 * (1.0 + abs(needed)))
+    def solve(self, t: float, needed=None):
+        """(w, V, (lo, hi)): the covered pairs at t and their clusters,
+        reaching past the largest value of needed when it is given."""
+        if self.whole:
+            return self.spectra(self.fam, t)
+        top = None if needed is None else float(np.max(needed))
+        margin = None if top is None else top + 1e-2 * (1.0 + abs(top))
         while True:
-            w, V, r = _smallest(self.fam, t, self.window, self.tol,
-                                self.spectra)
+            A = self.fam.at(t)
+            if _windowed(self.fam):
+                w, V = _eig_smallest_sparse(A, self.window,
+                                            self.tol.eig_residual)
+            else:
+                A = A.toarray()
+                w, V = _dense_smallest(A, self.window)
             n = w.size
-            # the whole spectrum cuts no cluster; a window drops its top one
+            lo, hi = _cluster_bounds(w, self.tol.cluster_rel)
+            # a window below the whole spectrum drops its top cluster
             covered = n == self.fam.dim
             if not covered:
-                n = eigenvalue_clusters(w, self.tol.cluster_rel)[-1][0]
+                n = int(lo[-1])
                 covered = n >= self.k and (margin is None
                                            or w[n - 1] >= margin)
             if covered:
                 w, V = w[:n], V[:, :n]
-                _validate_residuals(r[:n], self.tol.eig_residual, w)
-                return w, V
+                _validate_residuals(_residuals(A, w, V),
+                                    self.tol.eig_residual, w)
+                return w, V, (lo[:n], hi[:n])
             if not self.widen():
                 raise TrackingError(
                     f"eigensolver window cap {self.cap} cannot cover the "
@@ -554,7 +572,7 @@ def track_branches(fam: LaplacianFamily, q: int, grid, k: int | None = None,
     if k > dim:
         raise TrackingError(f"k={k} exceeds dimension {dim}")
     blocks = fam.split()
-    spectra = _GridSpectra(grid)
+    spectra = _GridSpectra(tol, grid)
     starts, _, owner = _lowest_solves(blocks, float(grid[-1]), k, tol,
                                       spectra)
     merged = [None] * k
@@ -583,33 +601,38 @@ def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
     step; there the solver window widens, and a TrackingError is raised
     once it cannot.  start is a covered, validated solve at t_max
     holding at least k values; spectra holds the whole spectra of the
-    call."""
+    call.  Each sample comes from the covered solver with its cluster
+    bounds, which match_step reads; a grid sample of a small block
+    (_whole) is a row of its validated stack.
+    """
     min_step = float(np.min(np.diff(grid))) * 2.0**-6
     solver = _CoveredSolver(fam, k, tol, spectra)
-    t_cur = float(grid[-1])
+    t_end, t_cur = float(grid[0]), float(grid[-1])
     cur_V = _sign_gauge(start[1][:, :k])
-    cur_w = start[0][:k].copy()
-    samples = [(t_cur, cur_w.copy(), cur_V.copy())]
+    cur_w = start[0][:k]
+    samples = [(t_cur, cur_w, cur_V)]
     step_overlaps = []
-    t0_slopes = None
-    t0_cluster_key = None
+    t0_slopes = t0_cluster_key = None
 
     for target in reversed(grid[:-1].tolist()):
-        seg = [float(target)]
+        seg = [target]
         while seg:
             t_next = seg[-1]
-            w_full, V_full = solver.solve(t_next, needed=float(np.max(cur_w)))
-            cols, W, ov = match_step(cur_V, w_full, V_full, tol.cluster_rel)
-            if t_next == grid[0] and float(np.min(ov)) >= tol.overlap_min:
+            w_full, V_full, clusters = solver.solve(t_next, needed=cur_w)
+            cols, W, ov = match_step(cur_V, w_full, V_full, tol.cluster_rel,
+                                     clusters)
+            ok = ov.min() >= tol.overlap_min
+            if ok and t_next == t_end:
                 # replace the endpoint vectors by their analytic limits;
                 # the overlap then certifies continuation into the limit,
                 # and bisection below shrinks the last step if the samples
                 # have not converged to it yet
                 W, t0_slopes, t0_cluster_key = _polish_t0(
-                    w_full, V_full, cols, W, fam.term(1), tol.cluster_rel
+                    clusters, V_full, cols, W, fam.term(1), tol.cluster_rel
                 )
                 ov = np.abs(np.sum(cur_V * W, axis=0))
-            if float(np.min(ov)) < tol.overlap_min:
+                ok = ov.min() >= tol.overlap_min
+            if not ok:
                 if (t_cur - t_next) <= min_step * (1 + 1e-9):
                     # the continuation may live outside the solver
                     # window; widen and retry before giving up
@@ -621,21 +644,20 @@ def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
                     )
                 seg.append(0.5 * (t_cur + t_next))
                 continue
-            if t_next == grid[0]:
+            if t_next == t_end:
                 r = _residuals(fam.at(t_next), w_full[cols], W)
                 _validate_residuals(r, tol.eig_residual, w_full)
             seg.pop()
-            samples.append((t_next, w_full[cols].copy(), W.copy()))
+            cur_V, cur_w, t_cur = W, w_full[cols], t_next
+            samples.append((t_next, cur_w, cur_V))
             step_overlaps.append(ov)
-            cur_V, cur_w, t_cur = W, w_full[cols].copy(), t_next
 
     samples.reverse()
     step_overlaps.reverse()
     ts = np.array([s[0] for s in samples])
-    vals = np.stack([s[1] for s in samples])  # (n_samples, k)
-    vecs = np.stack([s[2] for s in samples])  # (n_samples, dim, k)
-    ovs = (np.stack(step_overlaps) if step_overlaps
-           else np.zeros((0, k)))
+    vals = np.array([s[1] for s in samples])  # (n_samples, k)
+    vecs = np.array([s[2] for s in samples])  # (n_samples, dim, k)
+    ovs = np.array(step_overlaps) if step_overlaps else np.zeros((0, k))
 
     branches = []
     for j in range(k):
@@ -663,11 +685,14 @@ def _residuals(A, w, V) -> np.ndarray:
 
 def _validate_residuals(r, residual_tol, window):
     """Raise unless every pair residual in r is within residual_tol times
-    the largest |value| of the solve's window (at least 1)."""
-    scale = max(1.0, float(np.abs(window).max())) if len(window) else 1.0
-    res = float(np.max(r, initial=0.0))
-    if not res <= residual_tol * scale:  # a NaN residual fails too
-        raise NumericalError(f"eigenpair residual {res:.3e} exceeds tolerance")
+    the largest |value| of the solve's window (at least 1): one solve
+    per row of a stack."""
+    scale = np.maximum(1.0, np.abs(window).max(axis=-1, initial=0.0))
+    res = np.max(r, axis=-1, initial=0.0)
+    bad = ~(res <= residual_tol * scale)  # a NaN residual fails too
+    if bad.any():
+        raise NumericalError(
+            f"eigenpair residual {np.max(res[bad]):.3e} exceeds tolerance")
 
 
 # -- separable torus: products of circle-factor tracks ------------------
@@ -693,7 +718,7 @@ class _CircleFactors:
             raise NumericalError(
                 f"torus operators are not the graded Kronecker product of "
                 f"their circle factors: defects {defects} exceed {bound:.3e}")
-        self.tol, self.family, split, n = tol, {}, {}, c1.dims[0]
+        self.family, split, n = {}, {}, c1.dims[0]
         for c in {id(c1): c1, id(c2): c2}.values():
             for p in (0, 1):
                 split[id(c), p] = []
@@ -711,12 +736,10 @@ class _CircleFactors:
 
     def sums(self, q: int, spectra: _GridSpectra, t: float):
         """Each degree-q torus block's sums w1[a] + w2[b] of its factor
-        blocks' whole spectra at t, their residuals validated, in stable
+        blocks' whole spectra at t (validated by spectra), in stable
         ascending order, and that order of the raveled a * w2.size + b."""
         def whole(key):
-            w, _, r = spectra(self.family[key], t)
-            _validate_residuals(r, self.tol.eig_residual, w)
-            return w
+            return spectra(self.family[key], t)[0]
 
         sums = [(whole(key1)[:, None] + whole(key2)).ravel()
                 for _, key1, key2 in self.blocks[q]]
@@ -742,7 +765,8 @@ def package_branches(cx: DeRhamComplex, ks: dict, grid,
     if cx.manifold != "torus" or not cx.f.is_separable():
         return {q: track_branches(laplacian_family(cx, q), q, grid, k, tol)
                 for q, k in ks.items()}
-    factors, spectra = _CircleFactors(cx, tol), _GridSpectra(grid[-1:])
+    factors = _CircleFactors(cx, tol)
+    spectra = _GridSpectra(tol, grid[-1:])
     chosen, need = {}, {}  # need[key]: the branches needed of factor block
     for q, k in ks.items():
         values, orders = factors.sums(q, spectra, grid[-1])
@@ -975,7 +999,9 @@ def assign_to_critical_points(pkg: PackageDegree, points, cx: DeRhamComplex,
     # near-degenerate on the vanish_max scale (their mutual splittings are
     # exponentially small); localized combinations live across those
     # splittings, hence the absolute cluster threshold here
-    for lo, hi in _runs(lamT[order], max(tol.vanish_max, pkg.tol_zero)):
+    starts, ends = _runs(lamT[order], max(tol.vanish_max, pkg.tol_zero))
+    for lo in sorted(set(starts.tolist())):
+        hi = int(ends[lo])
         sel = order[lo:hi]
         kc = len(sel)
         grams = {p: G[p][np.ix_(sel, sel)] for p in sorted(avail)}

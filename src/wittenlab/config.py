@@ -50,6 +50,13 @@ class Tolerances:
     newton_tol: float = 1e-12  # critical point refinement
     nondegen_tol: float = 1e-8  # Hessian nondegeneracy floor
 
+    def __post_init__(self):
+        # NaN and +-inf pass every bound a threshold is compared with
+        bad = [f.name for f in dataclasses.fields(self)
+               if not math.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ConfigError(f"tolerances must be finite: {', '.join(bad)}")
+
     def replace(self, **kw) -> "Tolerances":
         return dataclasses.replace(self, **kw)
 
@@ -159,9 +166,13 @@ class ExperimentConfig:
         return d
 
     def digest(self) -> str:
-        """First 16 hex digits of the canonical JSON's SHA-256, from
-        CPython's built-in module (the same digest hashlib gives)."""
-        canon = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        """First 16 hex digits of the SHA-256 of the canonical JSON of
+        as_dict() without out_dir, which moves the artifacts but changes
+        none of them, from CPython's built-in module (the same digest
+        hashlib gives)."""
+        d = self.as_dict()
+        del d["out_dir"]
+        canon = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return _sha256(canon.encode()).hexdigest()[:16]
 
     def replace(self, **kw) -> "ExperimentConfig":

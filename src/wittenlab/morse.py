@@ -16,7 +16,6 @@ rejected explicitly.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,23 +61,16 @@ class UnstableCell:
         return sum(1 for a in self.axes if a[0] == "arc")
 
 
-def _wrap(x: float) -> float:
-    y = math.fmod(float(x), TWO_PI)
-    if y < 0:
-        y += TWO_PI
-    if y > TWO_PI - 1e-12:
-        y = 0.0
-    return y
-
-
 def find_critical_points(f: TrigPoly, manifold: str,
                          tol: Tolerances | None = None):
     """All critical points of f, validated Morse, sorted by (index, coords).
 
     Multi-start Newton on grad f = 0 over a frequency-resolving seed
-    grid, deduplicated by angular distance.  Degenerate Hessians reject
-    the potential as non-Morse; a failed Euler-characteristic count
-    (here zero) flags missed roots.
+    grid, every seed at once on arrays of coordinates, deduplicated by
+    angular distance (_distinct).  A seed stops once its gradient is below
+    newton_tol, and fails on a singular Hessian or after 60 steps.
+    Degenerate Hessians reject the potential as non-Morse; a failed
+    Euler-characteristic count (here zero) flags missed roots.
     """
     tol = tol or Tolerances()
     n = 1 if manifold == "circle" else 2
@@ -89,57 +81,64 @@ def find_critical_points(f: TrigPoly, manifold: str,
 
     grads = [f.partial(i) for i in range(n)]
     hess = [[grads[i].partial(j) for j in range(n)] for i in range(n)]
+
+    def gradient(X):  # (m, n) points -> (m, n)
+        return np.stack([gp(*X.T) for gp in grads], axis=-1)
+
+    def hessian(X):  # (m, n) points -> (m, n, n)
+        return np.stack([np.stack([hp(*X.T) for hp in row], axis=-1)
+                         for row in hess], axis=-2)
+
     mf = max(1, max(f.max_freq()))
     m_seed = max(8 * mf, 16)
     axis = np.arange(m_seed) * (TWO_PI / m_seed)
-    seeds = axis.reshape(-1, 1) if n == 1 else \
+    X = axis.reshape(-1, 1) if n == 1 else \
         np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
 
-    found = []
-    for seed in seeds:
-        x = np.array(seed, dtype=float)
-        ok = False
-        for _ in range(60):
-            g = np.array([gp(*x) for gp in grads])
-            if np.max(np.abs(g)) < tol.newton_tol:
-                ok = True
-                break
-            H = np.array([[hp(*x) for hp in row] for row in hess])
-            try:
-                s = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                break
-            s = np.clip(s, -0.5, 0.5)  # keep basins separated
-            x = x + s
-        if not ok:
-            continue
-        x = tuple(_wrap(c) for c in x)
-        if any(_angdist(x, y) < 1e-6 for y in found):
-            continue
-        found.append(x)
+    ok = np.zeros(len(X), dtype=bool)
+    live = np.arange(len(X))  # the seeds still stepping
+    for _ in range(60):
+        g = gradient(X[live])
+        done = np.max(np.abs(g), axis=1) < tol.newton_tol
+        ok[live[done]] = True
+        live, g = live[~done], g[~done]
+        H = hessian(X[live])
+        # np.linalg.solve refuses exactly the matrices whose LU has a
+        # zero pivot, the ones np.linalg.det gives 0
+        regular = np.linalg.det(H) != 0.0
+        live, g, H = live[regular], g[regular], H[regular]
+        if live.size == 0:
+            break
+        s = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
+        X[live] = X[live] + np.clip(s, -0.5, 0.5)  # keep basins separated
 
-    if not found:
+    x = np.fmod(X[ok], TWO_PI)
+    x = np.where(x < 0, x + TWO_PI, x)
+    x = np.where(x > TWO_PI - 1e-12, 0.0, x)
+    found = _distinct(x)
+    if not len(found):
         raise DegenerateCriticalPointError(
             "no nondegenerate critical points found; potential is not Morse"
         )
 
+    H = hessian(found)
+    eigs = np.linalg.eigvalsh(0.5 * (H + H.transpose(0, 2, 1)))
+    grad_max = np.max(np.abs(gradient(found)), axis=1).tolist()
     points = []
-    for x in found:
-        H = np.array([[hp(*x) for hp in row] for row in hess])
-        eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
-        if np.min(np.abs(eigs)) < tol.nondegen_tol:
+    for x, e, gm, value in zip(found.tolist(), eigs, grad_max,
+                               f(*found.T).tolist()):
+        if np.min(np.abs(e)) < tol.nondegen_tol:
             raise DegenerateCriticalPointError(
                 f"degenerate Hessian at {tuple(round(c, 6) for c in x)}: "
-                f"eigenvalues {eigs}"
+                f"eigenvalues {e}"
             )
-        g = np.array([gp(*x) for gp in grads])
-        if np.max(np.abs(g)) > 1e-12:
-            raise NumericalError(f"gradient {np.max(np.abs(g)):.2e} after Newton")
+        if gm > 1e-12:
+            raise NumericalError(f"gradient {gm:.2e} after Newton")
         points.append(CriticalPoint(
-            coords=x,
-            index=int(np.sum(eigs < 0)),
-            value=float(f(*x)),
-            hessian=tuple(float(e) for e in eigs),
+            coords=tuple(x),
+            index=int(np.sum(e < 0)),
+            value=value,
+            hessian=tuple(float(v) for v in e),
         ))
 
     counts = [sum(1 for p in points if p.index == q) for q in range(n + 1)]
@@ -159,12 +158,15 @@ def find_critical_points(f: TrigPoly, manifold: str,
     return points
 
 
-def _angdist(x, y) -> float:
-    d = 0.0
-    for a, b in zip(x, y):
-        r = abs(a - b) % TWO_PI
-        d = max(d, min(r, TWO_PI - r))
-    return d
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The rows of x kept in order, a row dropped when it lies within 1e-6
+    in angular distance of a row kept before it."""
+    kept = []
+    while len(x):
+        kept.append(x[0].copy())  # a view would hold all of x
+        r = np.abs(x - x[0]) % TWO_PI
+        x = x[np.max(np.minimum(r, TWO_PI - r), axis=1) >= 1e-6]
+    return np.array(kept).reshape(-1, x.shape[1])
 
 
 def _circle_cells(points, x: CriticalPoint):

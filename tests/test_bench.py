@@ -8,7 +8,7 @@ import pytest
 from wittenlab.branches import (_CoveredSolver, _lowest_solves,
                                 assign_to_critical_points,
                                 lowest_eigenvalues, match_step,
-                                package_branches)
+                                package_branches, track_branches)
 from wittenlab.config import preset
 from wittenlab.derham import build_torus_complex, laplacian_family
 from wittenlab.experiments import (build_complex, grid_pairings, int_morphism,
@@ -89,11 +89,31 @@ def test_bench_tracking_step_torus24(benchmark):
     solver = _CoveredSolver(blocks[b][1], kb, tol)
 
     def step():
-        w, V = solver.solve(4.75, needed=float(np.max(w0)))
-        return match_step(V0, w, V, tol.cluster_rel)
+        w, V, clusters = solver.solve(4.75, needed=float(np.max(w0)))
+        return match_step(V0, w, V, tol.cluster_rel, clusters)
 
     _, _, ov = benchmark(step)
     assert np.min(ov) >= tol.overlap_min
+
+
+def test_bench_grid_walk_circle(benchmark):
+    """One grid walk: track_branches of both degrees of the
+    circle-torsion benchmark config at seed 1 (cos 2th, the circle-sin2
+    grid and cutoff), as many branches per degree as run_package
+    tracks: the stacked solves of the small blocks, the steps matched
+    on their stacks and the t = 0 polish."""
+    cfg = preset("circle-sin2").replace(potential={
+        "arity": 1, "terms": [{"freq": [2], "cos": 1.0, "sin": 0.0}]})
+    cx = build_complex(cfg)
+    fams = {q: laplacian_family(cx, q) for q in (0, 1)}
+    k = 2 + cfg.k_extra
+
+    def walk():
+        return [track_branches(fams[q], q, cfg.grid(), k, cfg.tolerances)
+                for q in (0, 1)]
+
+    out = benchmark(walk)
+    assert [len(brs) for brs in out] == [k, k]
 
 
 def test_bench_track_branches_torus24(benchmark):

@@ -44,18 +44,25 @@ def test_residual_check_rejects_nan():
 
 
 def test_eigenvalue_clusters_grouping():
+    """eigenvalue_clusters against the per-step loop, and
+    _cluster_bounds, of one list or of a stack, against its ranges."""
     w = np.array([0.0, 1e-9, 1.0, 1.0 + 1e-8, 2.0])
     cl = eigenvalue_clusters(w, 1e-6)
     assert cl == [(0, 2), (2, 4), (4, 5)]
     assert eigenvalue_clusters(np.array([]), 1e-6) == [(0, 0)]
     assert eigenvalue_clusters(np.array([3.0]), 1e-6) == [(0, 1)]
-    # against the per-step loop, on steps planted at and around the bound
+    # on steps planted at and around the bound
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        steps = rng.choice([0.0, 0.5e-6, 1e-6, 2e-6, 1e-3], size=30)
-        w = np.cumsum(steps * (1.0 + rng.random(30)))
+    stack = np.cumsum(rng.choice([0.0, 0.5e-6, 1e-6, 2e-6, 1e-3], (20, 30))
+                      * (1.0 + rng.random((20, 30))), axis=1)
+    rows = zip(stack, *branches._cluster_bounds(stack, 1e-6))
+    for w, lo_row, hi_row in rows:
         starts = [lo for lo, _ in eigenvalue_clusters(w, 1e-6)][1:]
         assert starts == sorted(_gaps(w, 1e-6))
+        want = [r for lo, hi in eigenvalue_clusters(w, 1e-6)
+                for r in [(lo, hi)] * (hi - lo)]
+        for lo, hi in (branches._cluster_bounds(w, 1e-6), (lo_row, hi_row)):
+            assert list(zip(lo.tolist(), hi.tolist())) == want
 
 
 def test_windowed_route_tracks_the_dense_values(torus_cx6, monkeypatch):
@@ -128,7 +135,7 @@ def test_covered_solve_grows_past_a_cut_cluster():
     solver = _CoveredSolver(fam, 3, Tolerances())
     first = solver.window
     assert 2 < first < 13 and fam.dim > branches.SMALL_BLOCK_DIM
-    w, V = solver.solve(0.0)
+    w, V, _ = solver.solve(0.0)
     assert solver.window > first
     assert np.sum(np.abs(w - 2.0) < 1e-9) == 11
     assert np.max(np.abs(fam.at(0.0) @ V - V * w)) < 1e-10
@@ -145,7 +152,7 @@ def test_covered_cut_keeps_a_match_rule_cluster_whole():
     assert eigenvalue_clusters(np.sort(vals), tol.cluster_rel)[7] == (7, 9)
     solver = _CoveredSolver(fam, 1, tol)
     assert solver.window == 9
-    w, _ = solver.solve(0.0)
+    w, _, _ = solver.solve(0.0)
     assert w.size == 7
     assert np.max(np.abs(w - vals[:7])) < 1e-10
 
@@ -245,6 +252,71 @@ def test_each_factor_block_is_solved_once_per_tracking_call(monkeypatch):
         content(F) for F in _factor_blocks(24)}
     assert len(at_t_max) == len(set(at_t_max))
     assert set(at_t_max) == {content(F) for F in _factor_blocks(24)}
+
+
+ASYMMETRIC_CIRCLE = TrigPoly.sine((2,)) + TrigPoly.cosine((1,), 0.4)
+
+
+def _routes(monkeypatch, fam, q, grid, k):
+    """fam tracked on its stacked grid spectra, and on the per-sample
+    syevr route that SMALL_BLOCK_DIM = 0 forces on every block."""
+    stacked = track_branches(fam, q, grid, k=k)
+    monkeypatch.setattr(branches, "SMALL_BLOCK_DIM", 0)
+    per_sample = track_branches(fam, q, grid, k=k)
+    monkeypatch.undo()
+    return stacked, per_sample
+
+
+def _assert_same_tracks(stacked, per_sample, tol):
+    """The same samples, values within 1e-12, and at every sample the
+    same span for each cluster of tied t_max values; a branch whose t_max
+    value is simple has the same vectors, signs included, to an overlap
+    of 1 - 1e-10 (entries differ by up to 3e-10 between the solvers)."""
+    for a, b in zip(stacked, per_sample, strict=True):
+        assert np.array_equal(a.ts, b.ts)
+        assert np.max(np.abs(a.values - b.values)) <= 1e-12
+    lam = np.array([b.values[-1] for b in stacked])
+    for lo, hi in eigenvalue_clusters(lam, tol.cluster_rel):
+        Va = np.stack([_full_vectors(b) for b in stacked[lo:hi]], axis=-1)
+        Vb = np.stack([_full_vectors(b) for b in per_sample[lo:hi]], axis=-1)
+        cos = np.linalg.svd(Va.transpose(0, 2, 1) @ Vb, compute_uv=False)
+        assert cos.min() > 1 - 1e-10
+        if hi - lo == 1:
+            assert np.min(np.sum(Va * Vb, axis=1)) > 1 - 1e-10
+
+
+@pytest.mark.parametrize("f", [circle_sin2(), ASYMMETRIC_CIRCLE],
+                         ids=["sin2", "asymmetric"])
+def test_stacked_walk_matches_the_per_sample_route(monkeypatch, f):
+    """Both degrees of a circle, tracked on the stacked grid spectra of
+    their small blocks and on per-sample syevr solves, give the same
+    tracks (_assert_same_tracks) and the same labels: sin 2th as the
+    circle-sin2 preset has it, and sin 2th + 0.4 cos th, whose wells
+    differ, on a grid of step 0.25 to t = 8 at 24 modes, where each
+    degree is one block of 49 rows (65 at 32 modes, above
+    SMALL_BLOCK_DIM)."""
+    cfg = preset("circle-sin2")
+    if f is ASYMMETRIC_CIRCLE:
+        cfg = cfg.replace(modes=24, t_max=8.0)
+    cx, tol = build_circle_complex(cfg.modes, f), cfg.tolerances
+    for q in (0, 1):
+        fam = laplacian_family(cx, q)
+        assert all(branches._whole(sub) for _, sub in fam.split())
+        routes = _routes(monkeypatch, fam, q, cfg.grid(), 2 + cfg.k_extra)
+        _assert_same_tracks(*routes, tol)
+        for brs in routes:
+            classify(brs, 1, 2, cfg.t_max, tol)
+        assert [b.label for b in routes[0]] == [b.label for b in routes[1]]
+
+
+def test_stacked_factor_walks_match_the_per_sample_route(monkeypatch):
+    """Every circle-factor block of the 24-mode torus preset, tracked to
+    its 8 smallest values on the torus-package-sparse grid, gives the
+    same tracks on its stacked spectra as on per-sample syevr solves."""
+    grid = np.arange(0.0, 5.0 + 1e-9, 0.5)
+    for fam in _factor_blocks(24):
+        _assert_same_tracks(*_routes(monkeypatch, fam, 0, grid, 8),
+                            Tolerances())
 
 
 @pytest.mark.parametrize("factor, raises", [(1.05, True), (0.95, False)])

@@ -171,6 +171,19 @@ def test_option_overrides_change_digest(tmp_path, capsys):
     assert os.path.exists(a) and os.path.exists(b)
 
 
+def test_out_dir_does_not_change_the_artifact_names(tmp_path, capsys):
+    """Two --out values write the same artifact, under one name."""
+    _, path = write_config(tmp_path, t_max=2.0)
+    runs = []
+    for out in ("a", "b"):
+        assert main(["spectrum", "--config", path,
+                     "--out", str(tmp_path / out)]) == 0
+        (f,) = printed_files(capsys)
+        runs.append(f)
+    assert os.path.basename(runs[0]) == os.path.basename(runs[1])
+    assert os.path.dirname(runs[0]) != os.path.dirname(runs[1])
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     _, path = write_config(tmp_path)
     assert main(["spectrum", "--config", path, "--modes", "1"]) == 2

@@ -25,9 +25,10 @@ def test_digest_is_stable_hex():
 
 def test_digest_is_hashlib_sha256_of_the_canonical_json():
     """The digest, taken from CPython's built-in SHA-256, equals
-    hashlib's on every preset and on a torus-package-sparse benchmark
-    config (seed 1: cos 2th1 + sin 2th2, 24 modes, t_step 0.5), so
-    artifact names do not depend on which module computed it."""
+    hashlib's of the canonical JSON without out_dir on every preset and
+    on a torus-package-sparse benchmark config (seed 1: cos 2th1 +
+    sin 2th2, 24 modes, t_step 0.5), so artifact names do not depend on
+    which module computed it."""
     potential = {"arity": 2, "terms": [
         {"freq": [0, 2], "cos": 0.0, "sin": 1.0},
         {"freq": [2, 0], "cos": 1.0, "sin": 0.0}]}
@@ -36,10 +37,16 @@ def test_digest_is_hashlib_sha256_of_the_canonical_json():
         modes=24, t_step=0.5, potential=potential,
         out_dir="torus-package-sparse"))
     for cfg in cfgs:
-        canon = json.dumps(cfg.as_dict(), sort_keys=True,
-                           separators=(",", ":"))
+        doc = cfg.as_dict()
+        del doc["out_dir"]
+        canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         want = hashlib.sha256(canon.encode()).hexdigest()[:16]
         assert cfg.digest() == want
+
+
+def test_digest_does_not_depend_on_out_dir():
+    cfg = preset("circle-sin2")
+    assert cfg.replace(out_dir="elsewhere").digest() == cfg.digest()
 
 
 def test_dict_round_trip():
@@ -158,6 +165,18 @@ def test_tolerances_share_the_schema_bounds():
     with pytest.raises(ConfigError, match=r"tolerances\.gap_min"):
         Tolerances.from_dict({"gap_min": True})
     assert Tolerances.from_dict({"overlap_min": 1}).overlap_min == 1
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", list(Tolerances().as_dict()))
+def test_non_finite_tolerances_are_refused(name, value):
+    """A NaN or infinite tolerance passes every bound it is compared
+    with, so none is accepted, from Python callers or config documents."""
+    with pytest.raises(ConfigError, match=f"must be finite: {name}"):
+        Tolerances(**{name: value})
+    # -inf breaks a schema bound first; NaN and +inf pass the schema
+    with pytest.raises(ConfigError, match=name):
+        ExperimentConfig.from_dict({"tolerances": {name: value}})
 
 
 # -- the schema reader against jsonschema as the oracle ----------------

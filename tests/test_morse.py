@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +77,91 @@ def test_torus_flow_points_match_the_search_and_the_oracle(amps):
         assert [p.index for p in got] == [i for i, _ in want]
         for p, (_, coords) in zip(got, want):
             assert all(ang_eq(a, b, 1e-12) for a, b in zip(p.coords, coords))
+
+
+def _newton_seed_loop(f, n, newton_tol=1e-12):
+    """Reference for the Newton search: each seed of its grid stepped on
+    its own (as np.linalg.solve steps it, a singular Hessian ending the
+    seed) and wrapped, a point within 1e-6 of a kept one dropped."""
+    grads = [f.partial(i) for i in range(n)]
+    hess = [[g.partial(j) for j in range(n)] for g in grads]
+    m = max(8 * max(1, max(f.max_freq())), 16)
+    axis = np.arange(m) * (TWO_PI / m)
+    found = []
+    for seed in itertools.product(axis, repeat=n):
+        x = np.array(seed)
+        for _ in range(60):
+            g = np.array([gp(*x) for gp in grads])
+            if np.max(np.abs(g)) < newton_tol:
+                break
+            try:
+                s = np.linalg.solve(
+                    np.array([[hp(*x) for hp in row] for row in hess]), -g)
+            except np.linalg.LinAlgError:
+                break
+            x = x + np.clip(s, -0.5, 0.5)
+        else:
+            continue
+        if np.max(np.abs(g)) >= newton_tol:
+            continue
+        y = [math.fmod(c, TWO_PI) for c in x]
+        y = [c + TWO_PI if c < 0 else c for c in y]
+        x = tuple(0.0 if c > TWO_PI - 1e-12 else c for c in y)
+        if all(max(min(abs(a - b) % TWO_PI, TWO_PI - abs(a - b) % TWO_PI)
+                   for a, b in zip(x, y)) >= 1e-6 for y in found):
+            found.append(x)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("f", [
+    circle_sin2(), TrigPoly.sine((2,)) + TrigPoly.cosine((1,), 0.4),
+    TrigPoly(1, {(1,): (0.3, 1.0), (3,): (0.0, 0.25)}),
+    torus_sin2_product(),
+    torus_sin2_product() + TrigPoly.cosine((1, 1), 0.3),
+    TrigPoly.cosine((4, 0)) + TrigPoly.cosine((0, 4)),
+    TrigPoly(2, {(2, 0): (1.0, 0.0), (0, 2): (0.0, -1.0),
+                 (1, 0): (0.4, 0.0)})],
+    ids=["sin2", "asymmetric", "odd", "torus", "generic-torus", "cos4",
+         "turned"])
+def test_newton_on_all_seeds_matches_the_seed_loop(f):
+    """Stepping every seed at once finds the points of the per-seed
+    loop, coordinates bit for bit."""
+    n = f.arity
+    got = sorted(p.coords for p in
+                 find_critical_points(f, ("circle", "torus")[n - 1]))
+    assert got == _newton_seed_loop(f, n)
+
+
+def test_duplicates_are_dropped_against_the_kept_points():
+    """A chain of points 0.6e-6 apart keeps every other one: the third
+    lies 1.2e-6 from the first, the one point kept before it; nearness
+    wraps around 2 pi."""
+    x = np.array([[0.0], [0.6e-6], [1.2e-6], [TWO_PI - 0.5e-6], [3.0]])
+    assert morse._distinct(x).tolist() == [[0.0], [1.2e-6], [3.0]]
+    assert morse._distinct(np.zeros((0, 2))).shape == (0, 2)
+
+
+def test_high_frequency_torus_search_stays_small():
+    """cos 16th1 + cos 16th2 (frequencies up to 63 are valid) steps its
+    16384 seeds at once and finds the 1024 points (a pi/16, b pi/16),
+    of index the number of even a, b, within 32 MiB of traced memory: a
+    distance table over all pairs of seeds would take gigabytes."""
+    f = TrigPoly.cosine((16, 0)) + TrigPoly.cosine((0, 16))
+    tracemalloc.start()
+    try:
+        points = find_critical_points(f, "torus")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    got = {}
+    for p in points:
+        ab = tuple(round(c * 16 / math.pi) % 32 for c in p.coords)
+        assert all(ang_eq(c, m * math.pi / 16, 1e-14)
+                   for c, m in zip(p.coords, ab))
+        got[ab] = p.index
+    assert got == {(a, b): (a % 2 == 0) + (b % 2 == 0)
+                   for a in range(32) for b in range(32)}
 
 
 def test_torus_flow_points_are_factor_products():
