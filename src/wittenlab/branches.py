@@ -13,7 +13,7 @@ t = 0 they generally are not.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -329,42 +329,50 @@ def _polish_t0(clusters, V_full, cols, W, A1, cluster_rel):
     return W, slopes, cluster_key
 
 
-@dataclass
 class EigenBranch:
     """One tracked analytic branch (lambda(t), v(t)) of a single degree.
 
     A branch lives on one invariant block of its family, so only that
     block's rows of v(t) are stored: vectors[i, j] is entry rows[j] of
     the unit vector at ts[i], and every other of its dim entries is 0.
-    vector_at gives the full-dimension vector."""
+    vector_at gives the full-dimension vector.  Classification and
+    assignment fill in label, critical_point, mass and tie_group (the
+    points critical_point was chosen from); branches that share a
+    t0_cluster id span a jointly-determined subspace at t = 0."""
 
-    degree: int
-    ts: np.ndarray  # ascending sample parameters (grid plus refinements)
-    values: np.ndarray
-    vectors: np.ndarray  # shape (len(ts), len(rows))
-    rows: np.ndarray  # full-dimension index of each stored column
-    dim: int  # dimension of the family
-    overlaps: np.ndarray  # consecutive aligned overlaps, len(ts) - 1
-    label: str = ""
-    critical_point: int | None = None
-    mass: float | None = None
-    tie_group: list | None = None  # the points critical_point was chosen from
-    t0_slope: float | None = None
-    t0_cluster: int | None = None  # shared id marks a jointly-determined subspace
+    def __init__(self, degree: int, ts: np.ndarray, values: np.ndarray,
+                 vectors: np.ndarray, rows: np.ndarray, dim: int,
+                 overlaps: np.ndarray, label: str = "",
+                 critical_point: int | None = None, mass: float | None = None,
+                 tie_group: list | None = None, t0_slope: float | None = None,
+                 t0_cluster: int | None = None):
+        self.degree = degree
+        self.ts = ts  # ascending sample parameters (grid plus refinements)
+        self.values = values
+        self.vectors = vectors  # shape (len(ts), len(rows))
+        self.rows = rows  # full-dimension index of each stored column
+        self.dim = dim  # dimension of the family
+        self.overlaps = overlaps  # consecutive aligned overlaps, len(ts) - 1
+        self.label, self.critical_point = label, critical_point
+        self.mass, self.tie_group = mass, tie_group
+        self.t0_slope, self.t0_cluster = t0_slope, t0_cluster
 
-    def _sample(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.ts - t)))
-        if abs(self.ts[i] - t) > 1e-9 * (1 + abs(t)):
-            raise KeyError(f"t={t} is not a sample of this branch")
+    def sample_index(self, ts) -> np.ndarray:
+        """Index into the samples of each t of ts, the nearest sample."""
+        ts = np.asarray(ts, dtype=float)
+        i = np.argmin(np.abs(self.ts[:, None] - ts), axis=0)
+        off = np.abs(self.ts[i] - ts) > 1e-9 * (1 + np.abs(ts))
+        if off.any():
+            raise KeyError(f"t={ts[off][0]} is not a sample of this branch")
         return i
 
     def value_at(self, t: float) -> float:
-        return float(self.values[self._sample(t)])
+        return float(self.values[self.sample_index([t])[0]])
 
     def vector_at(self, t: float) -> np.ndarray:
         """The full-dimension unit vector at the sample t."""
         v = np.zeros(self.dim)
-        v[self.rows] = self.vectors[self._sample(t)]
+        v[self.rows] = self.vectors[self.sample_index([t])[0]]
         return v
 
 
@@ -817,26 +825,24 @@ def _factor_tracks(family: dict, need: dict, grid: np.ndarray,
 # -- classification ------------------------------------------------------
 
 
-@dataclass
 class PackageDegree:
     """Classified branches of one degree: the small package plus diagnostics."""
 
-    degree: int
-    branches: list  # ZERO then VS_POSITIVE, the c_q package members
-    large: list  # remaining tracked branches, label LARGE
-    beta: int
-    c: int
-    gap: float
-    tol_zero: float
-    assignment_warnings: list = field(default_factory=list)
+    def __init__(self, degree: int, branches: list, large: list, beta: int,
+                 c: int, gap: float, tol_zero: float,
+                 assignment_warnings: list | None = None):
+        self.degree = degree
+        self.branches = branches  # ZERO then VS_POSITIVE: the c_q members
+        self.large = large  # remaining tracked branches, label LARGE
+        self.beta, self.c, self.gap, self.tol_zero = beta, c, gap, tol_zero
+        self.assignment_warnings = assignment_warnings or []
 
     @property
     def t_max(self) -> float:
         return float(self.branches[0].ts[-1])
 
 
-@dataclass
-class SpectralPackage:
+class SpectralPackage(NamedTuple):
     """Virtually small spectral package: per-degree classified branches."""
 
     manifold: str

@@ -61,7 +61,7 @@ def _emit_json(path: str, payload: dict):
 
 def _base_payload(cfg: ExperimentConfig) -> dict:
     return {"version": __version__, "config_digest": cfg.digest(),
-            "config": cfg.as_dict()}
+            "config": cfg.experiment_dict()}
 
 
 BRANCH_COLUMNS = ["q", "branch", "t", "lambda", "label", "critical_point"]
@@ -72,13 +72,14 @@ def _write_branch_csv(path: str, pkg):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(BRANCH_COLUMNS)
+        ts = [f"{t:.6g}" for t in pkg.grid.tolist()]
         for q in sorted(pkg.degrees):
             deg = pkg.degrees[q]
             for i, b in enumerate(list(deg.branches) + list(deg.large)):
                 cp = "" if b.critical_point is None else int(b.critical_point)
-                for t in pkg.grid:
-                    w.writerow([q, i, f"{float(t):.6g}",
-                                f"{b.value_at(float(t)):.16e}", b.label, cp])
+                lams = b.values[b.sample_index(pkg.grid)].tolist()
+                for t, lam in zip(ts, lams):
+                    w.writerow([q, i, t, f"{lam:.16e}", b.label, cp])
     print(path)
 
 

@@ -8,10 +8,9 @@ for byte.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,10 +28,7 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds; defaults chosen for dense double precision."""
-
+class _ToleranceFields(NamedTuple):
     # graded Kronecker defect of a separable torus, relative to 1 + max |E|
     operator_identity: float = 1e-10
     eig_residual: float = 1e-9
@@ -50,18 +46,25 @@ class Tolerances:
     newton_tol: float = 1e-12  # critical point refinement
     nondegen_tol: float = 1e-8  # Hessian nondegeneracy floor
 
-    def __post_init__(self):
+
+class Tolerances(_ToleranceFields):
+    """Numerical thresholds; defaults chosen for dense double precision."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kw):
+        self = super().__new__(cls, *args, **kw)
         # NaN and +-inf pass every bound a threshold is compared with
-        bad = [f.name for f in dataclasses.fields(self)
-               if not math.isfinite(getattr(self, f.name))]
+        bad = [k for k, v in zip(self._fields, self) if not math.isfinite(v)]
         if bad:
             raise ConfigError(f"tolerances must be finite: {', '.join(bad)}")
+        return self
 
     def replace(self, **kw) -> "Tolerances":
-        return dataclasses.replace(self, **kw)
+        return Tolerances(**{**self._asdict(), **kw})  # _replace skips __new__
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "Tolerances":
@@ -97,8 +100,7 @@ def _potential_from_json(spec) -> TrigPoly:
         raise ConfigError(f"malformed potential document: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class _ConfigFields(NamedTuple):
     manifold: str = "circle"
     potential: str | dict = "sin2"
     modes: int = 32
@@ -109,9 +111,14 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "out"
     format: str = "json"
-    tolerances: Tolerances = field(default_factory=Tolerances)
+    tolerances: Tolerances = Tolerances()
 
-    def __post_init__(self):
+
+class ExperimentConfig(_ConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kw):
+        self = super().__new__(cls, *args, **kw)
         if self.manifold not in ("circle", "torus"):
             raise ConfigError(f"unknown manifold {self.manifold!r}")
         if self.format not in ("csv", "json"):
@@ -126,7 +133,7 @@ class ExperimentConfig:
         degs = tuple(range(n + 1)) if self.degrees is None else tuple(self.degrees)
         if any(not (0 <= q <= n) for q in degs):
             raise ConfigError(f"degrees must lie in 0..{n}")
-        object.__setattr__(self, "degrees", degs)
+        return self._replace(degrees=degs)
 
     @property
     def dim(self) -> int:
@@ -150,33 +157,28 @@ class ExperimentConfig:
         return ts
 
     def as_dict(self) -> dict:
-        d = {
-            "manifold": self.manifold,
-            "potential": self.potential,
-            "modes": self.modes,
-            "t_max": self.t_max,
-            "t_step": self.t_step,
-            "k_extra": self.k_extra,
-            "degrees": list(self.degrees),
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "format": self.format,
-            "tolerances": self.tolerances.as_dict(),
-        }
+        d = self._asdict()
+        d["degrees"] = list(self.degrees)
+        d["tolerances"] = self.tolerances.as_dict()
+        return d
+
+    def experiment_dict(self) -> dict:
+        """as_dict() without out_dir, which moves the artifacts but changes
+        none of them: what the digest hashes and every payload echoes."""
+        d = self.as_dict()
+        del d["out_dir"]
         return d
 
     def digest(self) -> str:
         """First 16 hex digits of the SHA-256 of the canonical JSON of
-        as_dict() without out_dir, which moves the artifacts but changes
-        none of them, from CPython's built-in module (the same digest
-        hashlib gives)."""
-        d = self.as_dict()
-        del d["out_dir"]
-        canon = json.dumps(d, sort_keys=True, separators=(",", ":"))
+        experiment_dict(), from CPython's built-in module (the same
+        digest hashlib gives)."""
+        canon = json.dumps(self.experiment_dict(), sort_keys=True,
+                           separators=(",", ":"))
         return _sha256(canon.encode()).hexdigest()[:16]
 
     def replace(self, **kw) -> "ExperimentConfig":
-        return dataclasses.replace(self, **kw)
+        return ExperimentConfig(**{**self._asdict(), **kw})  # validated again
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -187,8 +189,8 @@ class ExperimentConfig:
         for key in ("modes", "k_extra", "seed"):
             if key in d:
                 d[key] = int(d[key])
-        if "tolerances" in d:
-            d["tolerances"] = Tolerances.from_dict(d["tolerances"])
+        if "tolerances" in d:  # validated with the whole document
+            d["tolerances"] = Tolerances(**d["tolerances"])
         if "degrees" in d and d["degrees"] is not None:
             d["degrees"] = tuple(int(q) for q in d["degrees"])
         cfg = cls(**d)

@@ -19,7 +19,7 @@ sweeps only pay one assembly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -331,8 +331,7 @@ def mult_matrix_2d(N: int, g: TrigPoly):
 # -- the complex --------------------------------------------------------
 
 
-@dataclass
-class DeRhamComplex:
+class DeRhamComplex(NamedTuple):
     """Cutoff de Rham complex with deformation data.
 
     D[q] is the exact exterior derivative on degree q, E[q] the projected
@@ -352,25 +351,13 @@ class DeRhamComplex:
     S: list
     betti: tuple
     volume: float
-    _m_scalar: int = field(default=0, repr=False)
+    scalar_dim: int = 0  # rows of one scalar block of a form
 
     def witten_d(self, t: float):
         return [self.D[q] + t * self.E[q] for q in range(self.n)]
 
     def negate_potential(self) -> "DeRhamComplex":
-        return DeRhamComplex(
-            manifold=self.manifold,
-            n=self.n,
-            N=self.N,
-            f=-self.f,
-            dims=self.dims,
-            D=self.D,
-            E=[-Eq for Eq in self.E],
-            S=self.S,
-            betti=self.betti,
-            volume=self.volume,
-            _m_scalar=self._m_scalar,
-        )
+        return self._replace(f=-self.f, E=[-Eq for Eq in self.E])
 
     # scalar-block helpers used by localization
 
@@ -383,7 +370,7 @@ class DeRhamComplex:
         vec = np.asarray(vec)
         if self.manifold == "circle" or q in (0, self.n):
             return [vec]
-        m = self._m_scalar
+        m = self.scalar_dim
         return [vec[:m], vec[m:]]
 
     def eval_scalar_grid(self, coeffs: np.ndarray, *axes):
@@ -435,7 +422,7 @@ def build_circle_complex(N: int, f: TrigPoly | None = None) -> DeRhamComplex:
         S=S,
         betti=(1, 1),
         volume=TWO_PI,
-        _m_scalar=dim,
+        scalar_dim=dim,
     )
 
 
@@ -473,7 +460,7 @@ def build_torus_complex(N: int, f: TrigPoly | None = None) -> DeRhamComplex:
         S=[I, S1, I],
         betti=(1, 2, 1),
         volume=TWO_PI**2,
-        _m_scalar=m,
+        scalar_dim=m,
     )
 
 
@@ -487,7 +474,6 @@ def _torus_operators(X1, X2) -> list:
 # -- operators -----------------------------------------------------------
 
 
-@dataclass(eq=False)
 class LaplacianFamily:
     """Deformed Laplacian of one degree as A0 + t*A1 + t^2*A2 (exact).
 
@@ -498,8 +484,9 @@ class LaplacianFamily:
     every at(t) and term(j) shares the pattern's cached arrays.
     """
 
-    pattern: CSR  # the shared pattern; its data, a read-only 1.0, is unused
-    coef: np.ndarray  # (3, nnz): the data of A0, A1, A2
+    def __init__(self, pattern: CSR, coef: np.ndarray):
+        self.pattern = pattern  # shared; its data, a read-only 1.0, is unused
+        self.coef = coef  # (3, nnz): the data of A0, A1, A2
 
     @classmethod
     def from_terms(cls, A0, A1, A2) -> "LaplacianFamily":

@@ -9,7 +9,7 @@ integrals, and assemble the comparison formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ def build_complex(config: ExperimentConfig) -> DeRhamComplex:
 # -- spectrum ---------------------------------------------------------------
 
 
-@dataclass
-class SpectrumRun:
+class SpectrumRun(NamedTuple):
     config: ExperimentConfig
     ts: np.ndarray
     values: dict  # q -> array (len(ts), k)
@@ -78,8 +77,7 @@ def run_spectrum(config: ExperimentConfig, k: int | None = None) -> SpectrumRun:
 # -- package ----------------------------------------------------------------
 
 
-@dataclass
-class PackageRun:
+class PackageRun(NamedTuple):
     config: ExperimentConfig
     cx: DeRhamComplex
     points: tuple
@@ -134,9 +132,18 @@ def run_morse(config: ExperimentConfig) -> FlowComplex:
 # -- the virtually small complex and its pairing ----------------------------
 
 
+def package_frames(deg: PackageDegree, ts) -> np.ndarray:
+    """Package branch vectors at every t of ts, (len(ts), dim, k): the
+    vectors of each branch at ts as the columns, zeros first."""
+    out = np.zeros((len(ts), deg.branches[0].dim, len(deg.branches)))
+    for j, b in enumerate(deg.branches):
+        out[:, b.rows, j] = b.vectors[b.sample_index(ts)]
+    return out
+
+
 def package_vectors(deg: PackageDegree, t: float) -> np.ndarray:
     """Package branch vectors at t as columns, zeros first."""
-    return np.column_stack([b.vector_at(t) for b in deg.branches])
+    return package_frames(deg, [t])[0]
 
 
 def vs_complex(cx: DeRhamComplex, pkg: SpectralPackage, t: float) -> FiniteComplex:
@@ -187,9 +194,8 @@ def grid_pairings(cx: DeRhamComplex, pkg: SpectralPackage, flow: FlowComplex,
     """
     ts = [float(t) for t in pkg.grid]
     moments = CellMoments(cx, ts, tol)
-    by_degree = [moments.pairing(
-        q, [package_vectors(pkg.degrees[q], t) for t in ts], flow)
-        for q in range(cx.n + 1)]
+    by_degree = [moments.pairing(q, package_frames(pkg.degrees[q], ts), flow)
+                 for q in range(cx.n + 1)]
     return {t: [P[i] for P in by_degree] for i, t in enumerate(ts)}
 
 
@@ -206,8 +212,7 @@ def int_morphism(pairings: list, fc_vs: FiniteComplex,
 # -- torsion pipeline -------------------------------------------------------
 
 
-@dataclass
-class TorsionRun:
+class TorsionRun(NamedTuple):
     config: ExperimentConfig
     package_run: PackageRun
     report: TorsionReport
@@ -303,21 +308,19 @@ def positivity_probe(pkg: SpectralPackage, pairings: dict) -> dict:
     (t, log|det|, sign, cond); a sign change or a singular collapse
     between samples would witness a zero of the pairing.
     """
+    ts = pkg.grid.tolist()
     out = {}
     for q in pkg.degrees:
-        rows = []
-        for t in pkg.grid:
-            d = det_log(pairings[float(t)][q])
-            rows.append((float(t), d.log_abs, d.sign, d.cond))
-        out[q] = rows
+        d = det_log(np.stack([pairings[t][q] for t in ts]))
+        out[q] = list(zip(ts, d.log_abs.tolist(), d.sign.tolist(),
+                          d.cond.tolist()))
     return out
 
 
 # -- duality ----------------------------------------------------------------
 
 
-@dataclass
-class DualityRun:
+class DualityRun(NamedTuple):
     config: ExperimentConfig
     identity_residuals: dict
     value_residual: float  # worst sorted-spectrum gap between (f, q) and (-f, n-q)

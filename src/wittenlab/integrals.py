@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,8 +169,7 @@ class CellMoments:
         return out
 
 
-@dataclass
-class DetValue:
+class DetValue(NamedTuple):
     """Log-domain determinant magnitude with conditioning data."""
 
     log_abs: float
@@ -184,15 +183,21 @@ class DetValue:
 
 
 def det_log(A: np.ndarray) -> DetValue:
+    """The DetValue of a square matrix, or of each matrix of a (..., k, k)
+    stack, with every field then an array over the stack."""
     A = np.asarray(A, dtype=float)
-    if A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
         raise ConfigError(f"determinant of a {A.shape} matrix")
     s = np.linalg.svd(A, compute_uv=False)
-    singular = bool(s[-1] <= 1e-12 * s[0]) if s[0] > 0 else True
-    cond = float(s[0] / s[-1]) if s[-1] > 0 else math.inf
+    top, low = s[..., 0], s[..., -1]
+    singular = (low <= 1e-12 * top) | ~(top > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(low > 0, top / low, math.inf)
     sign, log_abs = np.linalg.slogdet(A)
-    return DetValue(log_abs=float(log_abs), sign=float(sign),
-                    cond=cond, singular=singular)
+    if A.ndim == 2:
+        return DetValue(log_abs=float(log_abs), sign=float(sign),
+                        cond=float(cond), singular=bool(singular))
+    return DetValue(log_abs=log_abs, sign=sign, cond=cond, singular=singular)
 
 
 def a_log_total(dets: dict) -> float:

@@ -16,11 +16,13 @@ rejected explicitly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import Tolerances
+from .derham import CSR
 from .errors import (
     ConfigError,
     DegenerateCriticalPointError,
@@ -29,8 +31,7 @@ from .errors import (
 from .trigpoly import TWO_PI, TrigPoly
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     coords: tuple  # angles in [0, 2*pi)
     index: int  # number of negative Hessian eigenvalues
     value: float  # f at the point
@@ -38,8 +39,7 @@ class CriticalPoint:
     orientation: int = 1  # sign convention carried by the cell parametrization
 
 
-@dataclass(frozen=True)
-class UnstableCell:
+class UnstableCell(NamedTuple):
     """One piece of a descending cell, a coordinate box in the angles.
 
     axes has one entry per coordinate: ("point", c) pins the coordinate,
@@ -160,13 +160,39 @@ def find_critical_points(f: TrigPoly, manifold: str,
 
 def _distinct(x: np.ndarray) -> np.ndarray:
     """The rows of x kept in order, a row dropped when it lies within 1e-6
-    in angular distance of a row kept before it."""
+    in angular distance of a row kept before it.
+
+    Each angle is cut into a whole number of cells at least 2e-6 wide,
+    so two rows within 1e-6 lie in the same or in neighbouring cells
+    (across 0 = 2 pi too), and a row is dropped only by a kept row of
+    its cluster: the occupied cells linked through neighbours.  The
+    greedy rule runs in each cluster on its rows in order."""
+    if not len(x):
+        return x.copy()
+    m = int(TWO_PI / 2e-6)  # cells per turn
+    weight = m ** np.arange(x.shape[1])
+    cells = np.floor(x * (m / TWO_PI)).astype(np.int64) % m
+    occupied, first, cell_of = np.unique(cells @ weight, return_index=True,
+                                         return_inverse=True)
+    u, v = [], []
+    for off in itertools.product((-1, 0, 1), repeat=x.shape[1]):
+        near = ((cells[first] + off) % m) @ weight
+        j = np.minimum(np.searchsorted(occupied, near), occupied.size - 1)
+        hit = occupied[j] == near
+        u.append(np.flatnonzero(hit))
+        v.append(j[hit])
+    u, v = np.concatenate(u), np.concatenate(v)
+    _, cluster = CSR.from_entries(u, v, np.ones(u.size),
+                                  (occupied.size,) * 2).components()
+    cluster = cluster[cell_of.reshape(-1)]
+    order = np.argsort(cluster, kind="stable")
     kept = []
-    while len(x):
-        kept.append(x[0].copy())  # a view would hold all of x
-        r = np.abs(x - x[0]) % TWO_PI
-        x = x[np.max(np.minimum(r, TWO_PI - r), axis=1) >= 1e-6]
-    return np.array(kept).reshape(-1, x.shape[1])
+    for rows in np.split(order, np.flatnonzero(np.diff(cluster[order])) + 1):
+        while rows.size:
+            kept.append(rows[0])
+            r = np.abs(x[rows] - x[rows[0]]) % TWO_PI
+            rows = rows[np.max(np.minimum(r, TWO_PI - r), axis=1) >= 1e-6]
+    return x[np.sort(kept)]
 
 
 def _circle_cells(points, x: CriticalPoint):
@@ -218,8 +244,7 @@ def _closure(flow: "FlowComplex", i: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class FlowComplex:
+class FlowComplex(NamedTuple):
     """The complex of the gradient flow of f, built once per potential.
 
     degrees[q] lists the positions in points of the index-q points, the

@@ -9,7 +9,7 @@ spectral and combinatorial sides comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,15 +19,12 @@ from .errors import ConfigError, NumericalError
 from .trigpoly import TWO_PI, TrigPoly
 
 
-@dataclass
 class FiniteComplex:
     """Finite cochain complex with orthonormal bases; d[q] maps degree q
     to q+1."""
 
-    dims: tuple
-    d: list
-
-    def __post_init__(self):
+    def __init__(self, dims: tuple, d: list):
+        self.dims, self.d = dims, d
         if len(self.d) != len(self.dims) - 1:
             raise ConfigError("coboundary count does not match degree count")
         for q, m in enumerate(self.d):
@@ -106,16 +103,12 @@ def torsion_T(fc: FiniteComplex, nullities=None,
     return out
 
 
-@dataclass
 class ComplexMorphism:
     """Degreewise linear maps between complexes, validated as a chain map."""
 
-    domain: FiniteComplex
-    codomain: FiniteComplex
-    maps: list
-    chain_residual: float = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, domain: FiniteComplex, codomain: FiniteComplex,
+                 maps: list):
+        self.domain, self.codomain, self.maps = domain, codomain, maps
         if len(self.maps) != len(self.domain.dims):
             raise ConfigError("one map per degree required")
         for q, m in enumerate(self.maps):
@@ -255,8 +248,7 @@ def harmonic_volumes(cx: DeRhamComplex, tol: Tolerances | None = None):
 FORMULA_MATCH_ABS = 1e-4
 
 
-@dataclass
-class TorsionReport:
+class TorsionReport(NamedTuple):
     """Both assemblies of the comparison formula with their target.
 
     working combines the branch term with minus log a(0) and minus the

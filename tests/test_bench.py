@@ -2,6 +2,9 @@
 
 Run them with:  python -m pytest -m bench tests/test_bench.py
 """
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -220,3 +223,13 @@ def test_bench_torsion_assembly(benchmark, name):
 
     ok, _ = benchmark(assemble)
     assert ok
+
+
+def test_bench_import_cli(benchmark):
+    """Start-up: a fresh interpreter that imports wittenlab.cli, numpy
+    included, and exits, the set-up every command-line call pays before
+    it reads its config; the bytecode is written by one untimed run."""
+    cmd = [sys.executable, "-c", "import wittenlab.cli"]
+    subprocess.run(cmd, check=True)
+    benchmark.pedantic(subprocess.run, args=(cmd,), kwargs={"check": True},
+                       rounds=20, iterations=1)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wittenlab import config
 from wittenlab.config import (ExperimentConfig, PRESETS, Tolerances, preset,
                               check_document, load_schema,
                               validate_config_dict)
@@ -157,6 +158,41 @@ def test_tolerances_replace_and_round_trip():
     assert Tolerances.from_dict(tol.as_dict()) == tol
     with pytest.raises(ConfigError):
         Tolerances.from_dict({"nope": 1.0})
+
+
+def test_replace_validates_again():
+    """The records are immutable NamedTuples whose __new__ validates;
+    replace builds a new one through it (NamedTuple._replace would not)."""
+    cfg = preset("circle-sin2")
+    with pytest.raises(ConfigError, match="modes"):
+        cfg.replace(modes=1)
+    with pytest.raises(ConfigError, match="must be finite: vanish_max"):
+        cfg.tolerances.replace(vanish_max=np.nan)
+    with pytest.raises(TypeError):
+        cfg.replace(nope=1)
+    assert cfg.replace(degrees=[1]).degrees == (1,)
+    assert hash(cfg) == hash(ExperimentConfig(**cfg._asdict()))
+    with pytest.raises(AttributeError):
+        cfg.modes = 8
+
+
+def test_from_dict_reads_the_schema_once(monkeypatch):
+    """A config document is checked once as a whole, its tolerances
+    included; Tolerances.from_dict keeps its own check."""
+    calls = []
+
+    def counting(name):
+        calls.append(name)
+        return load_schema(name)
+
+    monkeypatch.setattr(config, "load_schema", counting)
+    cfg = ExperimentConfig.from_dict({"tolerances": {"vanish_max": 1e-4}})
+    assert cfg.tolerances.vanish_max == 1e-4 and len(calls) == 1
+    with pytest.raises(ConfigError, match=r"tolerances\.gap_min"):
+        ExperimentConfig.from_dict({"tolerances": {"gap_min": True}})
+    assert len(calls) == 2
+    Tolerances.from_dict({"vanish_max": 1e-4})
+    assert len(calls) == 3
 
 
 def test_tolerances_share_the_schema_bounds():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -374,5 +372,5 @@ def test_separable_operators_are_graded_kronecker_products():
     assert got[0] == want[0] == 0.0
     assert got[1] == want[1] <= 1e-14
     assert graded_kronecker_defect(cx, c2, c1)[1] > 0.1
-    flipped = dataclasses.replace(cx, D=[cx.D[0], -cx.D[1]])
+    flipped = cx._replace(D=[cx.D[0], -cx.D[1]])
     assert graded_kronecker_defect(flipped, c1, c2)[0] >= 1.0

@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from wittenlab.derham import laplacian_family
 from wittenlab.errors import ConfigError, NumericalError
 from wittenlab.experiments import (_anomaly_sample_ts, grid_pairings,
                                    int_morphism, morse_finite_complex,
-                                   package_vectors,
+                                   package_frames, package_vectors,
                                    random_based_complex, random_chain_iso,
                                    run_duality, run_morse, run_package,
                                    run_spectrum, run_torsion,
@@ -53,7 +52,7 @@ def test_run_spectrum_solves_each_whole_spectrum_once(monkeypatch):
     assembled.  At t = 0, 2.5 and 5 the values are those of a
     lowest_eigenvalues call on the blocks of the assembled family, within
     1e-12 max(1, |lambda|)."""
-    cfg = replace(preset("torus-sin2-product"), modes=24, t_step=0.5)
+    cfg = preset("torus-sin2-product").replace(modes=24, t_step=0.5)
     solved = []  # holding each family keeps its id from being reused
     full_spectra = branches._full_spectra
     monkeypatch.setattr(branches, "_full_spectra", lambda fam, ts: (
@@ -102,6 +101,39 @@ def test_run_package_structure(circle_run):
     assert np.max(np.abs(V.T @ V - np.eye(2))) < 1e-10
 
 
+@pytest.mark.parametrize("fixture", ["circle_torsion", "torus_torsion"])
+def test_package_frames_are_the_branch_vectors(request, fixture):
+    """Each degree's whole-grid frame stack, scattered from the stored
+    block rows, holds at every grid t the full-dimension vector_at of
+    each package branch, bit for bit."""
+    pkg = request.getfixturevalue(fixture).package_run.package
+    ts = pkg.grid.tolist()
+    for deg in pkg.degrees.values():
+        frames = package_frames(deg, ts)
+        for i, t in enumerate(ts):
+            assert np.array_equal(frames[i], np.column_stack(
+                [b.vector_at(t) for b in deg.branches]))
+
+
+def test_package_frames_skip_refined_samples(rng):
+    """Branches on different rows, with samples that refinement put
+    between grid points, give their vectors at the grid rows."""
+    grid = [0.0, 0.5, 1.0]
+    brs = []
+    for rows, extra in (([0, 2], [0.25]), ([1, 3, 4], [0.75, 0.875])):
+        ts = np.sort(np.concatenate([grid, extra]))
+        brs.append(branches.EigenBranch(
+            degree=0, ts=ts, values=np.zeros(ts.size),
+            vectors=rng.standard_normal((ts.size, len(rows))),
+            rows=np.array(rows), dim=5, overlaps=np.ones(ts.size - 1)))
+    deg = branches.PackageDegree(degree=0, branches=brs, large=[], beta=0,
+                                 c=2, gap=10.0, tol_zero=0.0)
+    frames = package_frames(deg, grid)
+    for i, t in enumerate(grid):
+        assert np.array_equal(frames[i], np.column_stack(
+            [b.vector_at(t) for b in brs]))
+
+
 # sin 2th1 + sin 2th2 (the torus preset's potential) turned a quarter
 # period on both circles: cos 2th2 - sin 2th1
 QUARTER_TURNED = {"arity": 2, "terms": [
@@ -134,7 +166,7 @@ def test_tie_groups_do_not_depend_on_the_solve_route(potential):
     family, give the same tie groups and the same points.  Their package
     branches are all exactly degenerate, so each degree is one tie group
     of all its index-q points."""
-    cfg = replace(preset("torus-sin2-product"), potential=potential)
+    cfg = preset("torus-sin2-product").replace(potential=potential)
     product = run_package(cfg)
     assembled = assembled_package(product)
     for q in (0, 1, 2):
@@ -317,7 +349,7 @@ def test_nonseparable_torus_package_takes_the_2d_search(monkeypatch):
     (run_torsion, NONSEPARABLE, "unsupported flow"),
     (run_torsion, small_circle_config(degrees=(0,)), "every degree"),
     (run_duality, small_circle_config(degrees=(0,)), r"dual degrees \[1\]"),
-    (run_duality, replace(NONSEPARABLE, degrees=(0, 1)),
+    (run_duality, NONSEPARABLE.replace(degrees=(0, 1)),
      r"dual degrees \[2\]"),
 ], ids=["torsion-no-flow", "torsion-degrees", "duality-circle",
         "duality-torus"])

@@ -208,10 +208,9 @@ def test_arc_cell_pairing_against_quad(circle_cx8):
 
 
 def test_integral_orientation_flips_sign(circle_cx8):
-    import dataclasses
     flow = flow_complex(circle_cx8.f, "circle")
     piece = flow.cells[flow.degrees[1][0]][0]
-    flipped = dataclasses.replace(piece, orientation=-piece.orientation)
+    flipped = piece._replace(orientation=-piece.orientation)
     w = np.zeros(circle_cx8.dims[1])
     w[0] = 1.0
     moments = CellMoments(circle_cx8, [0.9])
@@ -459,6 +458,28 @@ def test_det_log_known_values():
     assert sing.singular
     with pytest.raises(ConfigError):
         det_log(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("fixture", ["circle_torsion", "torus_torsion"])
+def test_stacked_det_log_matches_each_matrix(request, fixture):
+    """det_log of a degree's whole-grid stack of pairing matrices, on
+    circle-sin2 and the torus preset, gives at every t the fields of
+    det_log of that matrix alone, bit for bit, and so does the
+    positivity probe that reads it."""
+    run = request.getfixturevalue(fixture)
+    pkg_run = run.package_run
+    table = grid_pairings(pkg_run.cx, pkg_run.package, pkg_run.flow,
+                          run.config.tolerances)
+    ts = pkg_run.package.grid.tolist()
+    for q in pkg_run.package.degrees:
+        stack = det_log(np.stack([table[t][q] for t in ts]))
+        assert stack.log_abs.shape == (len(ts),)
+        ones = [det_log(table[t][q]) for t in ts]
+        for i, d in enumerate(ones):
+            assert (stack.log_abs[i], stack.sign[i], stack.cond[i],
+                    stack.singular[i]) == d
+        assert run.positivity[q] == [(t, d.log_abs, d.sign, d.cond)
+                                     for t, d in zip(ts, ones)]
 
 
 def test_a_log_total_arithmetic():

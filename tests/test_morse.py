@@ -141,6 +141,43 @@ def test_duplicates_are_dropped_against_the_kept_points():
     assert morse._distinct(np.zeros((0, 2))).shape == (0, 2)
 
 
+def _distinct_loop(x):
+    """The greedy rule one kept row at a time, each pass over all the
+    rows left: the reference for morse._distinct."""
+    kept = []
+    while len(x):
+        kept.append(x[0].copy())
+        r = np.abs(x - x[0]) % TWO_PI
+        x = x[np.max(np.minimum(r, TWO_PI - r), axis=1) >= 1e-6]
+    return np.array(kept).reshape(-1, x.shape[1])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_distinct_matches_the_greedy_loop_on_random_clouds(rng, n):
+    """Clouds of rows a few 1e-6 wide, some around 0 = 2 pi, with pairs
+    1e-6 - 1e-12 and 1e-6 + 1e-12 apart (across 0 = 2 pi too) and
+    pairs 0.9e-6 apart on a diagonal, keep exactly the rows of the
+    loop, in its order."""
+    for trial in range(40):
+        centers = rng.uniform(0.0, TWO_PI, (int(rng.integers(1, 12)), n))
+        wrap = min(trial % 3, len(centers))
+        centers[:wrap] = rng.uniform(-2e-6, 2e-6, (wrap, n))
+        x = centers[rng.integers(0, len(centers), 120)]
+        x = x + rng.normal(0.0, 1e-6 * rng.uniform(0.1, 3.0), x.shape)
+        base = rng.uniform(0.0, TWO_PI, (8, n))
+        base[:2, 0] = TWO_PI - 0.5e-6
+        step = np.zeros((8, n))
+        step[:, 0] = 1e-6 + np.array([-1e-12, 1e-12] * 4)
+        # pairs 0.9e-6 apart along both angles, either diagonal
+        pairs = rng.uniform(0.0, TWO_PI, (40, n))
+        diagonal = 0.9e-6 * rng.choice([-1.0, 1.0], (40, n))
+        x = np.concatenate([x, base, base + step, pairs, pairs + diagonal])
+        x = np.mod(rng.permutation(x), TWO_PI)
+        want = _distinct_loop(x)
+        got = morse._distinct(x)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_high_frequency_torus_search_stays_small():
     """cos 16th1 + cos 16th2 (frequencies up to 63 are valid) steps its
     16384 seeds at once and finds the 1024 points (a pi/16, b pi/16),
