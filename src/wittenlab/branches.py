@@ -168,19 +168,10 @@ def _runs(w, limit):
 
 
 def _cluster_bounds(w: np.ndarray, cluster_rel: float):
-    """_runs of w, or of a stack's rows, by eigenvalue_clusters' rule."""
+    """_runs of the ascending w, or of a stack's rows, into near-degenerate
+    clusters: a step above cluster_rel (1 + |w[i]|) up to w[i] starts a
+    new cluster at i."""
     return _runs(w, cluster_rel * (1.0 + np.abs(w[..., 1:])))
-
-
-def eigenvalue_clusters(w: np.ndarray, cluster_rel: float):
-    """Partition an ascending eigenvalue list into near-degenerate runs:
-    a step above cluster_rel (1 + |w[i]|) up to w[i] starts a new run.
-
-    Returns a list of (lo, hi) index ranges, hi exclusive, in order; an
-    empty w is one empty run.
-    """
-    lo, hi = _cluster_bounds(np.asarray(w, dtype=float), cluster_rel)
-    return sorted(set(zip(lo.tolist(), hi.tolist()))) or [(0, 0)]
 
 
 def _min_cost_assignment(cost) -> np.ndarray:
@@ -478,7 +469,7 @@ class _CoveredSolver:
     cut by the window edge comes back as an arbitrary partial slice of
     its degenerate subspace, and matching onto such a slice corrupts a
     tracked branch without tripping the overlap gate.  So unless the
-    window holds the whole spectrum, its top cluster (eigenvalue_clusters)
+    window holds the whole spectrum, its top cluster (_cluster_bounds)
     is dropped, and the window grows until the complete clusters hold k
     values and, when a value is needed, reach past it with a margin.
     Every solve's pairs are validated before they are returned.  A small

@@ -191,30 +191,16 @@ def cmd_torsion(args) -> int:
     run = run_torsion(cfg)
     r = run.report
     payload = _base_payload(cfg)
-    a0_sign = float(r.terms.get("a0_sign", 1.0))
-    payload["report"] = {
-        "manifold": r.manifold,
-        "branch_term": r.branch_term,
+    payload["report"] = _jsonable({
+        **r._asdict(),
         # determinant-backed quantities travel as (sign, log-magnitude)
-        "a0": [a0_sign, r.log_a0],
-        "log_a0": r.log_a0,
-        "log_lattice_volume": r.log_lattice_volume,
+        "a0": [float(r.terms.get("a0_sign", 1.0)), r.log_a0],
         "T_morse": [1.0, r.log_T_morse],
-        "log_T_morse": r.log_T_morse,
-        "log_W_morse": r.log_W_morse,
-        "working": r.working,
-        "printed": r.printed,
-        "target": r.target,
-        "residual_working": r.residual_working,
-        "residual_printed": r.residual_printed,
         "working_matches": r.working_matches,
         "printed_matches": r.printed_matches,
-        "anomaly": [[t, resid] for t, resid in r.anomaly],
-        "terms": _jsonable(r.terms),
-    }
-    payload["chain_residuals"] = [[t, x] for t, x in run.chain_residuals]
-    payload["positivity"] = {str(q): [[t, la, s, c] for t, la, s, c in rows]
-                             for q, rows in run.positivity.items()}
+    })
+    payload["chain_residuals"] = _jsonable(run.chain_residuals)
+    payload["positivity"] = _jsonable(run.positivity)
     _emit_json(_outpath(cfg, "torsion", "json"), payload)
     return 0
 

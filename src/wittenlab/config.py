@@ -107,7 +107,7 @@ class _ConfigFields(NamedTuple):
     t_max: float = 15.0
     t_step: float = 0.25
     k_extra: int = 6  # tracked branches beyond c_q
-    degrees: tuple | None = None  # None = all degrees of the manifold
+    degrees: tuple | None = None  # None or () = all degrees of the manifold
     seed: int = 0
     out_dir: str = "out"
     format: str = "json"
@@ -130,7 +130,7 @@ class ExperimentConfig(_ConfigFields):
         if self.k_extra < 0:
             raise ConfigError("k_extra must be nonnegative")
         n = 1 if self.manifold == "circle" else 2
-        degs = tuple(range(n + 1)) if self.degrees is None else tuple(self.degrees)
+        degs = tuple(self.degrees or range(n + 1))
         if any(not (0 <= q <= n) for q in degs):
             raise ConfigError(f"degrees must lie in 0..{n}")
         return self._replace(degrees=degs)

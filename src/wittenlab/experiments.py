@@ -30,18 +30,17 @@ from .derham import (
     check_duality_identities,
 )
 from .errors import ConfigError, NumericalError
-from .integrals import CellMoments, a_log_total, det_log
+from .integrals import CellMoments, DetValue, a_log_total, det_log
 from .morse import FlowComplex, find_critical_points, flow_complex
 from .torsion import (
     ComplexMorphism,
     FiniteComplex,
     TorsionReport,
     alternating_log,
+    anomaly_residual,
     branch_term_from_values,
-    check_anomaly,
     cohomology_volumes,
     evaluate_theorem,
-    harmonic_basis,
     harmonic_volumes,
     torsion_T,
     vol_of_iso,
@@ -67,9 +66,8 @@ class SpectrumRun(NamedTuple):
 def run_spectrum(config: ExperimentConfig, k: int | None = None) -> SpectrumRun:
     """Lowest eigenvalues of every requested degree along the grid."""
     cx = build_complex(config)
-    degrees = config.degrees or list(range(cx.n + 1))
     ts = config.grid()
-    ks = {q: k or min(cx.dims[q], 8) for q in degrees}
+    ks = {q: k or min(cx.dims[q], 8) for q in config.degrees}
     return SpectrumRun(config=config, ts=ts, values=eigenvalue_grid(
         cx, ks, ts, config.tolerances))
 
@@ -104,12 +102,12 @@ def run_package(config: ExperimentConfig, assign: bool = True) -> PackageRun:
         flow = None
         points = tuple(find_critical_points(cx.f, cx.manifold, tol))
     counts = [sum(1 for p in points if p.index == q) for q in range(cx.n + 1)]
-    degrees = config.degrees or list(range(cx.n + 1))
     ts = config.grid()
     pkg = SpectralPackage(manifold=cx.manifold, grid=ts, degrees={})
-    ks = {q: min(counts[q] + config.k_extra, cx.dims[q]) for q in degrees}
+    ks = {q: min(counts[q] + config.k_extra, cx.dims[q])
+          for q in config.degrees}
     tracked = package_branches(cx, ks, ts, tol)
-    for q in degrees:
+    for q in config.degrees:
         deg = classify(tracked[q], cx.betti[q], counts[q], float(ts[-1]),
                        tol=tol)
         if assign:
@@ -141,11 +139,6 @@ def package_frames(deg: PackageDegree, ts) -> np.ndarray:
     return out
 
 
-def package_vectors(deg: PackageDegree, t: float) -> np.ndarray:
-    """Package branch vectors at t as columns, zeros first."""
-    return package_frames(deg, [t])[0]
-
-
 def vs_complex(cx: DeRhamComplex, pkg: SpectralPackage, t: float) -> FiniteComplex:
     """The package subcomplex at one deformation value.
 
@@ -156,10 +149,10 @@ def vs_complex(cx: DeRhamComplex, pkg: SpectralPackage, t: float) -> FiniteCompl
     degs = sorted(pkg.degrees)
     if degs != list(range(cx.n + 1)):
         raise ConfigError("the package complex needs every degree tracked")
-    V = [package_vectors(pkg.degrees[q], t) for q in degs]
+    V = [package_frames(pkg.degrees[q], [t])[0] for q in degs]
     for q, Vq in zip(degs, V):
         r = np.max(np.abs(Vq.T @ Vq - np.eye(Vq.shape[1])))
-        if r > 1e-8:
+        if not r <= 1e-8:
             raise NumericalError(f"branch frame in degree {q} is not "
                                  f"orthonormal at t={t} (residual {r:.2e})")
     ds = cx.witten_d(t)
@@ -170,7 +163,7 @@ def vs_complex(cx: DeRhamComplex, pkg: SpectralPackage, t: float) -> FiniteCompl
         # the compression must be exact: d(t) preserves the package span
         leak = np.max(np.abs(big - V[q + 1] @ small))
         scale = max(1.0, float(np.max(np.abs(big))))
-        if leak > 1e-6 * scale:
+        if not leak <= 1e-6 * scale:
             raise NumericalError(f"package span leaks under d(t) in degree "
                                  f"{q}: residual {leak:.2e}")
         d_small.append(small)
@@ -178,25 +171,20 @@ def vs_complex(cx: DeRhamComplex, pkg: SpectralPackage, t: float) -> FiniteCompl
     return FiniteComplex(dims=dims, d=d_small)
 
 
-def morse_finite_complex(mc) -> FiniteComplex:
-    return FiniteComplex(dims=tuple(len(mc.degrees[q]) for q in sorted(mc.degrees)),
-                         d=[m.astype(float) for m in mc.d])
-
-
 def grid_pairings(cx: DeRhamComplex, pkg: SpectralPackage, flow: FlowComplex,
-                  tol=None) -> dict:
+                  tol=None) -> list:
     """Pairing matrices of the package with the flow cells along the grid.
 
-    Returns float(t) -> [pairing matrix of degree q for q = 0..n] for
-    every grid point t; the torsion pipeline reads its determinants, its
-    integration morphisms and its positivity probe from this one table.
-    One CellMoments pass integrates each cell arc once for the whole grid.
+    Returns for q = 0..n the (len(grid), k_q, n_q) stack of the degree-q
+    pairing matrices at every grid point; the torsion pipeline reads its
+    determinants, its integration morphisms and its positivity probe
+    from these stacks.  One CellMoments pass integrates each cell arc
+    once for the whole grid.
     """
-    ts = [float(t) for t in pkg.grid]
+    ts = pkg.grid.tolist()
     moments = CellMoments(cx, ts, tol)
-    by_degree = [moments.pairing(q, package_frames(pkg.degrees[q], ts), flow)
-                 for q in range(cx.n + 1)]
-    return {t: [P[i] for P in by_degree] for i, t in enumerate(ts)}
+    return [moments.pairing(q, package_frames(pkg.degrees[q], ts), flow)
+            for q in range(cx.n + 1)]
 
 
 def int_morphism(pairings: list, fc_vs: FiniteComplex,
@@ -244,7 +232,7 @@ def run_torsion(config: ExperimentConfig) -> TorsionRun:
     run = run_package(config, assign=True)
     cx, pkg, flow = run.cx, run.package, run.flow
     tol = config.tolerances
-    fc_morse = morse_finite_complex(flow)
+    fc_morse = flow.complex
     log_T_morse = torsion_T(fc_morse, nullities=cx.betti, tol=tol)
     covols = cohomology_volumes(fc_morse, flow.classes, nullities=cx.betti,
                                 tol=tol)
@@ -252,33 +240,32 @@ def run_torsion(config: ExperimentConfig) -> TorsionRun:
     vols, log_V = harmonic_volumes(cx, tol)
 
     # branch term from the package endpoint values, zeros excluded
-    values0 = {}
-    for q, deg in pkg.degrees.items():
-        values0[q] = [b.value_at(0.0) for b in deg.branches
-                      if b.label == LABEL_VS]
+    values0 = {q: [b.value_at(0.0) for b in deg.branches
+                   if b.label == LABEL_VS] for q, deg in pkg.degrees.items()}
     branch_term = branch_term_from_values(values0)
 
     pairings = grid_pairings(cx, pkg, flow, tol)
-    dets0 = {q: det_log(pairings[0.0][q]) for q in pkg.degrees}
+    # one stacked determinant per degree serves t = 0, the anomaly
+    # samples and the positivity probe
+    dets = {q: det_log(pairings[q]) for q in pkg.degrees}
+    ts = pkg.grid.tolist()
+
+    def dets_at(i):
+        return {q: DetValue(*(f[i].item() for f in d))
+                for q, d in dets.items()}
+
+    dets0 = dets_at(0)
     log_a0 = a_log_total(dets0)
 
     anomaly = []
     chain_residuals = []
     for t in _anomaly_sample_ts(pkg.grid):
-        fc_vs = vs_complex(cx, pkg, t)
-        morph = int_morphism(pairings[t], fc_vs, fc_morse)
+        i = ts.index(t)
+        morph = int_morphism([P[i] for P in pairings], vs_complex(cx, pkg, t),
+                             fc_morse)
         chain_residuals.append((t, morph.chain_residual))
-        log_T_vs = torsion_T(fc_vs, nullities=cx.betti, tol=tol)
-        dets_t = {q: det_log(pairings[t][q]) for q in pkg.degrees}
-        log_a_t = a_log_total(dets_t)
-        vol_h = {}
-        for q in range(cx.n + 1):
-            H_vs = harmonic_basis(fc_vs, q, cx.betti[q], tol)
-            H_c = harmonic_basis(fc_morse, q, cx.betti[q], tol)
-            phi_q = H_c.T @ morph.maps[q] @ H_vs
-            vol_h[q] = vol_of_iso(phi_q)
-        log_volH = alternating_log(vol_h)
-        ok, resid = check_anomaly(log_T_vs, log_a_t, log_volH, log_T_morse)
+        ok, resid = anomaly_residual(morph, a_log_total(dets_at(i)),
+                                     cx.betti, tol)
         if not ok:
             raise NumericalError(f"anomaly identity fails at t={t}: "
                                  f"residual {resid:.3e}")
@@ -296,25 +283,23 @@ def run_torsion(config: ExperimentConfig) -> TorsionRun:
     report = evaluate_theorem(cx.manifold, branch_term, log_a0, log_V,
                               log_T_morse, log_W, anomaly=anomaly, terms=terms)
 
-    positivity = positivity_probe(pkg, pairings)
+    positivity = positivity_probe(pkg, dets)
     return TorsionRun(config=config, package_run=run, report=report,
                       positivity=positivity, chain_residuals=chain_residuals)
 
 
-def positivity_probe(pkg: SpectralPackage, pairings: dict) -> dict:
+def positivity_probe(pkg: SpectralPackage, dets: dict) -> dict:
     """Pairing determinants along the whole grid, watching for zeros.
 
-    pairings is the grid_pairings table.  Returns per degree a list of
-    (t, log|det|, sign, cond); a sign change or a singular collapse
-    between samples would witness a zero of the pairing.
+    dets maps q to the stacked det_log of the degree-q grid_pairings.
+    Returns per degree a list of (t, log|det|, sign, cond); a sign
+    change or a singular collapse between samples would witness a zero
+    of the pairing.
     """
     ts = pkg.grid.tolist()
-    out = {}
-    for q in pkg.degrees:
-        d = det_log(np.stack([pairings[t][q] for t in ts]))
-        out[q] = list(zip(ts, d.log_abs.tolist(), d.sign.tolist(),
-                          d.cond.tolist()))
-    return out
+    return {q: list(zip(ts, d.log_abs.tolist(), d.sign.tolist(),
+                        d.cond.tolist()))
+            for q, d in dets.items()}
 
 
 # -- duality ----------------------------------------------------------------
@@ -487,20 +472,14 @@ def run_verify_anomaly(seed: int = 0, cases: int = 200,
     cases is reported.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    resid = []
     for _ in range(cases):
         fc1 = random_based_complex(rng)
         phis, fc2 = random_chain_iso(rng, fc1)
-        b = fc1.betti()
-        log_t1 = torsion_T(fc1, nullities=b)
-        log_t2 = torsion_T(fc2, nullities=b)
         log_a = alternating_log({q: vol_of_iso(p) for q, p in enumerate(phis)})
-        vol_h = {}
-        for q in range(len(fc1.dims)):
-            H1 = harmonic_basis(fc1, q, b[q])
-            H2 = harmonic_basis(fc2, q, b[q])
-            vol_h[q] = vol_of_iso(H2.T @ phis[q] @ H1)
-        _, resid = check_anomaly(log_t1, log_a, alternating_log(vol_h), log_t2)
-        worst = max(worst, resid)
+        resid.append(anomaly_residual(ComplexMorphism(fc1, fc2, phis), log_a,
+                                      fc1.betti())[1])
+    # np.max keeps a NaN residual that Python's max would drop
+    worst = np.max(resid, initial=0.0)
     return {"cases": int(cases), "seed": int(seed),
             "max_residual": float(worst), "ok": bool(worst <= tol_abs)}

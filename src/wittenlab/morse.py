@@ -4,10 +4,10 @@ find_critical_points is the one Newton search: multi-start Newton
 iteration on the gradient, certified nondegenerate, with the count
 cross-checked against the Euler characteristic (zero for both model
 manifolds).  flow_complex builds the complex of one potential in a
-single object (its points, cells, integer coboundary and
-transversality table) and finds its own points: on the circle by the
-Newton search, on a separable torus as the products of the points of
-the two circle-factor flows, so that each torus point carries its
+single object (its points, cells, integer coboundary, cochain complex
+and transversality table) and finds its own points: on the circle by
+the Newton search, on a separable torus as the products of the points
+of the two circle-factor flows, so that each torus point carries its
 factor pair by construction.  Descending cells of -grad f are written
 in closed form: any Morse function works on the circle, and every cell
 of a separable torus potential is a product of factor cells.
@@ -28,6 +28,7 @@ from .errors import (
     DegenerateCriticalPointError,
     NumericalError,
 )
+from .torsion import FiniteComplex
 from .trigpoly import TWO_PI, TrigPoly
 
 
@@ -251,8 +252,9 @@ class FlowComplex(NamedTuple):
     basis order of the cochains C^q.  cells[i] holds the descending-cell
     pieces of points[i], d[q]: C^q -> C^{q+1} the integer coboundary,
     smale_table one (x coords, y coords, dimension of the trajectory
-    space) row for every pair x above y joined by a flow line, and
-    classes[q] the integer cocycles generating H^q, one per column.
+    space) row for every pair x above y joined by a flow line,
+    classes[q] the integer cocycles generating H^q, one per column, and
+    complex the cochain complex of d in the point bases.
     """
 
     points: tuple  # all critical points, sorted by (index, coords)
@@ -262,6 +264,7 @@ class FlowComplex(NamedTuple):
     smale_table: tuple
     betti: tuple
     classes: dict  # q -> (len(degrees[q]), betti[q]) integer cocycles
+    complex: FiniteComplex
 
 
 def flow_complex(f: TrigPoly, manifold: str,
@@ -282,8 +285,9 @@ def flow_complex(f: TrigPoly, manifold: str,
     closures.  The cohomology generators are the constant cochain and
     the indicator of the first maximum on the circle, and the products
     of factor generators on the torus.  Raises NumericalError when d o
-    d != 0, a cohomology rank misses its Betti number, or a connection
-    has a negative trajectory-space dimension.
+    d != 0, the Betti numbers of the FiniteComplex of d miss the
+    manifold's, or a connection has a negative trajectory-space
+    dimension.
     """
     links = []  # (x, y) positions, x above y
     if manifold == "circle":
@@ -358,20 +362,16 @@ def flow_complex(f: TrigPoly, manifold: str,
     for a, b in zip(d[1:], d[:-1]):
         if np.max(np.abs(a @ b)) != 0:
             raise NumericalError("coboundary composition is nonzero")
-    dims = [len(degrees[q]) for q in range(len(betti))]
-    ranks = [np.linalg.matrix_rank(m) if m.size else 0 for m in d]
-    for q in range(len(dims)):
-        up = ranks[q] if q < len(ranks) else 0
-        down = ranks[q - 1] if q > 0 else 0
-        if dims[q] - up - down != betti[q]:
-            raise NumericalError(
-                f"Morse complex cohomology rank at degree {q} is "
-                f"{dims[q] - up - down}, expected {betti[q]}"
-            )
+    fc = FiniteComplex(dims=tuple(len(degrees[q]) for q in range(len(betti))),
+                       d=[m.astype(float) for m in d])
+    if fc.betti() != betti:
+        raise NumericalError(f"Morse complex cohomology ranks {fc.betti()}, "
+                             f"expected {betti}")
     classes = {q: np.column_stack([g[degrees[q]] for g in gens[q]])
                for q in range(len(betti))}
     return FlowComplex(points=points, degrees=degrees, cells=cells, d=d,
-                       smale_table=table, betti=betti, classes=classes)
+                       smale_table=table, betti=betti, classes=classes,
+                       complex=fc)
 
 
 def _on_points(flow: FlowComplex, q: int) -> np.ndarray:

@@ -36,70 +36,75 @@ class FiniteComplex:
         scale = max((np.max(np.abs(m)) for m in self.d if m.size), default=1.0)
         for a, b in zip(self.d[1:], self.d[:-1]):
             r = np.max(np.abs(a @ b)) if a.size and b.size else 0.0
-            if r > 1e-10 * max(1.0, scale) ** 2:
+            if not r <= 1e-10 * max(1.0, scale) ** 2:
                 raise ConfigError(f"d following d is nonzero: residual {r:.2e}")
+        self._splits = {}  # (q, nullity, tol) -> kernel_split of degree q
 
-    def laplacians(self):
-        out = []
-        for q in range(len(self.dims)):
-            L = np.zeros((self.dims[q], self.dims[q]))
-            if q < len(self.d):
-                L += self.d[q].T @ self.d[q]
-            if q > 0:
-                L += self.d[q - 1] @ self.d[q - 1].T
-            out.append(L)
-        return out
+    def laplacian(self, q: int) -> np.ndarray:
+        L = np.zeros((self.dims[q], self.dims[q]))
+        if q < len(self.d):
+            L += self.d[q].T @ self.d[q]
+        if q > 0:
+            L += self.d[q - 1] @ self.d[q - 1].T
+        return L
+
+    def split(self, q: int, nullity: int, tol: Tolerances | None = None):
+        """kernel_split of the degree-q Laplacian, computed once."""
+        key = (q, nullity, tol or Tolerances())
+        if key not in self._splits:
+            self._splits[key] = kernel_split(self.laplacian(q), nullity, key[2])
+        return self._splits[key]
 
     def betti(self):
-        ranks = [int(np.linalg.matrix_rank(m)) if m.size else 0 for m in self.d]
-        out = []
-        for q in range(len(self.dims)):
-            up = ranks[q] if q < len(ranks) else 0
-            down = ranks[q - 1] if q > 0 else 0
-            out.append(self.dims[q] - up - down)
-        return tuple(out)
+        # r[q] is the rank of d[q - 1], the map into degree q
+        r = [0] + [int(np.linalg.matrix_rank(m)) if m.size else 0
+                   for m in self.d] + [0]
+        return tuple(n - r[q] - r[q + 1] for q, n in enumerate(self.dims))
 
 
-def det_prime(A: np.ndarray, nullity: int, tol: Tolerances | None = None):
-    """Log of the product of nonzero eigenvalues of an SPD matrix.
+def kernel_split(A: np.ndarray, nullity: int, tol: Tolerances | None = None):
+    """(log det', gap, H) of a symmetric PSD matrix with a declared nullity:
+    from one eigh of the symmetrised matrix, the log product of the
+    eigenvalues past the kernel, their gap ratio to the largest kernel
+    value, and an orthonormal kernel basis H.
 
-    The declared nullity must be separated from the rest of the
-    spectrum by the configured gap ratio, otherwise the determinant is
-    not trustworthy and the computation refuses to continue.
-    """
+    The gap rule: a nonpositive value past the kernel, or a gap below
+    det_gap, leaves the nullity unresolved and raises."""
     tol = tol or Tolerances()
     A = np.asarray(A, dtype=float)
-    w = np.linalg.eigvalsh(0.5 * (A + A.T))
+    w, V = np.linalg.eigh(0.5 * (A + A.T))
     if nullity < 0 or nullity > len(w):
         raise ConfigError(f"nullity {nullity} out of range for dim {len(w)}")
     if nullity == len(w):
-        return 0.0, math.inf
+        return 0.0, math.inf, V
     lam = w[nullity:]
-    if lam[0] <= 0:
+    if not lam[0] > 0:
         raise NumericalError(f"nonpositive eigenvalue {lam[0]:.3e} past the "
                              f"declared kernel")
     junk = abs(w[nullity - 1]) if nullity > 0 else 0.0
     gap = lam[0] / junk if junk > 0 else math.inf
-    if gap < tol.det_gap:
+    if not gap >= tol.det_gap:
         raise NumericalError(
             f"kernel gap ratio {gap:.2e} below {tol.det_gap:.0e}: declared "
             f"nullity {nullity} is not resolved"
         )
-    return float(np.sum(np.log(lam))), gap
+    return float(np.sum(np.log(lam))), gap, V[:, :nullity]
+
+
+def det_prime(A: np.ndarray, nullity: int, tol: Tolerances | None = None):
+    """(log det', gap) of kernel_split: the log of the product of the
+    nonzero eigenvalues of an SPD matrix, gap-checked."""
+    return kernel_split(A, nullity, tol)[:2]
 
 
 def torsion_T(fc: FiniteComplex, nullities=None,
               tol: Tolerances | None = None) -> float:
     """Log torsion: sum over q of (-1)^{q+1} (q/2) log det' Delta_q."""
-    tol = tol or Tolerances()
     if nullities is None:
         nullities = fc.betti()
     out = 0.0
-    for q, L in enumerate(fc.laplacians()):
-        if q == 0:
-            continue  # weight q/2 vanishes
-        ld, _ = det_prime(L, nullities[q], tol)
-        out += (-1) ** (q + 1) * 0.5 * q * ld
+    for q in range(1, len(fc.dims)):  # the weight q/2 of degree 0 vanishes
+        out += (-1) ** (q + 1) * 0.5 * q * fc.split(q, nullities[q], tol)[0]
     return out
 
 
@@ -117,18 +122,28 @@ class ComplexMorphism:
             if m.shape != want:
                 raise ConfigError(f"map {q} has shape {m.shape}, expected {want}")
             self.maps[q] = m
-        resid = 0.0
+        resid = []
         for q in range(len(self.domain.d)):
             lhs = self.codomain.d[q] @ self.maps[q]
             rhs = self.maps[q + 1] @ self.domain.d[q]
             scale = max(1.0, np.max(np.abs(lhs)), np.max(np.abs(rhs)))
-            resid = max(resid, np.max(np.abs(lhs - rhs)) / scale)
-        self.chain_residual = float(resid)
+            resid.append(np.max(np.abs(lhs - rhs)) / scale)
+        # np.max keeps a NaN that Python's max would drop
+        self.chain_residual = float(np.max(resid, initial=0.0))
 
     def require_chain_map(self, rel_tol: float = 1e-8):
-        if self.chain_residual > rel_tol:
+        if not self.chain_residual <= rel_tol:
             raise NumericalError(f"chain map residual {self.chain_residual:.2e} "
                                  f"exceeds {rel_tol:.0e}")
+
+
+def log_volume(B: np.ndarray, what: str) -> float:
+    """Half the log of det(B^T B): the log volume of the parallelepiped
+    spanned by the columns of B; raises when they are degenerate."""
+    sign, ld = np.linalg.slogdet(B.T @ B)
+    if not (sign > 0 and abs(ld) < math.inf):
+        raise NumericalError(f"{what} is degenerate")
+    return float(0.5 * ld)
 
 
 def vol_of_iso(phi: np.ndarray) -> float:
@@ -137,28 +152,13 @@ def vol_of_iso(phi: np.ndarray) -> float:
     phi = np.asarray(phi, dtype=float)
     if phi.shape[0] != phi.shape[1]:
         raise ConfigError("volume of a non-square map")
-    if phi.size == 0:
-        return 0.0
-    sign, ld = np.linalg.slogdet(phi.T @ phi)
-    if sign <= 0:
-        raise NumericalError("cohomology map is not an isomorphism")
-    return float(0.5 * ld)
+    return log_volume(phi, "cohomology map")
 
 
 def harmonic_basis(fc: FiniteComplex, q: int, nullity: int,
                    tol: Tolerances | None = None) -> np.ndarray:
     """Orthonormal kernel basis of the degree-q Laplacian, gap-checked."""
-    tol = tol or Tolerances()
-    L = fc.laplacians()[q]
-    w, V = np.linalg.eigh(L)
-    if nullity == 0:
-        return np.zeros((fc.dims[q], 0))
-    junk = abs(w[nullity - 1])
-    live = w[nullity] if nullity < len(w) else math.inf
-    if junk > 0 and live / junk < tol.det_gap:
-        raise NumericalError(f"harmonic space in degree {q} not resolved: "
-                             f"gap {live / junk:.2e}")
-    return V[:, :nullity]
+    return fc.split(q, nullity, tol)[2]
 
 
 def cohomology_volumes(fc: FiniteComplex, classes: dict,
@@ -170,7 +170,6 @@ def cohomology_volumes(fc: FiniteComplex, classes: dict,
     Gram determinant of the harmonic projections.  Bases must live in
     the same coordinates as fc.
     """
-    tol = tol or Tolerances()
     if nullities is None:
         nullities = fc.betti()
     out = {}
@@ -180,19 +179,14 @@ def cohomology_volumes(fc: FiniteComplex, classes: dict,
             C = C[:, None]
         if q < len(fc.d) and C.size:
             r = np.max(np.abs(fc.d[q] @ C))
-            if r > 1e-10 * max(1.0, np.max(np.abs(C))):
+            if not r <= 1e-10 * max(1.0, np.max(np.abs(C))):
                 raise ConfigError(f"class in degree {q} is not a cocycle "
                                   f"(residual {r:.2e})")
         if C.shape[1] != nullities[q]:
             raise ConfigError(f"{C.shape[1]} classes given in degree {q}, "
                               f"harmonic dimension is {nullities[q]}")
-        H = harmonic_basis(fc, q, nullities[q], tol)
-        P = H.T @ C  # harmonic coordinates of the classes
-        sign, ld = np.linalg.slogdet(P.T @ P)
-        if sign <= 0:
-            raise NumericalError(f"classes in degree {q} do not span the "
-                                 f"harmonic space")
-        out[q] = 0.5 * float(ld)
+        out[q] = log_volume(harmonic_basis(fc, q, nullities[q], tol).T @ C,
+                            f"the harmonic projection of degree-{q} classes")
     return out
 
 
@@ -214,7 +208,6 @@ def harmonic_volumes(cx: DeRhamComplex, tol: Tolerances | None = None):
     D[q-1]^T B = 0.  Returns ({q: log V_q}, log of the alternating
     product).
     """
-    tol = tol or Tolerances()
     one = expand_1d(TrigPoly.const(1, 1.0), cx.N)  # the constant 1
     scale = 1.0 / TWO_PI
     if cx.manifold == "circle":
@@ -231,14 +224,11 @@ def harmonic_volumes(cx: DeRhamComplex, tol: Tolerances | None = None):
         B = np.column_stack(vecs)
         products = (([cx.D[q] @ B] if q < cx.n else [])
                     + ([cx.D[q - 1].T @ B] if q > 0 else []))
-        r = max(float(np.max(np.abs(P))) for P in products)
-        if r > 1e-10 * max(1.0, float(np.max(np.abs(B)))):
+        r = float(np.max([np.max(np.abs(P)) for P in products]))
+        if not r <= 1e-10 * max(1.0, float(np.max(np.abs(B)))):
             raise NumericalError(f"lattice generator in degree {q} is not "
                                  f"harmonic (residual {r:.2e})")
-        sign, ld = np.linalg.slogdet(B.T @ B)
-        if sign <= 0:
-            raise NumericalError(f"degenerate lattice basis in degree {q}")
-        out[q] = 0.5 * float(ld)
+        out[q] = log_volume(B, f"the lattice basis in degree {q}")
     return out, alternating_log(out)
 
 
@@ -309,6 +299,24 @@ def check_anomaly(log_T_vs: float, log_a: float, log_volH: float,
     """
     resid = abs(log_T_vs - log_a + log_volH - log_T_morse)
     return resid <= tol_abs, float(resid)
+
+
+def anomaly_residual(morph: ComplexMorphism, log_a: float, nullities,
+                     tol: Tolerances | None = None):
+    """check_anomaly of a chain isomorphism between based complexes.
+
+    log_a is the alternating log volume of the degreewise maps.  The
+    torsions of domain and codomain and the volume of the induced map
+    on harmonic spaces are read from the kernel splits of the two
+    complexes under the declared nullities.
+    """
+    dom, cod = morph.domain, morph.codomain
+    vol_h = {q: vol_of_iso(harmonic_basis(cod, q, b, tol).T @ m
+                           @ harmonic_basis(dom, q, b, tol))
+             for q, (m, b) in enumerate(zip(morph.maps, nullities))}
+    return check_anomaly(torsion_T(dom, nullities, tol), log_a,
+                         alternating_log(vol_h),
+                         torsion_T(cod, nullities, tol))
 
 
 def evaluate_theorem(manifold: str, branch_term: float, log_a0: float,

@@ -14,7 +14,7 @@ import numpy as np
 
 from wittenlab.config import preset
 from wittenlab.derham import laplacian_family
-from wittenlab.experiments import (build_complex, package_vectors,
+from wittenlab.experiments import (build_complex, package_frames,
                                    random_based_complex, run_verify_anomaly)
 from wittenlab.integrals import CellMoments, det_log
 
@@ -193,7 +193,7 @@ def test_criterion_09_pairing_positivity(circle_torsion, torus_torsion):
             for i in idx:
                 t = rows[i][0]
                 M = CellMoments(cx, [t], tol).pairing(
-                    q, package_vectors(deg, t)[None], flow)[0]
+                    q, package_frames(deg, [t]), flow)[0]
                 norms = np.linalg.norm(M, axis=0)
                 ok = ok and bool(np.all(norms > 0.0))
                 scale = float(np.sum(np.log(norms)))

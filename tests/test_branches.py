@@ -8,7 +8,7 @@ from wittenlab.branches import (LABEL_LARGE, LABEL_VS, LABEL_ZERO,
                                 _box_axes, _box_gram, _CoveredSolver,
                                 _eig_smallest_sparse, _residuals,
                                 _validate_residuals, classify,
-                                eigenvalue_clusters, lowest_eigenvalues,
+                                lowest_eigenvalues,
                                 match_step, package_branches,
                                 track_branches)
 from wittenlab.cli import main
@@ -43,26 +43,36 @@ def test_residual_check_rejects_nan():
         _validate_residuals(_residuals(A, w, V), 1e-9, w)
 
 
-def test_eigenvalue_clusters_grouping():
-    """eigenvalue_clusters against the per-step loop, and
-    _cluster_bounds, of one list or of a stack, against its ranges."""
+def _clusters(w, rel):
+    """The (lo, hi) ranges of the clusters of the ascending w, in order,
+    read from branches._cluster_bounds."""
+    lo, hi = branches._cluster_bounds(np.asarray(w, dtype=float), rel)
+    return sorted(set(zip(lo.tolist(), hi.tolist())))
+
+
+def test_cluster_bounds_grouping():
+    """_cluster_bounds against the per-step loop (_gaps), of one list or
+    of a stack: each value gets the (lo, hi) range of its cluster, hi
+    exclusive."""
     w = np.array([0.0, 1e-9, 1.0, 1.0 + 1e-8, 2.0])
-    cl = eigenvalue_clusters(w, 1e-6)
-    assert cl == [(0, 2), (2, 4), (4, 5)]
-    assert eigenvalue_clusters(np.array([]), 1e-6) == [(0, 0)]
-    assert eigenvalue_clusters(np.array([3.0]), 1e-6) == [(0, 1)]
+    lo, hi = branches._cluster_bounds(w, 1e-6)
+    assert lo.tolist() == [0, 0, 2, 2, 4] and hi.tolist() == [2, 2, 4, 4, 5]
+    assert _clusters(w, 1e-6) == [(0, 2), (2, 4), (4, 5)]
+    assert _clusters(np.array([]), 1e-6) == []
+    assert _clusters(np.array([3.0]), 1e-6) == [(0, 1)]
     # on steps planted at and around the bound
     rng = np.random.default_rng(5)
     stack = np.cumsum(rng.choice([0.0, 0.5e-6, 1e-6, 2e-6, 1e-3], (20, 30))
                       * (1.0 + rng.random((20, 30))), axis=1)
     rows = zip(stack, *branches._cluster_bounds(stack, 1e-6))
     for w, lo_row, hi_row in rows:
-        starts = [lo for lo, _ in eigenvalue_clusters(w, 1e-6)][1:]
-        assert starts == sorted(_gaps(w, 1e-6))
-        want = [r for lo, hi in eigenvalue_clusters(w, 1e-6)
-                for r in [(lo, hi)] * (hi - lo)]
-        for lo, hi in (branches._cluster_bounds(w, 1e-6), (lo_row, hi_row)):
-            assert list(zip(lo.tolist(), hi.tolist())) == want
+        lo, hi = branches._cluster_bounds(w, 1e-6)
+        assert np.array_equal(lo, lo_row) and np.array_equal(hi, hi_row)
+        edges = sorted(set(lo.tolist()))
+        assert edges[1:] == sorted(_gaps(w, 1e-6))
+        edges.append(w.size)
+        want = [r for a, b in zip(edges, edges[1:]) for r in [(a, b)] * (b - a)]
+        assert list(zip(lo.tolist(), hi.tolist())) == want
 
 
 def test_windowed_route_tracks_the_dense_values(torus_cx6, monkeypatch):
@@ -99,7 +109,7 @@ def test_windowed_dense_route_matches_full_eigh(monkeypatch):
             assert np.array_equal(a.ts, b.ts)
             assert np.max(np.abs(a.values - b.values)) < 1e-10
         lam = np.array([b.values[-1] for b in full])
-        for lo, hi in eigenvalue_clusters(lam, Tolerances().cluster_rel):
+        for lo, hi in _clusters(lam, Tolerances().cluster_rel):
             Vf = np.column_stack([b.vector_at(grid[-1]) for b in full[lo:hi]])
             Vw = np.column_stack([b.vector_at(grid[-1])
                                   for b in windowed[lo:hi]])
@@ -142,14 +152,14 @@ def test_covered_solve_grows_past_a_cut_cluster():
 
 
 def test_covered_cut_keeps_a_match_rule_cluster_whole():
-    """80 and 80 + 80.5e-6 tie under eigenvalue_clusters (the step is
+    """80 and 80 + 80.5e-6 tie under _cluster_bounds (the step is
     below 1e-6 (1 + 80)) and straddle the first 9-value window of a
     100-row block: the solve drops both, returning the 7 values below."""
     vals = 10.0 * np.arange(1.0, 101.0)
     vals[7], vals[8] = 80.0, 80.0 + 80.5e-6
     fam = synthetic_family(_rotated_spectrum(vals), np.zeros((100, 100)))
     tol = Tolerances()
-    assert eigenvalue_clusters(np.sort(vals), tol.cluster_rel)[7] == (7, 9)
+    assert _clusters(np.sort(vals), tol.cluster_rel)[7] == (7, 9)
     solver = _CoveredSolver(fam, 1, tol)
     assert solver.window == 9
     w, _, _ = solver.solve(0.0)
@@ -276,7 +286,7 @@ def _assert_same_tracks(stacked, per_sample, tol):
         assert np.array_equal(a.ts, b.ts)
         assert np.max(np.abs(a.values - b.values)) <= 1e-12
     lam = np.array([b.values[-1] for b in stacked])
-    for lo, hi in eigenvalue_clusters(lam, tol.cluster_rel):
+    for lo, hi in _clusters(lam, tol.cluster_rel):
         Va = np.stack([_full_vectors(b) for b in stacked[lo:hi]], axis=-1)
         Vb = np.stack([_full_vectors(b) for b in per_sample[lo:hi]], axis=-1)
         cos = np.linalg.svd(Va.transpose(0, 2, 1) @ Vb, compute_uv=False)

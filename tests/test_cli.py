@@ -308,15 +308,16 @@ def test_exit_code_numerical_error(tmp_path, capsys, monkeypatch):
 
 def test_torsion_exit_code_on_failed_anomaly_check(tmp_path, capsys,
                                                    monkeypatch):
-    import wittenlab.experiments as experiments
+    import wittenlab.torsion as torsion
 
-    check = experiments.check_anomaly
+    check = torsion.check_anomaly
 
     def shifted(log_T_vs, log_a, log_volH, log_T_morse):
         # one log term off by ten times the check's own 1e-3 bound
         return check(log_T_vs + 1e-2, log_a, log_volH, log_T_morse)
 
-    monkeypatch.setattr(experiments, "check_anomaly", shifted)
+    # anomaly_residual looks check_anomaly up in wittenlab.torsion
+    monkeypatch.setattr(torsion, "check_anomaly", shifted)
     # 20 modes pass the unpatched check at every sample
     _, path = write_config(tmp_path, modes=20)
     assert main(["torsion", "--config", path]) == 3
@@ -415,3 +416,20 @@ def test_readme_commands_parse():
         runs.add((args.command, args.preset))
     assert {(c, p) for c in ("package", "torsion", "duality")
             for p in PRESETS} <= runs
+
+
+def test_empty_degree_list_means_every_degree(tmp_path, capsys):
+    """degrees: [] in a config file reads as every degree, like null and
+    [0, 1]: one digest for all three spellings, and torsion runs on it."""
+    cfg, path = write_config(tmp_path, modes=20)
+    doc = json.loads(Path(path).read_text())
+    digests = set()
+    for spelling in (None, [], [0, 1]):
+        digests.add(ExperimentConfig.from_dict(
+            {**doc, "degrees": spelling}).digest())
+    assert digests == {cfg.digest()}
+    Path(path).write_text(json.dumps({**doc, "degrees": []}))
+    assert main(["torsion", "--config", path]) == 0
+    (out,) = printed_files(capsys)
+    assert os.path.basename(out) == f"torsion-{cfg.digest()}.json"
+    assert json.loads(Path(out).read_text())["config"]["degrees"] == [0, 1]

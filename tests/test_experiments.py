@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -9,8 +10,7 @@ from wittenlab.config import ExperimentConfig, Tolerances, preset
 from wittenlab.derham import laplacian_family
 from wittenlab.errors import ConfigError, NumericalError
 from wittenlab.experiments import (_anomaly_sample_ts, grid_pairings,
-                                   int_morphism, morse_finite_complex,
-                                   package_frames, package_vectors,
+                                   int_morphism, package_frames,
                                    random_based_complex, random_chain_iso,
                                    run_duality, run_morse, run_package,
                                    run_spectrum, run_torsion,
@@ -97,7 +97,7 @@ def test_run_package_structure(circle_run):
         assert cps == [0, 1]
         for b in deg.branches:
             assert b.mass is not None and b.mass > 0.5
-    V = package_vectors(run.degree(0), 0.0)
+    V = package_frames(run.degree(0), [0.0])[0]
     assert np.max(np.abs(V.T @ V - np.eye(2))) < 1e-10
 
 
@@ -240,13 +240,14 @@ def test_vs_complex_structure(circle_run):
 def test_int_morphism_is_a_chain_map(circle_run):
     run = circle_run
     cx = run.cx
-    fc_morse = morse_finite_complex(run.flow)
+    fc_morse = run.flow.complex
     pairings = grid_pairings(cx, run.package, run.flow)
     fc_vs = vs_complex(cx, run.package, 0.0)
-    m0 = int_morphism(pairings[0.0], fc_vs, fc_morse)
+    m0 = int_morphism([P[0] for P in pairings], fc_vs, fc_morse)
     assert m0.chain_residual < 1e-12
     fc_vs1 = vs_complex(cx, run.package, 1.0)
-    m1 = int_morphism(pairings[1.0], fc_vs1, fc_morse)
+    i1 = run.package.grid.tolist().index(1.0)
+    m1 = int_morphism([P[i1] for P in pairings], fc_vs1, fc_morse)
     # package vectors are not band limited, so the compressed Stokes
     # identity only holds up to the spectral tail of the frames
     assert m1.chain_residual < 1e-7
@@ -410,3 +411,55 @@ def test_torsion_requires_all_degrees():
     cfg = small_circle_config(degrees=(0,))
     with pytest.raises(ConfigError):
         run_torsion(cfg)
+
+
+@pytest.mark.parametrize("name, want", [("circle-sin2", 10),
+                                        ("torus-sin2-product", 15)])
+def test_run_torsion_splits_each_degree_once(monkeypatch, name, want):
+    """run_torsion decomposes each Laplacian of each finite complex once:
+    the Morse complex and the package complex at the four anomaly
+    samples, every degree of each, so 2 + 4 * 2 on the circle and
+    3 + 4 * 3 on the torus (23 and 37 when det_prime, harmonic_basis
+    and the anomaly loops each solved their own)."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "wittenlab.torsion":
+                calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for attr in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, attr, counted(getattr(np.linalg, attr)))
+    run = run_torsion(preset(name))
+    assert len(run.report.anomaly) == 4
+    assert len(calls) == want
+
+
+def test_vs_complex_rejects_nan_frames(circle_run, monkeypatch):
+    frames = experiments.package_frames
+
+    def poisoned(deg, ts):
+        out = frames(deg, ts)
+        out[..., 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(experiments, "package_frames", poisoned)
+    with pytest.raises(NumericalError, match="orthonormal"):
+        vs_complex(circle_run.cx, circle_run.package, 1.0)
+
+
+def test_vs_complex_rejects_a_nan_leak(circle_run):
+    cx = circle_run.cx._replace(E=[float("nan") * Eq for Eq in circle_run.cx.E])
+    with pytest.raises(NumericalError, match="leaks"):
+        vs_complex(cx, circle_run.package, 1.0)
+
+
+def test_verify_anomaly_reports_a_nan_residual(monkeypatch):
+    from wittenlab import torsion
+
+    monkeypatch.setattr(torsion, "check_anomaly",
+                        lambda *terms: (True, math.nan))
+    out = run_verify_anomaly(seed=0, cases=3)
+    assert math.isnan(out["max_residual"]) and not out["ok"]

@@ -350,3 +350,22 @@ def test_morse_coboundary_nonseparable_torus_rejected():
     mixed = TrigPoly.cosine((1, 1)) + TrigPoly.cosine((0, 1))
     with pytest.raises(ConfigError):
         flow_complex(mixed, "torus")
+
+
+def test_flow_carries_its_complex_and_checks_its_betti(monkeypatch):
+    """FlowComplex.complex is the FiniteComplex of the integer coboundary,
+    whose Betti numbers certify the flow's; cells that bound nothing
+    leave d = 0, and the flow is refused."""
+    for f, manifold in ((circle_sin2(), "circle"),
+                        (torus_sin2_product(), "torus")):
+        flow = flow_complex(f, manifold)
+        fc = flow.complex
+        assert fc.dims == tuple(len(flow.degrees[q]) for q in flow.degrees)
+        assert all(np.array_equal(a, b) for a, b in zip(fc.d, flow.d))
+        assert fc.betti() == flow.betti
+    cells = morse._circle_cells
+    monkeypatch.setattr(morse, "_circle_cells", lambda points, x: [
+        piece._replace(orientation=0) for piece in cells(points, x)])
+    with pytest.raises(NumericalError, match=r"ranks \(2, 2\), expected "
+                                             r"\(1, 1\)"):
+        flow_complex(circle_sin2(), "circle")

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from wittenlab.errors import ConfigError, NumericalError
-from wittenlab.experiments import (morse_finite_complex, random_based_complex,
-                                   random_chain_iso)
+from wittenlab.experiments import random_based_complex, random_chain_iso
 from wittenlab.morse import flow_complex
 from wittenlab.torsion import (ComplexMorphism, FiniteComplex, alternating_log,
-                               branch_term_from_values, check_anomaly,
-                               cohomology_volumes, det_prime, evaluate_theorem,
-                               harmonic_basis, harmonic_volumes, torsion_T,
-                               vol_of_iso)
+                               anomaly_residual, branch_term_from_values,
+                               check_anomaly, cohomology_volumes, det_prime,
+                               evaluate_theorem, harmonic_basis,
+                               harmonic_volumes, torsion_T, vol_of_iso)
 from wittenlab.trigpoly import TWO_PI, TrigPoly, circle_sin2
 
 import oracles
@@ -75,10 +74,14 @@ def test_harmonic_basis_kernel_property():
     d = np.array([[1.0, -1.0], [-1.0, 1.0]])
     fc = FiniteComplex(dims=(2, 2), d=[d])
     H = harmonic_basis(fc, 0, 1)
-    L = fc.laplacians()[0]
+    L = fc.laplacian(0)
     assert np.max(np.abs(L @ H)) < 1e-12
     assert H.T @ H == pytest.approx(np.eye(1), abs=1e-12)
-    assert harmonic_basis(fc, 0, 0).shape == (2, 0)
+    # a declared nullity below the kernel dimension fails the gap rule
+    with pytest.raises(NumericalError, match="nonpositive eigenvalue"):
+        harmonic_basis(fc, 0, 0)
+    invertible = FiniteComplex(dims=(2, 2), d=[np.diag([1.0, 2.0])])
+    assert harmonic_basis(invertible, 0, 0).shape == (2, 0)
 
 
 def test_harmonic_basis_gap_guard():
@@ -91,7 +94,7 @@ def test_harmonic_basis_gap_guard():
 
 def test_cohomology_volumes_circle_is_two():
     mc = flow_complex(circle_sin2(), "circle")
-    fc = morse_finite_complex(mc)
+    fc = mc.complex
     vols = cohomology_volumes(fc, mc.classes)
     # covolume of the constant cochain over two minima is sqrt 2; the
     # single-maximum indicator projects to 1/sqrt 2
@@ -114,7 +117,7 @@ def test_cohomology_volumes_torus_is_one():
     covolume 1, for every rotation of the factors."""
     for amps in oracles.TORUS_FACTOR_AMPLITUDES:
         mc = flow_complex(sin2_rotated(*amps), "torus")
-        fc = morse_finite_complex(mc)
+        fc = mc.complex
         for q, C in mc.classes.items():
             if q < len(mc.d):
                 assert not np.any(mc.d[q] @ C), amps
@@ -126,7 +129,7 @@ def test_cohomology_volumes_torus_is_one():
 
 def test_cohomology_volumes_rejects_non_cocycle():
     mc = flow_complex(circle_sin2(), "circle")
-    fc = morse_finite_complex(mc)
+    fc = mc.complex
     bad = {0: np.array([[1.0], [0.0]]), 1: np.array([[1.0], [0.0]])}
     with pytest.raises(ConfigError):
         cohomology_volumes(fc, bad)
@@ -202,3 +205,70 @@ def test_complex_morphism_validation(rng):
                            maps=[np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])])
     with pytest.raises(NumericalError):
         skew.require_chain_map()
+
+
+# -- checks that a NaN fails ------------------------------------------------
+
+
+def test_finite_complex_rejects_a_nan_coboundary():
+    d0 = np.array([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(ConfigError, match="d following d"):
+        FiniteComplex(dims=(2, 2, 2), d=[d0, np.zeros((2, 2))])
+
+
+def test_chain_residual_keeps_a_nan():
+    d = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    fc = FiniteComplex(dims=(2, 2), d=[d.copy()])
+    fd = FiniteComplex(dims=(2, 2), d=[d.copy()])
+    bad = ComplexMorphism(domain=fc, codomain=fd,
+                          maps=[np.eye(2), np.array([[1.0, np.nan],
+                                                     [0.0, 1.0]])])
+    assert math.isnan(bad.chain_residual)
+    with pytest.raises(NumericalError):
+        bad.require_chain_map()
+
+
+def test_cohomology_volumes_rejects_a_nan_class():
+    mc = flow_complex(circle_sin2(), "circle")
+    bad = {0: np.array([[1.0], [np.nan]]), 1: mc.classes[1]}
+    with pytest.raises(ConfigError, match="not a cocycle"):
+        cohomology_volumes(mc.complex, bad)
+
+
+def test_harmonic_volumes_rejects_a_nan_operator(circle_cx8):
+    cx = circle_cx8._replace(D=[float("nan") * Dq for Dq in circle_cx8.D])
+    with pytest.raises(NumericalError, match="not harmonic"):
+        harmonic_volumes(cx)
+
+
+def test_log_volume_rejects_a_nan_map():
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericalError, match="degenerate"):
+        vol_of_iso(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+# -- one split per degree, one anomaly routine ------------------------------
+
+
+def test_split_is_computed_once_per_degree(monkeypatch, rng):
+    """torsion_T, harmonic_basis and det_prime read one eigh per degree
+    of a complex, and the anomaly routine closes on a chain isomorphism
+    within rounding."""
+    base = random_based_complex(rng)
+    phis, fc = random_chain_iso(rng, base)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda A: calls.append(A.shape) or eigh(A))
+    b = base.betti()
+    lt = torsion_T(fc, nullities=b)
+    for q in range(len(fc.dims)):
+        harmonic_basis(fc, q, b[q])
+    assert len(calls) == len(fc.dims)
+    assert lt == pytest.approx(oracles.torsion_log_svd(fc.dims, fc.d),
+                               abs=1e-8)
+    ld, _ = det_prime(fc.laplacian(1), b[1])
+    assert ld == fc.split(1, b[1])[0]
+    log_a = alternating_log({q: vol_of_iso(p) for q, p in enumerate(phis)})
+    ok, resid = anomaly_residual(ComplexMorphism(base, fc, phis), log_a, b)
+    assert ok and resid < 1e-9
