@@ -174,6 +174,29 @@ def _cluster_bounds(w: np.ndarray, cluster_rel: float):
     return _runs(w, cluster_rel * (1.0 + np.abs(w[..., 1:])))
 
 
+def t0_groups(branches, cluster_rel: float) -> list:
+    """Indices of the branches grouped by what fixes their t = 0 limits.
+
+    Degenerate perturbation theory pins a limit by the cluster
+    (_cluster_bounds) of its value at t = 0 and, inside that, by the
+    cluster of its first-order slope t0_slope; only the span of a group
+    is determined.  Groups come out ascending by value cluster, then by
+    slope cluster, each group's indices ascending.
+    """
+    v = np.array([b.value_at(0.0) for b in branches])
+    s = np.array([b.t0_slope for b in branches])
+    groups = []
+    by_v = np.argsort(v, kind="stable")
+    lo, hi = _cluster_bounds(v[by_v], cluster_rel)
+    for c in np.unique(lo).tolist():
+        mem = by_v[c:hi[c]]
+        by_s = mem[np.argsort(s[mem], kind="stable")]
+        glo, ghi = _cluster_bounds(s[by_s], cluster_rel)
+        groups += [sorted(by_s[g:ghi[g]].tolist())
+                   for g in np.unique(glo).tolist()]
+    return groups
+
+
 def _min_cost_assignment(cost) -> np.ndarray:
     """Column of each row in a minimum-cost assignment (rows <= columns).
 
@@ -284,12 +307,10 @@ def _polish_t0(clusters, V_full, cols, W, A1, cluster_rel):
     true limits, and the caller's overlap check certifies that.
 
     clusters is _cluster_bounds of the values at t = 0.  Returns
-    (vectors, slopes, cluster_key) with cluster_key shared among
-    branches whose t=0 subspace is only jointly determined.
+    (vectors, slopes); t0_groups reads the same two clusterings back
+    from the branches.
     """
-    k = W.shape[1]
-    slopes = np.zeros(k)
-    cluster_key = np.arange(k)
+    slopes = np.zeros(W.shape[1])
     lo, hi = clusters
     reached = sorted(set(lo[cols].tolist()))  # the clusters with branches
     span = np.concatenate([np.arange(c, hi[c]) for c in reached])
@@ -315,9 +336,7 @@ def _polish_t0(clusters, V_full, cols, W, A1, cluster_rel):
             New[:, ovd < 0] *= -1.0
             W[:, mem] = New
             slopes[mem] = float(np.mean(s_all[g:ghi[g]]))
-            if mem.size >= 2:
-                cluster_key[mem] = int(np.min(mem))
-    return W, slopes, cluster_key
+    return W, slopes
 
 
 class EigenBranch:
@@ -328,15 +347,14 @@ class EigenBranch:
     the unit vector at ts[i], and every other of its dim entries is 0.
     vector_at gives the full-dimension vector.  Classification and
     assignment fill in label, critical_point, mass and tie_group (the
-    points critical_point was chosen from); branches that share a
-    t0_cluster id span a jointly-determined subspace at t = 0."""
+    points critical_point was chosen from); t0_slope is the first-order
+    slope at t = 0, which t0_groups reads."""
 
     def __init__(self, degree: int, ts: np.ndarray, values: np.ndarray,
                  vectors: np.ndarray, rows: np.ndarray, dim: int,
                  overlaps: np.ndarray, label: str = "",
                  critical_point: int | None = None, mass: float | None = None,
-                 tie_group: list | None = None, t0_slope: float | None = None,
-                 t0_cluster: int | None = None):
+                 tie_group: list | None = None, t0_slope: float | None = None):
         self.degree = degree
         self.ts = ts  # ascending sample parameters (grid plus refinements)
         self.values = values
@@ -346,7 +364,7 @@ class EigenBranch:
         self.overlaps = overlaps  # consecutive aligned overlaps, len(ts) - 1
         self.label, self.critical_point = label, critical_point
         self.mass, self.tie_group = mass, tie_group
-        self.t0_slope, self.t0_cluster = t0_slope, t0_cluster
+        self.t0_slope = t0_slope
 
     def sample_index(self, ts) -> np.ndarray:
         """Index into the samples of each t of ts, the nearest sample."""
@@ -553,7 +571,7 @@ def track_branches(fam: LaplacianFamily, q: int, grid, k: int | None = None,
     blocks are not tracking events.  Each branch stores its vectors on
     its block's rows (rows is the block's index into the family, dim
     the family's dimension); the branches come ordered by their value
-    at the last grid point, with t0_cluster ids unique across blocks.
+    at the last grid point.
 
     A step is accepted as _track_family states; where it is not, a
     TrackingError reports the interval rather than silently permuting
@@ -583,8 +601,6 @@ def track_branches(fam: LaplacianFamily, q: int, grid, k: int | None = None,
                                 spectra)
         for slot, br in zip(slots, tracked):
             br.rows, br.dim = idx, dim
-            if br.t0_cluster is not None:
-                br.t0_cluster = int(slots[br.t0_cluster])
             merged[slot] = br
     return merged
 
@@ -611,7 +627,6 @@ def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
     cur_w = start[0][:k]
     samples = [(t_cur, cur_w, cur_V)]
     step_overlaps = []
-    t0_slopes = t0_cluster_key = None
 
     for target in reversed(grid[:-1].tolist()):
         seg = [target]
@@ -626,7 +641,7 @@ def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
                 # the overlap then certifies continuation into the limit,
                 # and bisection below shrinks the last step if the samples
                 # have not converged to it yet
-                W, t0_slopes, t0_cluster_key = _polish_t0(
+                W, t0_slopes = _polish_t0(
                     clusters, V_full, cols, W, fam.term(1), tol.cluster_rel
                 )
                 ov = np.abs(np.sum(cur_V * W, axis=0))
@@ -658,22 +673,11 @@ def _track_family(fam: LaplacianFamily, q: int, grid: np.ndarray, k: int,
     vecs = np.array([s[2] for s in samples])  # (n_samples, dim, k)
     ovs = np.array(step_overlaps) if step_overlaps else np.zeros((0, k))
 
-    branches = []
-    for j in range(k):
-        br = EigenBranch(
-            degree=q,
-            ts=ts.copy(),
-            values=vals[:, j].copy(),
-            vectors=vecs[:, :, j].copy(),
-            rows=np.arange(fam.dim),
-            dim=fam.dim,
-            overlaps=ovs[:, j].copy(),
-        )
-        if t0_slopes is not None:
-            br.t0_slope = float(t0_slopes[j])
-            br.t0_cluster = int(t0_cluster_key[j])
-        branches.append(br)
-    return branches
+    return [EigenBranch(degree=q, ts=ts.copy(), values=vals[:, j].copy(),
+                        vectors=vecs[:, :, j].copy(), rows=np.arange(fam.dim),
+                        dim=fam.dim, overlaps=ovs[:, j].copy(),
+                        t0_slope=float(t0_slopes[j]))
+            for j in range(k)]
 
 
 def _residuals(A, w, V) -> np.ndarray:
@@ -755,10 +759,9 @@ def package_branches(cx: DeRhamComplex, ks: dict, grid,
     and the factor blocks they need are tracked (_factor_tracks); every
     factor block's whole spectrum at t_max is solved once for all
     degrees.  Branch (a, b) has the values and t = 0 slopes of u_a plus
-    v_b, the product of their overlaps, the vectors u_a (x) v_b stored on
-    the rows of its torus block, and the t0_cluster of the first branch
-    of its block whose factors share their t0_clusters (tied sums of
-    other pairs are joined by experiments._t0_groups).
+    v_b, the product of their overlaps, and the vectors u_a (x) v_b
+    stored on the rows of its torus block; t0_groups groups the products
+    by their summed values and slopes like any tracked branches.
     """
     tol, grid = tol or Tolerances(), np.asarray(grid, dtype=float)
     if cx.manifold != "torus" or not cx.f.is_separable():
@@ -775,14 +778,14 @@ def package_branches(cx: DeRhamComplex, ks: dict, grid,
             rows, key1, key2 = factors.blocks[q][b]
             a1, a2 = divmod(int(orders[b][seen[b]]), factors.family[key2].dim)
             seen[b] += 1
-            chosen[q].append((b, rows, key1, a1, key2, a2))
+            chosen[q].append((rows, key1, a1, key2, a2))
             need[key1] = max(need.get(key1, 0), a1 + 1)
             need[key2] = max(need.get(key2, 0), a2 + 1)
     tracks = _factor_tracks(factors.family, need, grid, tol)
     out = {}
     for q, picks in chosen.items():
-        out[q], first = [], {}
-        for j, (b, rows, key1, a1, key2, a2) in enumerate(picks):
+        out[q] = []
+        for rows, key1, a1, key2, a2 in picks:
             # a factor block is one invariant block, so u and v store all
             # its rows, and u (x) v all the rows of the torus block
             u, v = tracks[key1][a1], tracks[key2][a2]
@@ -792,8 +795,7 @@ def package_branches(cx: DeRhamComplex, ks: dict, grid,
                          ).reshape(u.ts.size, -1),
                 rows=rows, dim=cx.dims[q],
                 overlaps=u.overlaps * v.overlaps,
-                t0_slope=u.t0_slope + v.t0_slope, t0_cluster=first.setdefault(
-                    (b, u.t0_cluster, v.t0_cluster), j)))
+                t0_slope=u.t0_slope + v.t0_slope))
     return out
 
 

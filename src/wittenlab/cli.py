@@ -1,6 +1,6 @@
 """Command line driver.
 
-Subcommands map one-to-one onto the experiment runners; every run
+Commands map one-to-one onto the experiment runners; every run
 writes deterministic artifacts (JSON reports, CSV branch traces, SVG
 plots) under the output directory, named by the config digest so
 different configurations never overwrite each other.
@@ -27,22 +27,20 @@ from .experiments import (
 
 
 def build_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
+    if args.config:
         cfg = ExperimentConfig.from_json(args.config)
-    elif getattr(args, "preset", None):
-        cfg = preset(args.preset)
     else:
-        cfg = preset("circle-sin2")
+        cfg = preset(args.preset or "circle-sin2")
     over = {}
-    if getattr(args, "tmax", None) is not None:
+    if args.tmax is not None:
         over["t_max"] = args.tmax
-    if getattr(args, "modes", None) is not None:
+    if args.modes is not None:
         over["modes"] = args.modes
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         over["seed"] = args.seed
-    if getattr(args, "format", None):
+    if args.format:
         over["format"] = args.format
-    if getattr(args, "out", None):
+    if args.out:
         over["out_dir"] = args.out
     return cfg.replace(**over) if over else cfg
 
@@ -222,7 +220,8 @@ def cmd_duality(args) -> int:
 
 def cmd_verify_anomaly(args) -> int:
     cfg = build_config(args)
-    out = run_verify_anomaly(seed=cfg.seed, cases=args.cases)
+    out = run_verify_anomaly(
+        seed=cfg.seed, cases=200 if args.cases is None else args.cases)
     payload = _base_payload(cfg)
     payload["anomaly_check"] = out
     _emit_json(_outpath(cfg, "verify-anomaly", "json"), payload)
@@ -240,52 +239,50 @@ def _jsonable(obj):
     return obj
 
 
+COMMANDS = {
+    "spectrum": (cmd_spectrum, "lowest eigenvalues along the grid"),
+    "branches": (cmd_branches,
+                 "track eigenvalue branches, write traces and plots"),
+    "package": (cmd_package, "classify the package and localize branches"),
+    "morse": (cmd_morse, "critical points, cells, and the coboundary"),
+    "torsion": (cmd_torsion, "assemble the torsion comparison report"),
+    "duality": (cmd_duality,
+                "star conjugation identities and package matching"),
+    "verify-anomaly": (cmd_verify_anomaly,
+                       "anomaly identity on random chain maps"),
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="wittenlab",
         description="Deformed Laplacian spectra, gradient-flow complexes, "
                     "and torsion comparisons on model manifolds.")
     p.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a JSON experiment config")
-    common.add_argument("--preset", choices=sorted(PRESETS),
-                        help="named built-in configuration")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--tmax", type=float, help="deformation endpoint")
-    common.add_argument("--modes", type=int, help="per-axis frequency cutoff")
-    common.add_argument("--seed", type=int, help="seed for randomized checks")
-    common.add_argument("--format", choices=["json", "csv"],
-                        help="tabular output format")
-    sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[common],
-                   help="lowest eigenvalues along the grid").set_defaults(
-        fn=cmd_spectrum)
-    sub.add_parser("branches", parents=[common],
-                   help="track eigenvalue branches, write traces and plots"
-                   ).set_defaults(fn=cmd_branches)
-    sub.add_parser("package", parents=[common],
-                   help="classify the package and localize branches"
-                   ).set_defaults(fn=cmd_package)
-    sub.add_parser("morse", parents=[common],
-                   help="critical points, cells, and the coboundary"
-                   ).set_defaults(fn=cmd_morse)
-    sub.add_parser("torsion", parents=[common],
-                   help="assemble the torsion comparison report"
-                   ).set_defaults(fn=cmd_torsion)
-    sub.add_parser("duality", parents=[common],
-                   help="star conjugation identities and package matching"
-                   ).set_defaults(fn=cmd_duality)
-    va = sub.add_parser("verify-anomaly", parents=[common],
-                        help="anomaly identity on random chain maps")
-    va.add_argument("--cases", type=int, default=200)
-    va.set_defaults(fn=cmd_verify_anomaly)
+    p.add_argument("command", choices=COMMANDS, metavar="COMMAND",
+                   help="; ".join(f"{name}: {text}"
+                                  for name, (_, text) in COMMANDS.items()))
+    p.add_argument("--config", help="path to a JSON experiment config")
+    p.add_argument("--preset", choices=sorted(PRESETS),
+                   help="named built-in configuration")
+    p.add_argument("--out", help="output directory")
+    p.add_argument("--tmax", type=float, help="deformation endpoint")
+    p.add_argument("--modes", type=int, help="per-axis frequency cutoff")
+    p.add_argument("--seed", type=int, help="seed for randomized checks")
+    p.add_argument("--format", choices=["json", "csv"],
+                   help="tabular output format")
+    p.add_argument("--cases", type=int,
+                   help="random cases of verify-anomaly (default 200)")
     return p
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    if args.cases is not None and args.command != "verify-anomaly":
+        parser.error("--cases applies to verify-anomaly only")
     try:
-        return args.fn(args)
+        return COMMANDS[args.command][0](args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -1,9 +1,11 @@
 """Experiment configuration: tolerances, presets, deterministic digests.
 
 Configs round-trip through JSON and are validated against the schema
-shipped in wittenlab/schemas/, read by the small draft-07 reader below
-(the schema file is the only place the rules live).  Every output file
-embeds the config digest so runs are attributable and reproducible byte
+shipped in wittenlab/schemas/, read by the small draft-07 reader below.
+The records check fields as well, so one built in code is checked too:
+Tolerances.__new__ that every tolerance is finite, ExperimentConfig.__new__
+the manifold, format, modes, t-grid, k_extra and degrees.  Every output
+file embeds the config digest so runs are attributable and reproducible byte
 for byte.
 """
 from __future__ import annotations

@@ -21,6 +21,7 @@ from .branches import (
     classify,
     eigenvalue_grid,
     package_branches,
+    t0_groups,
 )
 from .config import ExperimentConfig, _potential_to_json
 from .derham import (
@@ -209,7 +210,8 @@ class TorsionRun(NamedTuple):
 
 
 def _anomaly_sample_ts(grid: np.ndarray) -> list:
-    """Deformation values where the package is still numerically resolved."""
+    """t = 0 and the grid points nearest t = 1, 2 and 4, ascending and
+    distinct; nothing checks that the cutoff resolves the package there."""
     out = [0.0]
     for target in (1.0, 2.0, 4.0):
         t = float(grid[np.argmin(np.abs(grid - target))])
@@ -320,11 +322,13 @@ def run_duality(config: ExperimentConfig) -> DualityRun:
     tracked spectra of the two runs must agree as multisets at every
     grid point, and the star image of each package eigenframe at t_max
     must land in the span of the matching branches of the sign-flipped
-    run.  Matching is per jointly-determined t=0 cluster: inside an
-    exactly degenerate cluster only the span is canonical (per-branch
-    point labels are a tie-break convention, reported but not compared).
-    A degree set without the dual of each of its degrees is refused
-    before any tracking.
+    run.  Matching is per jointly determined t = 0 group (t0_groups:
+    the value cluster at t = 0, then the slope cluster inside it, under
+    cluster_rel), and the paired groups' t = 0 values must tie under the
+    same cluster_rel.  Inside a group only the span is canonical
+    (per-branch point labels are a tie-break convention, reported but
+    not compared).  A degree set without the dual of each of its degrees
+    is refused before any tracking.
     """
     n = config.dim
     missing = sorted({n - q for q in config.degrees} - set(config.degrees))
@@ -357,8 +361,8 @@ def run_duality(config: ExperimentConfig) -> DualityRun:
 
         t_end = float(run_f.package.grid[-1])
         star = run_f.cx.S[q]
-        groups_f = _t0_groups(deg_f.branches, rel)
-        groups_g = _t0_groups(deg_g.branches, rel)
+        groups_f = t0_groups(deg_f.branches, rel)
+        groups_g = t0_groups(deg_g.branches, rel)
         if [len(g) for g in groups_f] != [len(g) for g in groups_g]:
             raise NumericalError(
                 f"t=0 cluster structure differs between degree {q} and its "
@@ -366,7 +370,7 @@ def run_duality(config: ExperimentConfig) -> DualityRun:
         for gf, gg in zip(groups_f, groups_g):
             v0f = deg_f.branches[gf[0]].value_at(0.0)
             v0g = deg_g.branches[gg[0]].value_at(0.0)
-            if abs(v0f - v0g) > 1e-6 * (1.0 + abs(v0f)):
+            if not abs(v0f - v0g) <= rel * (1.0 + abs(v0f)):
                 raise NumericalError(
                     f"cluster values {v0f:.6g} and {v0g:.6g} do not pair up")
             G = np.column_stack([deg_g.branches[j].vector_at(t_end)
@@ -383,41 +387,6 @@ def run_duality(config: ExperimentConfig) -> DualityRun:
     return DualityRun(config=config, identity_residuals=identity,
                       value_residual=float(worst_val),
                       star_match_residual=float(worst_star), pairs=pairs)
-
-
-def _t0_groups(branches, rel: float):
-    """Package branch indices grouped by their t=0 eigenvalue cluster.
-
-    Branches sharing a t0_cluster id are jointly determined; groups whose
-    (value, slope) data at t=0 tie within rel are merged as well, since
-    symmetric potentials can produce distinct curves with identical
-    invariants whose frames only match as a joint span.  Groups come out
-    sorted by (value, slope), which is a run-independent order.
-    """
-    raw = {}
-    for i, b in enumerate(branches):
-        key = b.t0_cluster if b.t0_cluster is not None else -(i + 1)
-        raw.setdefault(key, []).append(i)
-
-    def v0(g):
-        return float(np.mean([branches[i].value_at(0.0) for i in g]))
-
-    def s0(g):
-        sl = [branches[i].t0_slope for i in g]
-        return float(np.mean([s for s in sl if s is not None])) if any(
-            s is not None for s in sl) else 0.0
-
-    groups = sorted(raw.values(), key=lambda g: (v0(g), s0(g)))
-    merged = []
-    for g in groups:
-        if merged:
-            h = merged[-1]
-            if (abs(v0(g) - v0(h)) <= rel * (1.0 + abs(v0(g)))
-                    and abs(s0(g) - s0(h)) <= rel * (1.0 + abs(s0(g)))):
-                h.extend(g)
-                continue
-        merged.append(list(g))
-    return merged
 
 
 # -- anomaly identity on random complexes ------------------------------------

@@ -37,7 +37,6 @@ class CriticalPoint(NamedTuple):
     index: int  # number of negative Hessian eigenvalues
     value: float  # f at the point
     hessian: tuple  # Hessian eigenvalues, ascending
-    orientation: int = 1  # sign convention carried by the cell parametrization
 
 
 class UnstableCell(NamedTuple):
@@ -285,7 +284,7 @@ def flow_complex(f: TrigPoly, manifold: str,
     closures.  The cohomology generators are the constant cochain and
     the indicator of the first maximum on the circle, and the products
     of factor generators on the torus.  Raises NumericalError when d o
-    d != 0, the Betti numbers of the FiniteComplex of d miss the
+    d != 0 (the FiniteComplex check), the Betti numbers of the FiniteComplex of d miss the
     manifold's, or a connection has a negative trajectory-space
     dimension.
     """
@@ -359,9 +358,6 @@ def flow_complex(f: TrigPoly, manifold: str,
                for q in range(len(betti))}
     d = tuple(full[np.ix_(degrees[q + 1], degrees[q])]
               for q in range(len(betti) - 1))
-    for a, b in zip(d[1:], d[:-1]):
-        if np.max(np.abs(a @ b)) != 0:
-            raise NumericalError("coboundary composition is nonzero")
     fc = FiniteComplex(dims=tuple(len(degrees[q]) for q in range(len(betti))),
                        d=[m.astype(float) for m in d])
     if fc.betti() != betti:

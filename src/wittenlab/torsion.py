@@ -37,7 +37,8 @@ class FiniteComplex:
         for a, b in zip(self.d[1:], self.d[:-1]):
             r = np.max(np.abs(a @ b)) if a.size and b.size else 0.0
             if not r <= 1e-10 * max(1.0, scale) ** 2:
-                raise ConfigError(f"d following d is nonzero: residual {r:.2e}")
+                raise NumericalError(
+                    f"d following d is nonzero: residual {r:.2e}")
         self._splits = {}  # (q, nullity, tol) -> kernel_split of degree q
 
     def laplacian(self, q: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from wittenlab.branches import (LABEL_LARGE, LABEL_VS, LABEL_ZERO,
                                 _validate_residuals, classify,
                                 lowest_eigenvalues,
                                 match_step, package_branches,
-                                track_branches)
+                                t0_groups, track_branches)
 from wittenlab.cli import main
 from wittenlab.config import Tolerances, preset
 from wittenlab.derham import (CSR, LaplacianFamily, build_circle_complex,
@@ -652,24 +652,46 @@ def test_tracking_per_block_ignores_crossings_between_blocks():
         assert all(np.max(np.abs(b.vector_at(t)[off])) == 0.0 for t in grid)
 
 
-def test_t0_cluster_ids_are_unique_across_blocks():
+def test_t0_groups_split_a_value_cluster_by_slope_across_blocks():
     """Each block holds a pair degenerate to first order at t = 0 (values
-    1 + t +- 0.3 t^2 and 1 - t/2 +- 0.3 t^2): one shared id per pair, and
-    different ids for the two blocks."""
+    1 + t +- 0.3 t^2 and 1 - t/2 +- 0.3 t^2), and all four values tie at
+    t = 0: t0_groups gives one group per slope, each pair whole, the
+    slope -1/2 group first."""
     X = np.array([[0.0, 0.3], [0.3, 0.0]])
     fam = LaplacianFamily.from_terms(np.eye(4),
                                      np.diag([1.0, 1.0, -0.5, -0.5]),
                                      _block_diag(X, X))
     grid = np.linspace(0.0, 1.0, 5)
     brs = track_branches(fam, 0, grid, k=4, tol=Tolerances())
-    ids = [b.t0_cluster for b in brs]
+    assert [b.rows.tolist() for b in brs] == [[2, 3]] * 2 + [[0, 1]] * 2
+    assert t0_groups(brs, Tolerances().cluster_rel) == [[0, 1], [2, 3]]
     slopes = [b.t0_slope for b in brs]
-    groups = {}
-    for i, s in zip(ids, slopes):
-        groups.setdefault(i, set()).add(round(s, 9))
-    assert sorted(len(g) for g in groups.values()) == [1, 1]
-    assert sorted(ids).count(ids[0]) == 2 and len(set(ids)) == 2
-    assert sorted(s for g in groups.values() for s in g) == [-0.5, 1.0]
+    assert np.allclose(slopes, [-0.5, -0.5, 1.0, 1.0], rtol=0, atol=1e-9)
+
+
+def _t0_branch(value, slope):
+    """A one-sample branch at t = 0 with the given value and slope."""
+    return branches.EigenBranch(
+        degree=0, ts=np.zeros(1), values=np.array([value]),
+        vectors=np.ones((1, 1)), rows=np.arange(1), dim=1,
+        overlaps=np.zeros(0), t0_slope=slope)
+
+
+def test_t0_groups_join_tied_slopes_across_a_value_cluster():
+    """Values 1, 1, 1 + 1e-9 tie under cluster_rel, so the slopes -1/2,
+    1, -1/2 decide: branches 0 and 2 form one group although branch 1's
+    value sorts between them, and the groups go by slope.  Slopes that
+    do not tie, or values that do not, split the group."""
+    rel = Tolerances().cluster_rel
+    brs = [_t0_branch(v, s) for v, s in ((1.0, -0.5), (1.0, 1.0),
+                                         (1.0 + 1e-9, -0.5))]
+    assert t0_groups(brs, rel) == [[0, 2], [1]]
+    brs = [_t0_branch(v, s) for v, s in ((1.0, -0.5), (1.0, 1.0),
+                                         (1.0 + 1e-9, -0.5 + 1e-3))]
+    assert t0_groups(brs, rel) == [[0], [2], [1]]
+    brs = [_t0_branch(v, s) for v, s in ((2.0, -0.5), (1.0, 1.0),
+                                         (2.0 + 1e-3, -0.5))]
+    assert t0_groups(brs, rel) == [[1], [0], [2]]
 
 
 def _box_gram_loop(cx, q, W, center, radius, nodes):

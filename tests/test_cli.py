@@ -156,6 +156,18 @@ def test_verify_anomaly_subcommand(tmp_path, capsys):
     assert check["max_residual"] <= 1e-9
 
 
+def test_cases_is_refused_off_verify_anomaly(tmp_path, capsys):
+    """--cases belongs to verify-anomaly: any other command exits 2
+    before it runs."""
+    _, path = write_config(tmp_path)
+    for command in ("spectrum", "torsion"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", path, "--cases", "10"])
+        assert exc.value.code == 2
+        assert "--cases" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_reruns_are_byte_identical(tmp_path, capsys):
     _, path = write_config(tmp_path, t_max=2.0)
     assert main(["spectrum", "--config", path]) == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wittenlab import morse
+from wittenlab.cli import main
 from wittenlab.errors import (ConfigError, DegenerateCriticalPointError,
                               NumericalError)
 from wittenlab.morse import (CriticalPoint, factor_potentials,
@@ -369,3 +370,26 @@ def test_flow_carries_its_complex_and_checks_its_betti(monkeypatch):
     with pytest.raises(NumericalError, match=r"ranks \(2, 2\), expected "
                                              r"\(1, 1\)"):
         flow_complex(circle_sin2(), "circle")
+
+
+def test_morse_exits_3_on_a_corrupted_torus_coboundary(monkeypatch,
+                                                         tmp_path, capsys):
+    """One sign of a circle factor's coboundary flipped: `wittenlab morse`
+    on the torus preset exits 3 and writes nothing.  The graded product
+    rule keeps d o d = 0 whatever the factor coboundaries are, so the
+    flipped sign shows as the wrong cohomology of the product complex."""
+    full = morse._full_coboundary
+
+    def flipped(flow):
+        out = full(flow).copy()
+        i, j = np.argwhere(out)[0]
+        out[i, j] = -out[i, j]
+        return out
+
+    monkeypatch.setattr(morse, "_full_coboundary", flipped)
+    out = tmp_path / "out"
+    assert main(["morse", "--preset", "torus-sin2-product",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "expected (1, 2, 1)" in err
+    assert not out.exists()

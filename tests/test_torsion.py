@@ -24,7 +24,7 @@ def test_finite_complex_validation():
     # d following d must vanish
     d0 = np.array([[1.0, 0.0], [0.0, 1.0]])
     d1 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ConfigError):
+    with pytest.raises(NumericalError, match="d following d"):
         FiniteComplex(dims=(2, 2, 2), d=[d0, d1])
 
 
@@ -212,7 +212,7 @@ def test_complex_morphism_validation(rng):
 
 def test_finite_complex_rejects_a_nan_coboundary():
     d0 = np.array([[1.0, np.nan], [0.0, 1.0]])
-    with pytest.raises(ConfigError, match="d following d"):
+    with pytest.raises(NumericalError, match="d following d"):
         FiniteComplex(dims=(2, 2, 2), d=[d0, np.zeros((2, 2))])
 
 
